@@ -9,6 +9,8 @@ onto a shared root value.
 
 Bisection runs until the midpoint stops moving (the bracket spans at most
 one representable gap), then the residual is checked against a tolerance.
+A NaN value anywhere along the way raises instead of steering the bracket,
+since every comparison with NaN is False.
 """
 from __future__ import annotations
 
@@ -46,9 +48,10 @@ def bisect_monotone(
     Runs to machine resolution by default; a positive ``xtol`` stops once
     the bracket is that narrow (useful when each evaluation is itself a
     quadrature).  Raises BracketError when f(lo) and f(hi) share a sign,
-    and ScreeningError when the converged root's residual exceeds
-    ``residual_tol`` (which for a genuinely monotone continuous curve
-    indicates the tolerance was set below what float64 can deliver).
+    and ScreeningError when ``f`` returns NaN or the converged root's
+    residual exceeds ``residual_tol`` (which for a genuinely monotone
+    continuous curve indicates the tolerance was set below what float64
+    can deliver).
     """
     lo = float(lo)
     hi = float(hi)
@@ -56,6 +59,11 @@ def bisect_monotone(
         raise BracketError(f"empty bracket: lo={lo!r} >= hi={hi!r}")
     f_lo = float(f(lo))
     f_hi = float(f(hi))
+    if f_lo != f_lo or f_hi != f_hi:
+        raise ScreeningError(
+            f"f is NaN on the bracket [{lo!r}, {hi!r}]: "
+            f"f(lo)={f_lo!r}, f(hi)={f_hi!r}"
+        )
     if f_lo == 0.0:
         return RootResult(lo, 0.0, 0.0, 0)
     if f_hi == 0.0:
@@ -72,6 +80,8 @@ def bisect_monotone(
         if mid == lo or mid == hi or hi - lo <= xtol:
             break
         f_mid = float(f(mid))
+        if f_mid != f_mid:
+            raise ScreeningError(f"f is NaN at {mid!r} inside [{lo!r}, {hi!r}]")
         if f_mid == 0.0:
             lo = hi = mid
             break
@@ -81,7 +91,7 @@ def bisect_monotone(
             hi = mid
     root = 0.5 * (lo + hi)
     residual = abs(float(f(root)))
-    if residual > residual_tol:
+    if not residual <= residual_tol:
         raise ScreeningError(
             f"bisection converged to {root!r} but the residual {residual:.3e} "
             f"exceeds the tolerance {residual_tol:.3e}; "
@@ -101,12 +111,15 @@ def bisect_monotone_many(
 
     ``f`` must map an array of abscissas to an array of values, elementwise
     monotone in the same direction for every batch member, and every
-    bracket must straddle a sign change.  Returns the array of roots.
+    bracket must straddle a sign change.  Returns the array of roots;
+    raises ScreeningError when ``f`` returns NaN for any member.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
     f_lo = np.asarray(f(lo), dtype=float)
     f_hi = np.asarray(f(hi), dtype=float)
+    _require_no_nan(f_lo, lo)
+    _require_no_nan(f_hi, hi)
     if np.any(np.sign(f_lo) * np.sign(f_hi) > 0):
         bad = int(np.argmax(np.sign(f_lo) * np.sign(f_hi) > 0))
         raise BracketError(
@@ -121,8 +134,18 @@ def bisect_monotone_many(
         if not np.any(open_cells):
             break
         f_mid = np.asarray(f(mid), dtype=float)
+        _require_no_nan(f_mid, mid)
         move_lo = open_cells & ((f_mid > 0.0) == lo_positive)
         move_hi = open_cells & ~move_lo
         lo[move_lo] = mid[move_lo]
         hi[move_hi] = mid[move_hi]
     return 0.5 * (lo + hi)
+
+
+def _require_no_nan(values: np.ndarray, at: np.ndarray) -> None:
+    nan = np.isnan(values)
+    if nan.any():
+        bad = int(np.argmax(nan))
+        raise ScreeningError(
+            f"f is NaN for batch member {bad} at {at.flat[bad]!r}"
+        )

@@ -21,17 +21,18 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from time import perf_counter
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import __version__
 from . import scores as _scores
@@ -41,6 +42,7 @@ from .model import (
     ModelConfig,
     ScreeningError,
     UnsupportedModelError,
+    marginal_posterior_phi,
     validate_mlrp,
 )
 from .population import (
@@ -144,19 +146,6 @@ SCHEMAS: dict[str, list[tuple[str, str]]] = {
 # Small serialization helpers
 # =====================================================================
 
-def fmt(value) -> str:
-    """Shortest round-trip text for one CSV cell."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
-
-
 def write_atomic(path: str, data: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -164,12 +153,52 @@ def write_atomic(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def render_csv(header: list[str], rows) -> str:
+# Rows are formatted this many at a time, so a 1e6-row file never holds a
+# Python string per cell for the whole table at once.
+CSV_CHUNK_ROWS = 65_536
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """Text of each cell of one column; masked cells are empty."""
+    values = np.ma.getdata(column)
+    if values.dtype.kind == "f":
+        cells = np.fromiter(map(repr, values.tolist()), dtype=object, count=len(values))
+    else:
+        # flags, labels and names repeat: format each distinct value once
+        if values.dtype.kind == "b":
+            values = values.astype(np.int8)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[inverse]
+    cells[np.ma.getmaskarray(column)] = ""
+    return cells.tolist()
+
+
+def _as_column(values) -> np.ndarray:
+    """A sequence as an array, with None entries masked."""
+    if isinstance(values, np.ndarray):
+        return values
+    missing = [v is None for v in values]
+    return np.ma.masked_array(
+        [0 if gone else v for v, gone in zip(values, missing)], mask=missing
+    )
+
+
+def render_csv(header: list[str], columns) -> str:
+    """CSV text of equal-length columns under one header line.
+
+    Floats are written in shortest round-trip form (``repr``), integers
+    and bools as integers, strings as given; masked cells and None are
+    empty.  No cell needs quoting: the package writes no commas, quotes
+    or newlines inside a cell.
+    """
+    columns = [_as_column(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("CSV columns must have equal lengths")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
+    buf.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        cells = [_cells(column[start:start + CSV_CHUNK_ROWS]) for column in columns]
+        buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return buf.getvalue()
 
 
@@ -188,7 +217,11 @@ class RunManifest:
     argv: list[str]
     started_utc: str
 
-    def write(self, out_dir: str, outputs: list[str]) -> None:
+    def write(
+        self, out_dir: str, outputs: list[str], timings: dict | None = None
+    ) -> None:
+        """Hash ``outputs`` into ``run_manifest.json``; ``timings`` maps a
+        stage name to its seconds and is recorded when given."""
         entries = []
         for name in sorted(outputs):
             path = os.path.join(out_dir, name)
@@ -211,23 +244,9 @@ class RunManifest:
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": entries,
         }
+        if timings is not None:
+            doc["timings"] = timings
         write_atomic(os.path.join(out_dir, "run_manifest.json"), render_json(doc))
-
-
-@dataclass
-class SweepResult:
-    """Everything a full sweep produced, before serialization."""
-
-    thetas: list[float]
-    tau_grid: np.ndarray
-    score_rows: list[tuple]
-    regret_rows: list[tuple]
-    jump_docs: list[dict]
-    per_theta: list[dict]
-    average_rows: list[tuple]
-    tau_bar: float | None
-    tau_bar_reason: str | None
-    environment: dict | None
 
 
 # =====================================================================
@@ -240,8 +259,14 @@ def _load_config(path: str) -> tuple[ModelConfig, str]:
             raw = fh.read()
     except OSError as exc:
         raise InvalidModelError(f"cannot read config {path!r}: {exc}") from exc
+
+    def reject_constant(name: str):
+        raise InvalidModelError(
+            f"config {path!r} contains {name}; every value must be finite"
+        )
+
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise InvalidModelError(
             f"config parse error in {path!r} at line {exc.lineno} "
@@ -334,6 +359,25 @@ def _manifest(args, digest: str) -> RunManifest:
     )
 
 
+def _csv(name: str, columns) -> str:
+    return render_csv([column for column, _ in SCHEMAS[name]], columns)
+
+
+def _field_columns(name: str, records) -> list[list]:
+    """Columns of ``name`` read from the same-named fields of ``records``."""
+    return [[getattr(r, column) for r in records] for column, _ in SCHEMAS[name]]
+
+
+def _concat(parts) -> list[np.ndarray]:
+    """Join per-block column lists into one list of columns."""
+    return [np.concatenate(blocks) for blocks in zip(*parts)]
+
+
+def _write_outputs(out: str, texts: dict[str, str]) -> None:
+    for name, text in texts.items():
+        write_atomic(os.path.join(out, name), text)
+
+
 # =====================================================================
 # Subcommands
 # =====================================================================
@@ -354,29 +398,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _score_rows(config, thetas, tau_grid, threads):
-    def rows_for(theta):
-        point_rows = []
+def _score_columns(config, thetas, tau_grid, threads) -> list[np.ndarray]:
+    k = len(tau_grid)
+
+    def columns_for(theta):
         s1 = _scores.score_s1(config, theta, tau_grid)
         s2 = _scores.score_s2(config, theta, tau_grid)
         cut = _scores.gamma1(config, theta, tau_grid)
-        from .model import marginal_posterior_phi
-        from scipy.special import ndtr
-
         phi = float(marginal_posterior_phi(config, theta))
         z_q, z_u = _scores._standardized_cutoffs(config, theta, cut)
-        surv_q = ndtr(-z_q)
-        surv_u = ndtr(-z_u)
-        for j, tau in enumerate(tau_grid):
-            point_rows.append(
-                (theta, tau, s1[j], s2[j], cut[j], phi, surv_q[j], surv_u[j])
-            )
-        return point_rows
+        return [
+            np.full(k, theta), tau_grid, s1, s2, cut, np.full(k, phi),
+            ndtr(-z_q), ndtr(-z_u),
+        ]
 
-    rows = []
-    for chunk in _parallel_map(rows_for, thetas, threads):
-        rows.extend(chunk)
-    return rows
+    return _concat(_parallel_map(columns_for, thetas, threads))
 
 
 def cmd_scores(args) -> int:
@@ -387,42 +423,19 @@ def cmd_scores(args) -> int:
     manifest = _manifest(args, digest)
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
-    rows = _score_rows(config, thetas, tau_grid, args.threads)
+    columns = _score_columns(config, thetas, tau_grid, args.threads)
     out = _ensure_out(args)
-    write_atomic(
-        os.path.join(out, "scores.csv"),
-        render_csv([c for c, _ in SCHEMAS["scores.csv"]], rows),
-    )
-    manifest.write(out, ["scores.csv"])
+    texts = {"scores.csv": _csv("scores.csv", columns)}
+    _write_outputs(out, texts)
+    manifest.write(out, list(texts))
     return EXIT_OK
 
 
-def _threshold_doc(config, theta, with_crossings=True) -> dict:
-    report = threshold_report(config, theta)
-    doc = {
-        "theta": report.theta,
-        "tau_star": report.tau_star,
-        "tau_d1": report.tau_d1,
-        "tau_d2": report.tau_d2,
-        "equalized_score": report.equalized_score,
-        "ordering": report.ordering,
-        "knife_edge": report.knife_edge,
-    }
-    if with_crossings:
-        for q in (0, 1):
-            crossing = find_regret_crossings(config, theta, q)
-            doc[f"crossings_q{q}"] = _crossing_doc(crossing)
+def _threshold_doc(config, theta) -> dict:
+    doc = asdict(threshold_report(config, theta))
+    for q in (0, 1):
+        doc[f"crossings_q{q}"] = asdict(find_regret_crossings(config, theta, q))
     return doc
-
-
-def _crossing_doc(crossing) -> dict:
-    return {
-        "theta": crossing.theta,
-        "q": crossing.q,
-        "crossings": list(crossing.crossings),
-        "case_label": crossing.case_label,
-        "boundary_flags": list(crossing.boundary_flags),
-    }
 
 
 def cmd_tau(args) -> int:
@@ -432,7 +445,7 @@ def cmd_tau(args) -> int:
     def doc_for(theta):
         if args.q is None:
             return _threshold_doc(config, theta)
-        return _crossing_doc(find_regret_crossings(config, theta, args.q))
+        return asdict(find_regret_crossings(config, theta, args.q))
 
     docs = _parallel_map(doc_for, thetas, args.threads)
     payload = docs if getattr(args, "theta_grid", None) is not None else docs[0] if len(docs) == 1 else docs
@@ -447,18 +460,17 @@ def cmd_tau(args) -> int:
 
 
 def _regret_outputs(config, theta, q, tau_grid):
+    """regret.csv columns (rows by algo, then tau) and the jump doc."""
     curves = regret_curve(config, theta, q, tau_grid)
-    rows = []
-    for algo in ALGOS:
-        for j, tau in enumerate(curves.tau):
-            rows.append((
-                theta, q, tau, algo,
-                curves.score[algo][j],
-                curves.n_ex_ante[algo][j],
-                curves.accepted[algo][j],
-                curves.p_ex_post[algo][j],
-                curves.u[algo][j],
-            ))
+    k = len(curves.tau)
+    columns = [
+        np.full(2 * k, theta), np.full(2 * k, q), np.tile(curves.tau, 2),
+        np.repeat(ALGOS, k),
+    ] + [
+        np.concatenate([field[algo] for algo in ALGOS])
+        for field in (curves.score, curves.n_ex_ante, curves.accepted,
+                      curves.p_ex_post, curves.u)
+    ]
     jumps = {
         "theta": float(theta),
         "q": int(q),
@@ -467,7 +479,7 @@ def _regret_outputs(config, theta, q, tau_grid):
             for jump in curves.jumps
         ],
     }
-    return rows, jumps
+    return columns, jumps
 
 
 def cmd_regret(args) -> int:
@@ -479,14 +491,14 @@ def cmd_regret(args) -> int:
     tau_grid = _tau_grid(config, args.tau_grid)
     if args.q not in (0, 1):
         raise DomainError(f"--q must be 0 or 1, got {args.q!r}")
-    rows, jumps = _regret_outputs(config, float(args.theta), args.q, tau_grid)
+    columns, jumps = _regret_outputs(config, float(args.theta), args.q, tau_grid)
     out = _ensure_out(args)
-    write_atomic(
-        os.path.join(out, "regret.csv"),
-        render_csv([c for c, _ in SCHEMAS["regret.csv"]], rows),
-    )
-    write_atomic(os.path.join(out, "regret_jumps.json"), render_json(jumps))
-    manifest.write(out, ["regret.csv", "regret_jumps.json"])
+    texts = {
+        "regret.csv": _csv("regret.csv", columns),
+        "regret_jumps.json": render_json(jumps),
+    }
+    _write_outputs(out, texts)
+    manifest.write(out, list(texts))
     return EXIT_OK
 
 
@@ -502,14 +514,14 @@ def cmd_sweep(args) -> int:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
 
-    score_rows = _score_rows(config, thetas, tau_grid, args.threads)
+    score_columns = _score_columns(config, thetas, tau_grid, args.threads)
 
-    regret_rows: list[tuple] = []
+    regret_parts: list[list[np.ndarray]] = []
     jump_docs: list[dict] = []
     for theta in thetas:
         for q in (0, 1):
-            rows, jumps = _regret_outputs(config, theta, q, tau_grid)
-            regret_rows.extend(rows)
+            columns, jumps = _regret_outputs(config, theta, q, tau_grid)
+            regret_parts.append(columns)
             jump_docs.append(jumps)
 
     per_theta = _parallel_map(
@@ -517,74 +529,35 @@ def cmd_sweep(args) -> int:
     )
 
     try:
-        environment = classify_environment(config)
-        env_doc = {
-            "alpha_q": environment.alpha_q,
-            "alpha_u": environment.alpha_u,
-            "rhs": environment.rhs,
-            "lhs": environment.lhs,
-            "classification": environment.classification,
-            "theta_beta": environment.theta_beta,
-        }
+        env_doc = asdict(classify_environment(config))
         bar = find_tau_bar(config, "analytic")
         tau_bar, reason = bar.value, bar.reason
     except UnsupportedModelError as exc:
         env_doc = None
         tau_bar, reason = None, f"unsupported: {exc}"
 
-    def average_row(tau):
-        return (
-            tau,
-            expected_regret(config, "s1", float(tau)),
-            expected_regret(config, "s2", float(tau)),
-        )
-
-    average_rows = _parallel_map(average_row, list(tau_grid), args.threads)
-
-    result = SweepResult(
-        thetas=thetas,
-        tau_grid=tau_grid,
-        score_rows=score_rows,
-        regret_rows=regret_rows,
-        jump_docs=jump_docs,
-        per_theta=per_theta,
-        average_rows=average_rows,
-        tau_bar=tau_bar,
-        tau_bar_reason=reason,
-        environment=env_doc,
+    averages = _parallel_map(
+        lambda tau: [expected_regret(config, algo, float(tau)) for algo in ALGOS],
+        list(tau_grid), args.threads,
     )
 
     out = _ensure_out(args)
-    write_atomic(
-        os.path.join(out, "scores.csv"),
-        render_csv([c for c, _ in SCHEMAS["scores.csv"]], result.score_rows),
-    )
-    write_atomic(
-        os.path.join(out, "regret.csv"),
-        render_csv([c for c, _ in SCHEMAS["regret.csv"]], result.regret_rows),
-    )
-    write_atomic(
-        os.path.join(out, "regret_jumps.json"), render_json(result.jump_docs)
-    )
-    write_atomic(
-        os.path.join(out, "thresholds.json"),
-        render_json({
-            "per_theta": result.per_theta,
-            "tau_bar": result.tau_bar,
-            "tau_bar_reason": result.tau_bar_reason,
-            "environment": result.environment,
+    texts = {
+        "scores.csv": _csv("scores.csv", score_columns),
+        "regret.csv": _csv("regret.csv", _concat(regret_parts)),
+        "regret_jumps.json": render_json(jump_docs),
+        "thresholds.json": render_json({
+            "per_theta": per_theta,
+            "tau_bar": tau_bar,
+            "tau_bar_reason": reason,
+            "environment": env_doc,
         }),
-    )
-    write_atomic(
-        os.path.join(out, "average_regret.csv"),
-        render_csv(
-            [c for c, _ in SCHEMAS["average_regret.csv"]], result.average_rows
+        "average_regret.csv": _csv(
+            "average_regret.csv", [tau_grid, *np.array(averages).T]
         ),
-    )
-    manifest.write(out, [
-        "scores.csv", "regret.csv", "regret_jumps.json",
-        "thresholds.json", "average_regret.csv",
-    ])
+    }
+    _write_outputs(out, texts)
+    manifest.write(out, list(texts))
     return EXIT_OK
 
 
@@ -601,69 +574,46 @@ def cmd_simulate(args) -> int:
         raise DomainError("--tau is required for simulate")
     tau = float(args.tau)
     seed = args.seed if args.seed is not None else 0
-    population = sample_population(config, args.m, seed)
-    data = run_stage_one(config, population, tau)
+    timings, clock = {}, [perf_counter()]
 
-    stage_rows = (
-        (record.theta, record.accepted, record.q_label)
-        for record in data.records()
-    )
+    def lap(stage: str) -> None:
+        clock.append(perf_counter())
+        timings[stage] = clock[-1] - clock[-2]
+
+    population = sample_population(config, args.m, seed)
+    lap("sample_s")
+    data = run_stage_one(config, population, tau)
+    lap("stage_one_s")
     bins = empirical_scores(data, args.bins)
-    bin_rows = [
-        (b.theta_lo, b.theta_hi, b.n, b.n_accepted,
-         b.s2_hat, b.s2_se, b.s1_hat, b.s1_se)
-        for b in bins
+    lap("binning_s")
+    estimates = [
+        mc_average_regret(config, algo, tau, args.m, seed + 1) for algo in ALGOS
     ]
-    mc_rows = []
-    for algo in ALGOS:
-        estimate = mc_average_regret(config, algo, tau, args.m, seed + 1)
-        mc_rows.append((
-            algo, estimate.tau, estimate.m, estimate.seed,
-            estimate.value, estimate.standard_error,
-        ))
+    lap("mc_regret_s")
     report = classify_environment(config)
-    env_doc = {
-        "alpha_q": report.alpha_q,
-        "alpha_u": report.alpha_u,
-        "rhs": report.rhs,
-        "lhs": report.lhs,
-        "classification": report.classification,
-        "theta_beta": report.theta_beta,
-    }
+    lap("classify_s")
 
     out = _ensure_out(args)
-    write_atomic(
-        os.path.join(out, "stage1.csv"),
-        render_csv([c for c, _ in SCHEMAS["stage1.csv"]], stage_rows),
-    )
-    write_atomic(
-        os.path.join(out, "scores_empirical.csv"),
-        render_csv([c for c, _ in SCHEMAS["scores_empirical.csv"]], bin_rows),
-    )
-    write_atomic(
-        os.path.join(out, "regret_mc.csv"),
-        render_csv([c for c, _ in SCHEMAS["regret_mc.csv"]], mc_rows),
-    )
-    write_atomic(os.path.join(out, "environment.json"), render_json(env_doc))
-    manifest.write(out, [
-        "stage1.csv", "scores_empirical.csv", "regret_mc.csv",
-        "environment.json",
-    ])
+    texts = {
+        "stage1.csv": _csv("stage1.csv", [data.theta, data.accepted, data.q_label]),
+        "scores_empirical.csv": _csv(
+            "scores_empirical.csv", _field_columns("scores_empirical.csv", bins)
+        ),
+        "regret_mc.csv": _csv(
+            "regret_mc.csv", _field_columns("regret_mc.csv", estimates)
+        ),
+        "environment.json": render_json(asdict(report)),
+    }
+    lap("render_s")
+    _write_outputs(out, texts)
+    lap("write_s")
+    manifest.write(out, list(texts), timings)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     config, digest = _load_config(args.config)
-    report = classify_environment(config)
-    doc = {
-        "alpha_q": report.alpha_q,
-        "alpha_u": report.alpha_u,
-        "rhs": report.rhs,
-        "lhs": report.lhs,
-        "classification": report.classification,
-        "theta_beta": report.theta_beta,
-    }
-    text = render_json(doc)
+    text = render_json(asdict(classify_environment(config)))
     if args.out:
         out = _ensure_out(args)
         write_atomic(os.path.join(out, "environment.json"), text)

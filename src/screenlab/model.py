@@ -60,6 +60,14 @@ class UnsupportedModelError(ScreeningError):
 # Parameter containers
 # =====================================================================
 
+def _require_finite(**fields) -> None:
+    """NaN and inf pass every ordering check, so reject them up front."""
+    bad = [f"{name}={value!r}" for name, value in fields.items()
+           if not np.all(np.isfinite(value))]
+    if bad:
+        raise InvalidModelError(f"parameters must be finite, got {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class PayoffParams:
     """Payoff environment: prior, hire payoffs, and second-stage cutoff.
@@ -74,6 +82,7 @@ class PayoffParams:
     c: float
 
     def __post_init__(self) -> None:
+        _require_finite(pi=self.pi, x_q=self.x_q, x_u=self.x_u, c=self.c)
         if not 0.0 < self.pi < 1.0:
             raise InvalidModelError(f"pi must lie in (0, 1), got {self.pi}")
         if self.x_q <= 0.0 or self.x_u <= 0.0:
@@ -147,6 +156,12 @@ class GaussianSignalModel:
     rho: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mu_q", (float(self.mu_q[0]), float(self.mu_q[1])))
+        object.__setattr__(self, "mu_u", (float(self.mu_u[0]), float(self.mu_u[1])))
+        _require_finite(
+            mu_q=self.mu_q, mu_u=self.mu_u, sigma_theta=self.sigma_theta,
+            sigma_gamma=self.sigma_gamma, rho=self.rho,
+        )
         if self.sigma_theta <= 0.0 or self.sigma_gamma <= 0.0:
             raise InvalidModelError(
                 "signal standard deviations must be positive, got "
@@ -157,8 +172,6 @@ class GaussianSignalModel:
                 f"covariance is not positive definite: rho={self.rho} "
                 "must lie strictly inside (-1, 1)"
             )
-        object.__setattr__(self, "mu_q", (float(self.mu_q[0]), float(self.mu_q[1])))
-        object.__setattr__(self, "mu_u", (float(self.mu_u[0]), float(self.mu_u[1])))
 
     # -- derived linear-algebra pieces (cheap, recomputed on demand) ----
 

@@ -36,17 +36,8 @@ from .regret import ALGOS, _regret_values
 # =====================================================================
 
 @dataclass(frozen=True)
-class Applicant:
-    """One draw from the mixture law."""
-
-    q: int
-    theta: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class Population:
-    """Column-wise applicant sample; indexing yields single Applicants."""
+    """Column-wise applicant sample."""
 
     q: np.ndarray
     theta: np.ndarray
@@ -54,11 +45,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.q)
-
-    def __getitem__(self, i: int) -> Applicant:
-        return Applicant(
-            q=int(self.q[i]), theta=float(self.theta[i]), gamma=float(self.gamma[i])
-        )
 
 
 def sample_population(config: ModelConfig, m: int, seed: int) -> Population:
@@ -191,29 +177,34 @@ def empirical_scores(data: StageOneData, theta_bins: int = 50) -> list[ScoreBin]
         edges = np.unique(np.asarray(theta_bins, dtype=float))
         if len(edges) < 2:
             raise DomainError("explicit bin edges must contain at least two values")
+    # One pass: bin k holds edges[k] <= theta < edges[k+1], the last bin
+    # also its upper edge; thetas outside the edges get index -1 or k_bins.
+    k_bins = len(edges) - 1
+    index = np.searchsorted(edges, data.theta, side="right") - 1
+    index[data.theta == edges[-1]] = k_bins - 1
+    inside = (index >= 0) & (index < k_bins)
+    hired = inside & data.accepted
+    counts = np.bincount(index[inside], minlength=k_bins).tolist()
+    accepted_counts = np.bincount(index[hired], minlength=k_bins).tolist()
+    qualified_sums = np.bincount(
+        index[hired], weights=data.q_label.data[hired], minlength=k_bins
+    ).tolist()
     bins: list[ScoreBin] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi == edges[-1]:
-            mask = (data.theta >= lo) & (data.theta <= hi)
-        else:
-            mask = (data.theta >= lo) & (data.theta < hi)
-        n = int(mask.sum())
+    for k in range(k_bins):
+        n, n_accepted = counts[k], accepted_counts[k]
         if n == 0:
             continue
-        accepted = data.accepted[mask]
-        n_accepted = int(accepted.sum())
         s2_hat = n_accepted / n
         s2_se = float(np.sqrt(s2_hat * (1.0 - s2_hat) / n))
         if n_accepted > 0:
-            labels = data.q_label.data[mask][accepted]
-            s1_hat = float(labels.mean())
+            s1_hat = qualified_sums[k] / n_accepted
             s1_se = float(np.sqrt(s1_hat * (1.0 - s1_hat) / n_accepted))
         else:
             s1_hat = None
             s1_se = None
         bins.append(ScoreBin(
-            theta_lo=float(lo),
-            theta_hi=float(hi),
+            theta_lo=float(edges[k]),
+            theta_hi=float(edges[k + 1]),
             n=n,
             n_accepted=n_accepted,
             s2_hat=float(s2_hat),

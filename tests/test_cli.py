@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,25 @@ import sys
 import numpy as np
 import pytest
 
-from screenlab.cli import main
+from scipy.special import ndtr
+
+from screenlab import (
+    ModelConfig,
+    empirical_scores,
+    expected_regret,
+    gamma1,
+    marginal_posterior_phi,
+    mc_average_regret,
+    regret_curve,
+    run_stage_one,
+    sample_population,
+    score_s1,
+    score_s2,
+)
+from screenlab import cli
+from screenlab.cli import main, render_csv
+from screenlab.regret import ALGOS
+from screenlab.scores import _standardized_cutoffs
 from conftest import BASELINE_DOC, IRREGULAR_DOC, NONMONOTONE_PHI_DOC
 
 
@@ -25,6 +44,30 @@ def config_path(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_text(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def reference_csv(header, rows) -> str:
+    """The row-wise writer render_csv replaced: csv.writer, one call per cell."""
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_, int, np.integer)):
+            return str(int(value))
+        if isinstance(value, str):
+            return value
+        return repr(float(value))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(cell) for cell in row])
+    return buf.getvalue()
 
 
 class TestValidate:
@@ -42,6 +85,19 @@ class TestValidate:
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "gone.json")]) == 1
+
+    @pytest.mark.parametrize("field,value,literal", [
+        ("sigma_theta", float("nan"), "NaN"),
+        ("x_q", float("inf"), "Infinity"),
+        ("mu_u", [0.0, float("-inf")], "-Infinity"),
+    ])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, field, value, literal):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**BASELINE_DOC, field: value}))
+        assert literal in path.read_text()
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert literal in err and "finite" in err
 
     def test_invalid_model_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -270,6 +326,121 @@ class TestSimulate:
         assert main([
             "simulate", "--config", config_path, "--out", str(tmp_path / "x"),
         ]) == 1
+
+    def test_manifest_records_stage_timings(self, config_path, tmp_path):
+        out = str(tmp_path / "out")
+        assert main([
+            "simulate", "--config", config_path, "--tau", "0.0",
+            "--m", "2000", "--seed", "1", "--out", out,
+        ]) == 0
+        manifest = json.loads(read_text(os.path.join(out, "run_manifest.json")))
+        timings = manifest["timings"]
+        assert list(timings) == [
+            "sample_s", "stage_one_s", "binning_s", "mc_regret_s",
+            "classify_s", "render_s", "write_s",
+        ]
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+
+
+class TestCsvByteOracle:
+    """Column-wise rendering writes the bytes the row-wise writer wrote."""
+
+    def test_mixed_columns_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+        floats = np.array([0.1, -0.0, 1e-300, np.inf, np.nan, 2.5e17, -1 / 3])
+        ints = np.array([0, -7, 2**40, 3, 3, 1, 0])
+        flags = floats > 0
+        labels = np.ma.MaskedArray(
+            np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.int8),
+            mask=[False, True, True, False, False, True, False],
+        )
+        optional = [0.5, None, 1.0, None, 0.25, 0.125, None]
+        names = ["s1", "s2", "s1", "s2", "s1", "s2", "s1"]
+        header = ["f", "i", "b", "label", "opt", "name"]
+        rows = zip(
+            floats, ints, flags,
+            [None if gone else int(v) for v, gone in zip(labels.data, labels.mask)],
+            optional, names,
+        )
+        got = render_csv(header, [floats, ints, flags, labels, optional, names])
+        assert got == reference_csv(header, rows)
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            render_csv(["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    def test_simulate_artifacts(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4096)
+        m, seed, tau = 50_000, 5, 0.9
+        out = str(tmp_path / "out")
+        assert main([
+            "simulate", "--config", config_path, "--tau", str(tau), "--m", str(m),
+            "--seed", str(seed), "--bins", "30", "--out", out,
+        ]) == 0
+        config = ModelConfig.from_dict(BASELINE_DOC)
+        data = run_stage_one(config, sample_population(config, m, seed), tau)
+        stage_rows = [
+            (theta, int(hired), int(q) if hired else None)
+            for theta, hired, q in zip(data.theta.tolist(), data.accepted, data.q_label.data)
+        ]
+        assert any(row[2] is None for row in stage_rows)
+        bins = empirical_scores(data, 30)
+        bin_rows = [
+            (b.theta_lo, b.theta_hi, b.n, b.n_accepted,
+             b.s2_hat, b.s2_se, b.s1_hat, b.s1_se)
+            for b in bins
+        ]
+        assert any(b.s1_hat is None for b in bins)
+        mc_rows = []
+        for algo in ALGOS:
+            e = mc_average_regret(config, algo, tau, m, seed + 1)
+            mc_rows.append((algo, e.tau, e.m, e.seed, e.value, e.standard_error))
+        for name, rows in (("stage1.csv", stage_rows),
+                           ("scores_empirical.csv", bin_rows),
+                           ("regret_mc.csv", mc_rows)):
+            header = [column for column, _ in cli.SCHEMAS[name]]
+            assert read_text(os.path.join(out, name)) == reference_csv(header, rows)
+
+    def test_sweep_artifacts(self, config_path, tmp_path):
+        thetas = [-0.5, 0.5]
+        out = str(tmp_path / "out")
+        assert main([
+            "sweep", "--config", config_path, "--theta=-0.5,0.5",
+            "--tau-grid=-0.8:0.8:9", "--out", out,
+        ]) == 0
+        config = ModelConfig.from_dict(BASELINE_DOC)
+        tau_grid = np.linspace(-0.8, 0.8, 9)
+        score_rows, regret_rows = [], []
+        for theta in thetas:
+            s1 = score_s1(config, theta, tau_grid)
+            s2 = score_s2(config, theta, tau_grid)
+            cut = gamma1(config, theta, tau_grid)
+            phi = float(marginal_posterior_phi(config, theta))
+            z_q, z_u = _standardized_cutoffs(config, theta, cut)
+            surv_q, surv_u = ndtr(-z_q), ndtr(-z_u)
+            for j, tau in enumerate(tau_grid):
+                score_rows.append(
+                    (theta, tau, s1[j], s2[j], cut[j], phi, surv_q[j], surv_u[j])
+                )
+            for q in (0, 1):
+                curves = regret_curve(config, theta, q, tau_grid)
+                for algo in ALGOS:
+                    for j, tau in enumerate(curves.tau):
+                        regret_rows.append((
+                            theta, q, tau, algo, curves.score[algo][j],
+                            curves.n_ex_ante[algo][j], curves.accepted[algo][j],
+                            curves.p_ex_post[algo][j], curves.u[algo][j],
+                        ))
+        average_rows = [
+            (tau, expected_regret(config, "s1", float(tau)),
+             expected_regret(config, "s2", float(tau)))
+            for tau in tau_grid
+        ]
+        for name, rows in (("scores.csv", score_rows),
+                           ("regret.csv", regret_rows),
+                           ("average_regret.csv", average_rows)):
+            header = [column for column, _ in cli.SCHEMAS[name]]
+            assert read_text(os.path.join(out, name)) == reference_csv(header, rows)
 
 
 class TestEntryPoint:

@@ -178,6 +178,17 @@ class TestConfigRoundTrip:
         again = ModelConfig.from_dict(baseline.to_dict())
         assert again.to_dict() == baseline.to_dict()
 
+    @pytest.mark.parametrize("field,value", [
+        ("pi", float("nan")), ("x_q", float("inf")), ("x_u", float("nan")),
+        ("c", float("-inf")), ("mu_q", [float("nan"), 1.0]),
+        ("mu_u", [0.0, float("-inf")]), ("sigma_theta", float("nan")),
+        ("sigma_gamma", float("inf")), ("rho", float("nan")),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        """NaN passes every ordering check and inf passes most of them."""
+        with pytest.raises(InvalidModelError, match="finite"):
+            ModelConfig.from_dict({**BASELINE_DOC, field: value})
+
 
 class TestPosteriors:
     def test_ratio_at_reference_points(self, baseline):

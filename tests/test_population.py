@@ -22,7 +22,12 @@ from screenlab import (
     score_s2,
     verify_nonatomic,
 )
-from screenlab.population import empirical_scores, log_acceptance_bar
+from screenlab.population import (
+    Population,
+    ScoreBin,
+    empirical_scores,
+    log_acceptance_bar,
+)
 from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC
 
 
@@ -118,6 +123,54 @@ class TestEmpiricalScores:
         starved = [b for b in bins if b.n_accepted == 0]
         assert starved
         assert all(b.s1_hat is None and b.s1_se is None for b in starved)
+
+
+def _masked_loop_scores(data, edges):
+    """The per-bin boolean-mask loop that empirical_scores replaced."""
+    bins = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi == edges[-1]:
+            mask = (data.theta >= lo) & (data.theta <= hi)
+        else:
+            mask = (data.theta >= lo) & (data.theta < hi)
+        n = int(mask.sum())
+        if n == 0:
+            continue
+        accepted = data.accepted[mask]
+        n_accepted = int(accepted.sum())
+        s2_hat = n_accepted / n
+        s1_hat = s1_se = None
+        if n_accepted > 0:
+            s1_hat = float(data.q_label.data[mask][accepted].mean())
+            s1_se = float(np.sqrt(s1_hat * (1.0 - s1_hat) / n_accepted))
+        bins.append(ScoreBin(
+            theta_lo=float(lo), theta_hi=float(hi), n=n, n_accepted=n_accepted,
+            s2_hat=float(s2_hat), s2_se=float(np.sqrt(s2_hat * (1.0 - s2_hat) / n)),
+            s1_hat=s1_hat, s1_se=s1_se,
+        ))
+    return bins
+
+
+class TestEmpiricalScoresOracle:
+    """One-pass binning equals the per-bin mask loop, field by field."""
+
+    def test_quantile_bins_with_starved_bins(self, baseline):
+        data = run_stage_one(baseline, sample_population(baseline, 40_000, seed=9), 0.9)
+        edges = np.unique(np.quantile(data.theta, np.linspace(0.0, 1.0, 31)))
+        got = empirical_scores(data, theta_bins=30)
+        assert any(b.s1_hat is None for b in got)
+        assert got == _masked_loop_scores(data, edges)
+
+    def test_explicit_edges_leave_thetas_out(self, baseline):
+        pop = sample_population(baseline, 20_000, seed=21)
+        edges = np.array([-1.0, -0.25, 0.5, 0.5, 1.5])
+        theta = pop.theta.copy()
+        theta[:3] = [1.5, -0.25, -1.0]  # on the last, an inner and the first edge
+        data = run_stage_one(baseline, Population(q=pop.q, theta=theta, gamma=pop.gamma), 0.0)
+        got = empirical_scores(data, theta_bins=edges)
+        assert sum(b.n for b in got) < len(theta)
+        assert got[-1].theta_hi == 1.5
+        assert got == _masked_loop_scores(data, np.unique(edges))
 
 
 class TestMcAverageRegret:

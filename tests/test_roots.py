@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from screenlab import BracketError, ScreeningError
+from screenlab import find_tau_star
 from screenlab._roots import bisect_monotone, bisect_monotone_many
 
 
@@ -42,6 +43,27 @@ class TestScalarBisection:
         """A gap function has no zero; the residual check must catch it."""
         with pytest.raises(ScreeningError, match="residual"):
             bisect_monotone(lambda x: 1.0 if x > 0.3 else -1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: float("nan"),
+        lambda x: float("nan") if x == 0.0 else x - 0.5,
+        lambda x: float("nan") if 0.4 < x < 0.6 else x - 0.5,
+    ], ids=["everywhere", "at-lo", "at-mid"])
+    def test_nan_raises(self, f):
+        with pytest.raises(ScreeningError, match="NaN"):
+            bisect_monotone(f, 0.0, 1.0)
+
+    def test_nan_residual_raises(self):
+        """The bracket walk never evaluates 0.375; the residual check does."""
+        def f(x):
+            return float("nan") if x == 0.375 else x - 0.3
+
+        with pytest.raises(ScreeningError, match="residual nan"):
+            bisect_monotone(f, 0.0, 1.0, xtol=0.3)
+
+    def test_nan_theta_has_no_tau_star(self, baseline):
+        with pytest.raises(ScreeningError, match="NaN"):
+            find_tau_star(baseline, float("nan"))
 
     def test_xtol_stops_early(self):
         calls = []
@@ -83,6 +105,19 @@ class TestBatchBisection:
 
         with pytest.raises(BracketError, match="member 1"):
             bisect_monotone_many(f, np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("nan_at", ["lo", "mid"])
+    def test_nan_raises_naming_member(self, nan_at):
+        roots = np.array([0.25, 0.5, 0.75])
+
+        def f(x):
+            values = x - roots
+            if nan_at == "lo" and x[1] == 0.0 or nan_at == "mid" and 0.0 < x[1] < 1.0:
+                values[1] = np.nan
+            return values
+
+        with pytest.raises(ScreeningError, match="member 1"):
+            bisect_monotone_many(f, np.zeros(3), np.ones(3))
 
     def test_large_batch_has_no_duplicates(self):
         """Distinct roots must stay distinct at machine resolution."""
