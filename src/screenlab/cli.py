@@ -24,25 +24,22 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from time import perf_counter
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__
-from . import scores as _scores
 from .model import (
     DomainError,
     InvalidModelError,
     ModelConfig,
     ScreeningError,
     UnsupportedModelError,
-    marginal_posterior_phi,
     validate_mlrp,
 )
 from .population import (
@@ -52,7 +49,8 @@ from .population import (
     run_stage_one,
     sample_population,
 )
-from .regret import ALGOS, expected_regret, regret_curve
+from .regret import expected_regret, regret_curve
+from .scores import ALGOS, clamped_tau_interval, score_table
 from .thresholds import (
     find_regret_crossings,
     find_tau_bar,
@@ -213,20 +211,19 @@ class RunManifest:
     config_path: str
     config_sha256: str
     seed: int | None
-    threads: int
     argv: list[str]
     started_utc: str
 
     def write(
-        self, out_dir: str, outputs: list[str], timings: dict | None = None
+        self, out_dir: str, texts: dict[str, str], timings: dict | None = None
     ) -> None:
-        """Hash ``outputs`` into ``run_manifest.json``; ``timings`` maps a
-        stage name to its seconds and is recorded when given."""
+        """Hash ``texts``, the artifacts just written to ``out_dir`` by
+        name, into ``run_manifest.json``; ``timings`` maps a stage name to
+        its seconds and is recorded when given."""
         entries = []
-        for name in sorted(outputs):
-            path = os.path.join(out_dir, name)
-            with open(path, "rb") as fh:
-                blob = fh.read()
+        for name in sorted(texts):
+            # write_atomic writes UTF-8 with no newline translation
+            blob = texts[name].encode("utf-8")
             entries.append({
                 "name": name,
                 "sha256": hashlib.sha256(blob).hexdigest(),
@@ -238,7 +235,6 @@ class RunManifest:
             "config_path": self.config_path,
             "config_sha256": self.config_sha256,
             "seed": self.seed,
-            "threads": self.threads,
             "argv": self.argv,
             "started_utc": self.started_utc,
             "finished_utc": datetime.now(timezone.utc).isoformat(),
@@ -294,7 +290,7 @@ def _parse_grid(spec: str, *, name: str) -> tuple[float, float, int]:
 
 
 def _tau_grid(config: ModelConfig, spec: str | None) -> np.ndarray:
-    lo, hi = _scores.clamped_tau_interval(config.payoffs)
+    lo, hi = clamped_tau_interval(config.payoffs)
     if spec is None:
         return np.linspace(lo, hi, 400)
     g_lo, g_hi, count = _parse_grid(spec, name="tau grid")
@@ -320,18 +316,15 @@ def _theta_values(args) -> list[float]:
             raise DomainError(f"cannot parse theta list {args.theta!r}") from exc
         if not values:
             raise DomainError("theta list is empty")
-        return values
-    if getattr(args, "theta_grid", None) is not None:
+    elif getattr(args, "theta_grid", None) is not None:
         lo, hi, count = _parse_grid(args.theta_grid, name="theta grid")
-        return [float(t) for t in np.linspace(lo, hi, count)]
-    raise DomainError("one of --theta or --theta-grid is required")
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        values = [float(t) for t in np.linspace(lo, hi, count)]
+    else:
+        raise DomainError("one of --theta or --theta-grid is required")
+    for value in values:
+        if not math.isfinite(value):
+            raise DomainError(f"theta={value!r} is not finite")
+    return values
 
 
 def _print_schema(names: list[str]) -> None:
@@ -353,7 +346,6 @@ def _manifest(args, digest: str) -> RunManifest:
         config_path=args.config,
         config_sha256=digest,
         seed=getattr(args, "seed", None),
-        threads=getattr(args, "threads", 1),
         argv=sys.argv[1:] or ["<api>"],
         started_utc=datetime.now(timezone.utc).isoformat(),
     )
@@ -398,23 +390,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _score_columns(config, thetas, tau_grid, threads) -> list[np.ndarray]:
-    k = len(tau_grid)
-
-    def columns_for(theta):
-        s1 = _scores.score_s1(config, theta, tau_grid)
-        s2 = _scores.score_s2(config, theta, tau_grid)
-        cut = _scores.gamma1(config, theta, tau_grid)
-        phi = float(marginal_posterior_phi(config, theta))
-        z_q, z_u = _scores._standardized_cutoffs(config, theta, cut)
-        return [
-            np.full(k, theta), tau_grid, s1, s2, cut, np.full(k, phi),
-            ndtr(-z_q), ndtr(-z_u),
-        ]
-
-    return _concat(_parallel_map(columns_for, thetas, threads))
-
-
 def cmd_scores(args) -> int:
     if args.schema:
         _print_schema(["scores.csv"])
@@ -423,11 +398,11 @@ def cmd_scores(args) -> int:
     manifest = _manifest(args, digest)
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
-    columns = _score_columns(config, thetas, tau_grid, args.threads)
+    columns = _concat(score_table(config, theta, tau_grid) for theta in thetas)
     out = _ensure_out(args)
     texts = {"scores.csv": _csv("scores.csv", columns)}
     _write_outputs(out, texts)
-    manifest.write(out, list(texts))
+    manifest.write(out, texts)
     return EXIT_OK
 
 
@@ -447,13 +422,14 @@ def cmd_tau(args) -> int:
             return _threshold_doc(config, theta)
         return asdict(find_regret_crossings(config, theta, args.q))
 
-    docs = _parallel_map(doc_for, thetas, args.threads)
+    docs = [doc_for(theta) for theta in thetas]
     payload = docs if getattr(args, "theta_grid", None) is not None else docs[0] if len(docs) == 1 else docs
     text = render_json(payload)
     if args.out:
         out = _ensure_out(args)
-        write_atomic(os.path.join(out, "thresholds.json"), text)
-        _manifest(args, digest).write(out, ["thresholds.json"])
+        texts = {"thresholds.json": text}
+        _write_outputs(out, texts)
+        _manifest(args, digest).write(out, texts)
     else:
         print(text, end="")
     return EXIT_OK
@@ -498,7 +474,7 @@ def cmd_regret(args) -> int:
         "regret_jumps.json": render_json(jumps),
     }
     _write_outputs(out, texts)
-    manifest.write(out, list(texts))
+    manifest.write(out, texts)
     return EXIT_OK
 
 
@@ -514,7 +490,7 @@ def cmd_sweep(args) -> int:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
 
-    score_columns = _score_columns(config, thetas, tau_grid, args.threads)
+    score_columns = _concat(score_table(config, theta, tau_grid) for theta in thetas)
 
     regret_parts: list[list[np.ndarray]] = []
     jump_docs: list[dict] = []
@@ -524,9 +500,7 @@ def cmd_sweep(args) -> int:
             regret_parts.append(columns)
             jump_docs.append(jumps)
 
-    per_theta = _parallel_map(
-        lambda theta: _threshold_doc(config, theta), thetas, args.threads
-    )
+    per_theta = [_threshold_doc(config, theta) for theta in thetas]
 
     try:
         env_doc = asdict(classify_environment(config))
@@ -536,10 +510,10 @@ def cmd_sweep(args) -> int:
         env_doc = None
         tau_bar, reason = None, f"unsupported: {exc}"
 
-    averages = _parallel_map(
-        lambda tau: [expected_regret(config, algo, float(tau)) for algo in ALGOS],
-        list(tau_grid), args.threads,
-    )
+    averages = [
+        [expected_regret(config, algo, float(tau)) for algo in ALGOS]
+        for tau in tau_grid
+    ]
 
     out = _ensure_out(args)
     texts = {
@@ -557,7 +531,7 @@ def cmd_sweep(args) -> int:
         ),
     }
     _write_outputs(out, texts)
-    manifest.write(out, list(texts))
+    manifest.write(out, texts)
     return EXIT_OK
 
 
@@ -586,9 +560,7 @@ def cmd_simulate(args) -> int:
     lap("stage_one_s")
     bins = empirical_scores(data, args.bins)
     lap("binning_s")
-    estimates = [
-        mc_average_regret(config, algo, tau, args.m, seed + 1) for algo in ALGOS
-    ]
+    estimates = mc_average_regret(config, tau, args.m, seed + 1)
     lap("mc_regret_s")
     report = classify_environment(config)
     lap("classify_s")
@@ -607,7 +579,7 @@ def cmd_simulate(args) -> int:
     lap("render_s")
     _write_outputs(out, texts)
     lap("write_s")
-    manifest.write(out, list(texts), timings)
+    manifest.write(out, texts, timings)
     return EXIT_OK
 
 
@@ -616,8 +588,9 @@ def cmd_classify(args) -> int:
     text = render_json(asdict(classify_environment(config)))
     if args.out:
         out = _ensure_out(args)
-        write_atomic(os.path.join(out, "environment.json"), text)
-        _manifest(args, digest).write(out, ["environment.json"])
+        texts = {"environment.json": text}
+        _write_outputs(out, texts)
+        _manifest(args, digest).write(out, texts)
     else:
         print(text, end="")
     return EXIT_OK
@@ -646,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory" + (" (required)" if needs_out else ""))
         p.add_argument("--seed", type=int, default=None, help="generator seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent theta/tau work")
         p.add_argument("--schema", action="store_true",
                        help="print this subcommand's artifact schemas and exit")
 

@@ -28,7 +28,7 @@ from .model import (
     marginal_posterior_phi,
     require_increasing_phi,
 )
-from .regret import ALGOS, _regret_values
+from .regret import _regret_values
 
 
 # =====================================================================
@@ -120,18 +120,13 @@ def run_stage_one(config: ModelConfig, population: Population, tau: float) -> St
     Acceptance happens when the likelihood ratio clears the reviewer's
     bar, evaluated in log space.
     """
-    log_bar = float(log_acceptance_bar(config, tau))
+    log_bar = float(_scores.log_acceptance_threshold(config.payoffs, tau))
     log_ratio = config.signal.log_likelihood_ratio(population.theta, population.gamma)
     accepted = log_ratio > log_bar
     q_label = np.ma.MaskedArray(population.q.copy(), mask=~accepted)
     return StageOneData(
         theta=population.theta.copy(), accepted=accepted, q_label=q_label
     )
-
-
-def log_acceptance_bar(config: ModelConfig, tau: float) -> float:
-    """log of the reviewer's likelihood-ratio bar at prejudice tau."""
-    return float(_scores.log_acceptance_threshold(config.payoffs, tau))
 
 
 # =====================================================================
@@ -230,28 +225,31 @@ class McRegretEstimate:
 
 
 def mc_average_regret(
-    config: ModelConfig, algo: str, tau: float, m: int, seed: int
-) -> McRegretEstimate:
-    """Sample mean of the regret loss over a fresh population.
+    config: ModelConfig, tau: float, m: int, seed: int
+) -> list[McRegretEstimate]:
+    """Sample mean of each score's regret loss over one fresh population.
 
     The population is drawn independently of any first-stage dataset (a
-    second-stage cohort), scores are the analytic curves, and the
-    standard error is the sample standard deviation over sqrt(m).
+    second-stage cohort) and shared by both scores, which are the analytic
+    curves; the standard error is the sample standard deviation over
+    sqrt(m).  Returns one estimate per score, in ``ALGOS`` order.
     """
-    if algo not in ALGOS:
-        raise DomainError(f"algo must be one of {ALGOS}, got {algo!r}")
     population = sample_population(config, m, seed)
-    fn = _scores.score_s1 if algo == "s1" else _scores.score_s2
-    s = fn(config, population.theta, tau)
-    _, _, _, u = _regret_values(config.payoffs, s, population.q)
-    return McRegretEstimate(
-        value=float(u.mean()),
-        standard_error=float(u.std(ddof=1) / np.sqrt(m)),
-        algo=algo,
-        tau=float(tau),
-        m=int(m),
-        seed=int(seed),
-    )
+
+    def estimate(algo: str) -> McRegretEstimate:
+        # one score's population-sized arrays are freed before the next's
+        s = _scores.score(config, algo, population.theta, tau)
+        u = _regret_values(config.payoffs, s, population.q)[3]
+        return McRegretEstimate(
+            value=float(u.mean()),
+            standard_error=float(u.std(ddof=1) / np.sqrt(m)),
+            algo=algo,
+            tau=float(tau),
+            m=int(m),
+            seed=int(seed),
+        )
+
+    return [estimate(algo) for algo in _scores.ALGOS]
 
 
 # =====================================================================

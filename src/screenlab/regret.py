@@ -36,8 +36,7 @@ from .model import (
     ScreeningError,
     require_increasing_phi,
 )
-
-ALGOS = ("s1", "s2")
+from .scores import ALGOS
 
 
 class QuadratureError(ScreeningError):
@@ -67,6 +66,17 @@ class RegretRecord:
     algo: str | None = None
 
 
+def _require_unit_score(s: np.ndarray) -> None:
+    inside = (s >= 0.0) & (s <= 1.0)
+    if not np.all(inside):
+        raise DomainError(f"score {s[~inside].flat[0]!r} outside [0, 1]")
+
+
+def _ex_ante(payoffs: PayoffParams, s):
+    """N(s) without domain checks."""
+    return s * payoffs.x_q - (1.0 - s) * payoffs.x_u
+
+
 def ex_ante_payoff(payoffs: PayoffParams, s) -> np.ndarray:
     """Expected payoff of accepting an applicant scored s.
 
@@ -74,17 +84,15 @@ def ex_ante_payoff(payoffs: PayoffParams, s) -> np.ndarray:
     critical score beta.
     """
     s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0.0) & (s <= 1.0)):
-        bad = s[~((s >= 0.0) & (s <= 1.0))].flat[0]
-        raise DomainError(f"score {bad!r} outside [0, 1]")
-    return s * payoffs.x_q - (1.0 - s) * payoffs.x_u
+    _require_unit_score(s)
+    return _ex_ante(payoffs, s)
 
 
 def _regret_values(payoffs: PayoffParams, s, q):
     """Vectorized (n, accepted, p, u) without domain checks."""
     s = np.asarray(s, dtype=float)
     q = np.asarray(q)
-    n = s * payoffs.x_q - (1.0 - s) * payoffs.x_u
+    n = _ex_ante(payoffs, s)
     accepted = n > payoffs.c
     p = np.where(accepted, np.where(q == 1, payoffs.x_q, -payoffs.x_u), 0.0)
     return n, accepted, p, n - p
@@ -109,16 +117,16 @@ def individual_regret(
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
     if algo is not None and algo not in ALGOS:
         raise DomainError(f"algo must be one of {ALGOS}, got {algo!r}")
-    n = float(ex_ante_payoff(payoffs, s))
-    accepted = n > payoffs.c
-    p = (payoffs.x_q if q == 1 else -payoffs.x_u) if accepted else 0.0
+    s = np.asarray(s, dtype=float)
+    _require_unit_score(s)
+    n, accepted, p, u = _regret_values(payoffs, s, q)
     return RegretRecord(
         q=int(q),
         score=float(s),
-        n_ex_ante=n,
+        n_ex_ante=float(n),
         accepted=int(accepted),
-        p_ex_post=p,
-        u=n - p,
+        p_ex_post=float(p),
+        u=float(u),
         theta=theta,
         tau=tau,
         algo=algo,
@@ -168,8 +176,7 @@ def regret_curve(config: ModelConfig, theta, q, tau_grid) -> RegretCurves:
     payoffs = config.payoffs
     score, n_ex_ante, accepted, p_ex_post, u = {}, {}, {}, {}, {}
     for algo in ALGOS:
-        fn = _scores.score_s1 if algo == "s1" else _scores.score_s2
-        s = fn(config, theta, tau)
+        s = _scores.score(config, algo, theta, tau)
         n, acc, p, loss = _regret_values(payoffs, s, q)
         score[algo] = s
         n_ex_ante[algo] = n
@@ -276,11 +283,10 @@ def _acceptance_breakpoint(
     nowhere on [lo, hi]; both collapse the accepted region to a boundary
     case the integrator handles uniformly.
     """
-    fn = _scores.score_s1 if algo == "s1" else _scores.score_s2
     beta = config.payoffs.beta
 
     def gap(theta):
-        return fn(config, theta, tau) - beta
+        return _scores.score(config, algo, theta, tau) - beta
 
     gap_lo = float(gap(lo))
     gap_hi = float(gap(hi))
@@ -306,21 +312,17 @@ def expected_regret(
     whose boundary is located by bisection before integrating.  The result
     is deterministic to the quadrature tolerance.
     """
-    if algo not in ALGOS:
-        raise DomainError(f"algo must be one of {ALGOS}, got {algo!r}")
     require_increasing_phi(config, "expected_regret")
     tau = float(tau)
     payoffs = config.payoffs
     signal = config.signal
-    fn = _scores.score_s1 if algo == "s1" else _scores.score_s2
     lo, hi = _theta_range(config)
 
     def ex_ante_term(theta):
         f_q = _normal_pdf(theta, signal.mu_q[0], signal.sigma_theta)
         f_u = _normal_pdf(theta, signal.mu_u[0], signal.sigma_theta)
         mixture = payoffs.pi * f_q + (1.0 - payoffs.pi) * f_u
-        s = fn(config, theta, tau)
-        return (s * payoffs.x_q - (1.0 - s) * payoffs.x_u) * mixture
+        return _ex_ante(payoffs, _scores.score(config, algo, theta, tau)) * mixture
 
     def ex_post_term(theta):
         f_q = _normal_pdf(theta, signal.mu_q[0], signal.sigma_theta)

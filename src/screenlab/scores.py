@@ -28,16 +28,20 @@ the ratio stays finite and tends to 1 as it should.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
-from .model import DomainError, ModelConfig, PayoffParams
+from .model import DomainError, ModelConfig, PayoffParams, marginal_posterior_phi
 
 # Fraction of the interval length trimmed off each end of the open
 # prejudice interval before any grid evaluation.
 TAU_CLAMP_SCALE = 1e-6
+
+# The two scores, by the name every curve, table and estimate carries.
+ALGOS = ("s1", "s2")
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,15 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
     """Fine-signal cutoff: acceptance happens exactly when gamma > gamma1.
 
     Closed form from the affine log likelihood ratio; strictly increasing
-    in tau and strictly decreasing in theta.
+    in tau and strictly decreasing in theta.  A NaN or infinite theta
+    raises DomainError.
     """
     theta = np.asarray(theta, dtype=float)
+    # the bisections call this with scalars, where math.isfinite costs a
+    # fraction of an array reduction
+    if not (math.isfinite(theta) if theta.ndim == 0 else np.isfinite(theta).all()):
+        bad = float(theta[~np.isfinite(theta)].flat[0])
+        raise DomainError(f"theta={bad!r} is not finite: NaN and infinities have no score")
     w_theta, w_gamma = config.signal.log_ratio_weights
     log_t = log_acceptance_threshold(config.payoffs, tau)
     return (log_t - config.signal.log_ratio_intercept - w_theta * theta) / w_gamma
@@ -126,8 +136,6 @@ def score_s2(config: ModelConfig, theta, tau) -> np.ndarray:
     Mixture of the two class-conditional survival probabilities weighted
     by the qualification posterior phi(theta).
     """
-    from .model import marginal_posterior_phi
-
     theta = np.asarray(theta, dtype=float)
     cutoff = gamma1(config, theta, tau)
     z_q, z_u = _standardized_cutoffs(config, theta, cutoff)
@@ -151,21 +159,37 @@ def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
     return expit(log_odds_theta + log_ndtr(-z_q) - log_ndtr(-z_u))
 
 
+def score(config: ModelConfig, algo: str, theta, tau) -> np.ndarray:
+    """The score named ``algo``, "s1" or "s2", at (theta, tau)."""
+    if algo not in ALGOS:
+        raise DomainError(f"algo must be one of {ALGOS}, got {algo!r}")
+    # looked up at call time, so a rebound score_s1/score_s2 is the one called
+    fn = score_s1 if algo == "s1" else score_s2
+    return fn(config, theta, tau)
+
+
+def score_table(config: ModelConfig, theta: float, tau) -> list[np.ndarray]:
+    """Every ScorePoint field along a tau array at one theta, in field order.
+
+    theta and phi do not depend on tau and are repeated down their columns.
+    """
+    tau = np.asarray(tau, dtype=float)
+    k = len(tau)
+    cutoff = gamma1(config, theta, tau)
+    z_q, z_u = _standardized_cutoffs(config, theta, cutoff)
+    return [
+        np.full(k, theta),
+        tau,
+        score_s1(config, theta, tau),
+        score_s2(config, theta, tau),
+        cutoff,
+        np.full(k, float(marginal_posterior_phi(config, theta))),
+        ndtr(-z_q),
+        ndtr(-z_u),
+    ]
+
+
 def score_point(config: ModelConfig, theta: float, tau: float) -> ScorePoint:
     """Evaluate everything at a single (theta, tau) cell."""
-    from .model import marginal_posterior_phi
-
-    theta = float(theta)
-    tau = float(tau)
-    cutoff = float(gamma1(config, theta, tau))
-    z_q, z_u = _standardized_cutoffs(config, theta, cutoff)
-    return ScorePoint(
-        theta=theta,
-        tau=tau,
-        s1=float(score_s1(config, theta, tau)),
-        s2=float(score_s2(config, theta, tau)),
-        gamma1=cutoff,
-        phi=float(marginal_posterior_phi(config, theta)),
-        surv_q=float(ndtr(-z_q)),
-        surv_u=float(ndtr(-z_u)),
-    )
+    columns = score_table(config, float(theta), [float(tau)])
+    return ScorePoint(*(float(column[0]) for column in columns))

@@ -32,7 +32,7 @@ from .model import (
     ScreeningError,
     marginal_posterior_phi,
 )
-from .regret import expected_regret_gap
+from .regret import _ex_ante, _regret_values, expected_regret_gap
 
 # Roots closer than this (scaled by x_q + x_u) to a cell boundary are
 # flagged rather than trusted: a root sitting on a jump is a limit
@@ -137,33 +137,23 @@ def find_critical_prejudices(
     """
     lo, hi = _scores.clamped_tau_interval(config.payoffs)
     beta = config.beta
-    phi = float(marginal_posterior_phi(config, theta))
 
-    def gap_s2(tau: float) -> float:
-        return float(_scores.score_s2(config, theta, tau)) - beta
+    def root(algo: str) -> float:
+        def gap(tau: float) -> float:
+            return float(_scores.score(config, algo, theta, tau)) - beta
 
-    try:
-        tau_d2 = bisect_monotone(gap_s2, lo, hi, residual_tol=tol).root
-    except BracketError as exc:
-        raise EndpointResolutionError(
-            f"acceptance-trained score never meets beta={beta!r} on the "
-            f"clamped interval for theta={theta!r}: {exc}"
-        ) from exc
+        try:
+            return bisect_monotone(gap, lo, hi, residual_tol=tol).root
+        except BracketError as exc:
+            raise EndpointResolutionError(
+                f"score {algo} never meets beta={beta!r} on the "
+                f"clamped interval for theta={theta!r}: {exc}"
+            ) from exc
 
-    if phi >= beta:
+    tau_d2 = root("s2")
+    if float(marginal_posterior_phi(config, theta)) >= beta:
         return None, tau_d2
-
-    def gap_s1(tau: float) -> float:
-        return float(_scores.score_s1(config, theta, tau)) - beta
-
-    try:
-        tau_d1 = bisect_monotone(gap_s1, lo, hi, residual_tol=tol).root
-    except BracketError as exc:
-        raise EndpointResolutionError(
-            f"outcome-trained score never meets beta={beta!r} on the "
-            f"clamped interval for theta={theta!r}: {exc}"
-        ) from exc
-    return tau_d1, tau_d2
+    return root("s1"), tau_d2
 
 
 def threshold_report(
@@ -227,9 +217,8 @@ def find_regret_crossings(
     window = BOUNDARY_FLAG_FACTOR * tol
 
     def ex_ante_gap(tau):
-        n1 = _regret_n(config, payoffs, theta, tau, "s1")
-        n2 = _regret_n(config, payoffs, theta, tau, "s2")
-        return n1 - n2
+        return (_ex_ante(payoffs, _scores.score_s1(config, theta, tau))
+                - _ex_ante(payoffs, _scores.score_s2(config, theta, tau)))
 
     crossings: list[float] = []
     flags: list[bool] = []
@@ -264,10 +253,9 @@ def find_regret_crossings(
     else:
         surplus_dominates = payoffs.x_q - payoffs.c > payoffs.x_u
         phi = float(marginal_posterior_phi(config, theta))
-        n_phi = phi * payoffs.x_q - (1.0 - phi) * payoffs.x_u
         if not surplus_dominates:
             label = "case-3"
-        elif n_phi < 0.0:
+        elif _ex_ante(payoffs, phi) < 0.0:
             label = "case-1"
         else:
             label = "case-2"
@@ -278,12 +266,6 @@ def find_regret_crossings(
         case_label=label,
         boundary_flags=tuple(flags),
     )
-
-
-def _regret_n(config, payoffs, theta, tau, algo):
-    fn = _scores.score_s1 if algo == "s1" else _scores.score_s2
-    s = fn(config, theta, tau)
-    return s * payoffs.x_q - (1.0 - s) * payoffs.x_u
 
 
 # =====================================================================
@@ -350,16 +332,9 @@ def find_tau_bar(
     payoffs = config.payoffs
 
     def losses(tau: float) -> np.ndarray:
-        diff = None
-        for algo, sign in (("s2", 1.0), ("s1", -1.0)):
-            fn = _scores.score_s1 if algo == "s1" else _scores.score_s2
-            s = fn(config, theta, tau)
-            n = s * payoffs.x_q - (1.0 - s) * payoffs.x_u
-            accepted = n > payoffs.c
-            p = np.where(accepted, np.where(q == 1, payoffs.x_q, -payoffs.x_u), 0.0)
-            u = n - p
-            diff = sign * u if diff is None else diff + sign * u
-        return diff
+        """u(s2) - u(s1), applicant by applicant."""
+        u2 = _regret_values(payoffs, _scores.score_s2(config, theta, tau), q)[3]
+        return u2 - _regret_values(payoffs, _scores.score_s1(config, theta, tau), q)[3]
 
     def estimate(tau: float) -> tuple[float, float]:
         diff = losses(tau)

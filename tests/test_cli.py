@@ -20,7 +20,6 @@ from screenlab import (
     expected_regret,
     gamma1,
     marginal_posterior_phi,
-    mc_average_regret,
     regret_curve,
     run_stage_one,
     sample_population,
@@ -29,8 +28,8 @@ from screenlab import (
 )
 from screenlab import cli
 from screenlab.cli import main, render_csv
-from screenlab.regret import ALGOS
-from screenlab.scores import _standardized_cutoffs
+from screenlab.regret import _regret_values
+from screenlab.scores import ALGOS
 from conftest import BASELINE_DOC, IRREGULAR_DOC, NONMONOTONE_PHI_DOC
 
 
@@ -159,6 +158,20 @@ class TestTau:
     def test_missing_theta_exits_1(self, config_path, capsys):
         assert main(["tau", "--config", config_path]) == 1
 
+    @pytest.mark.parametrize("command,theta", [
+        ("tau", "nan"), ("tau", "0.5,inf"), ("scores", "inf"), ("scores", "-inf"),
+        ("sweep", "nan"), ("regret", "inf"),
+    ])
+    def test_non_finite_theta_exits_1(self, config_path, tmp_path, capsys, command, theta):
+        argv = [command, "--config", config_path, f"--theta={theta}"]
+        if command != "tau":
+            argv += ["--tau-grid=-0.5:0.5:3", "--out", str(tmp_path / "out")]
+        if command == "regret":
+            argv += ["--q", "1"]
+        assert main(argv) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
 
 class TestScores:
     def test_artifacts_and_manifest(self, config_path, tmp_path, capsys):
@@ -277,21 +290,6 @@ class TestSweep:
         assert doc["tau_bar"] is None
         assert doc["tau_bar_reason"] == "irregular"
 
-    def test_threads_do_not_change_bytes(self, config_path, tmp_path):
-        blobs = []
-        for threads, name in (("1", "a"), ("4", "b")):
-            out = str(tmp_path / name)
-            assert main([
-                "sweep", "--config", config_path, "--theta=-1,0,1",
-                "--tau-grid=-0.8:0.8:5", "--threads", threads, "--out", out,
-            ]) == 0
-            blobs.append(b"".join(
-                open(os.path.join(out, n), "rb").read()
-                for n in ("scores.csv", "regret.csv", "average_regret.csv",
-                          "thresholds.json")
-            ))
-        assert blobs[0] == blobs[1]
-
 
 class TestSimulate:
     def test_artifacts(self, config_path, tmp_path):
@@ -391,10 +389,11 @@ class TestCsvByteOracle:
             for b in bins
         ]
         assert any(b.s1_hat is None for b in bins)
+        cohort = sample_population(config, m, seed + 1)
         mc_rows = []
-        for algo in ALGOS:
-            e = mc_average_regret(config, algo, tau, m, seed + 1)
-            mc_rows.append((algo, e.tau, e.m, e.seed, e.value, e.standard_error))
+        for algo, score in (("s1", score_s1), ("s2", score_s2)):
+            u = _regret_values(config.payoffs, score(config, cohort.theta, tau), cohort.q)[3]
+            mc_rows.append((algo, tau, m, seed + 1, u.mean(), u.std(ddof=1) / np.sqrt(m)))
         for name, rows in (("stage1.csv", stage_rows),
                            ("scores_empirical.csv", bin_rows),
                            ("regret_mc.csv", mc_rows)):
@@ -416,7 +415,9 @@ class TestCsvByteOracle:
             s2 = score_s2(config, theta, tau_grid)
             cut = gamma1(config, theta, tau_grid)
             phi = float(marginal_posterior_phi(config, theta))
-            z_q, z_u = _standardized_cutoffs(config, theta, cut)
+            signal = config.signal
+            z_q = (cut - signal.conditional_gamma_mean(theta, qualified=True)) / signal.conditional_gamma_sd
+            z_u = (cut - signal.conditional_gamma_mean(theta, qualified=False)) / signal.conditional_gamma_sd
             surv_q, surv_u = ndtr(-z_q), ndtr(-z_u)
             for j, tau in enumerate(tau_grid):
                 score_rows.append(

@@ -26,8 +26,8 @@ from screenlab.population import (
     Population,
     ScoreBin,
     empirical_scores,
-    log_acceptance_bar,
 )
+from screenlab.scores import log_acceptance_threshold
 from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC
 
 
@@ -68,7 +68,7 @@ class TestStageOne:
     def test_acceptance_matches_ratio_rule(self, baseline):
         pop = sample_population(baseline, 50_000, seed=3)
         data = run_stage_one(baseline, pop, tau=0.0)
-        bar = log_acceptance_bar(baseline, 0.0)
+        bar = log_acceptance_threshold(baseline.payoffs, 0.0)
         expected = (
             baseline.signal.log_likelihood_ratio(pop.theta, pop.gamma) > bar
         )
@@ -176,13 +176,29 @@ class TestEmpiricalScoresOracle:
 class TestMcAverageRegret:
     def test_matches_quadrature_within_three_se(self, baseline):
         for tau in (-0.5, 0.0, 0.5):
-            est = mc_average_regret(baseline, "s1", tau, m=200_000, seed=12)
-            exact = expected_regret(baseline, "s1", tau)
-            assert abs(est.value - exact) < 3 * est.standard_error
+            for est in mc_average_regret(baseline, tau, m=200_000, seed=12):
+                exact = expected_regret(baseline, est.algo, tau)
+                assert abs(est.value - exact) < 3 * est.standard_error
 
     def test_records_its_inputs(self, baseline):
-        est = mc_average_regret(baseline, "s2", 0.1, m=1000, seed=3)
-        assert (est.algo, est.tau, est.m, est.seed) == ("s2", 0.1, 1000, 3)
+        estimates = mc_average_regret(baseline, 0.1, m=1000, seed=3)
+        assert [(est.algo, est.tau, est.m, est.seed) for est in estimates] == [
+            ("s1", 0.1, 1000, 3), ("s2", 0.1, 1000, 3),
+        ]
+
+    def test_both_scores_share_one_cohort(self, baseline, monkeypatch):
+        from screenlab import population
+
+        seeds = []
+        draw = population.sample_population
+
+        def spy(config, m, seed):
+            seeds.append(seed)
+            return draw(config, m, seed)
+
+        monkeypatch.setattr(population, "sample_population", spy)
+        mc_average_regret(baseline, 0.1, m=1000, seed=3)
+        assert seeds == [3]
 
 
 class TestClassifyEnvironment:

@@ -20,6 +20,7 @@ from screenlab import (
     score_s1,
     score_s2,
 )
+from screenlab.scores import score
 from conftest import BASELINE_DOC, baseline_theta_grid
 
 
@@ -177,3 +178,27 @@ class TestMonotonicity:
             s2 = np.array([float(score_s2(baseline, t, tau)) for t in thetas])
             assert np.all(np.diff(s1) > 0)
             assert np.all(np.diff(s2) > 0)
+
+
+class TestDomain:
+    @given(
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        good=st.lists(st.floats(-5.0, 5.0), max_size=4),
+        where=st.integers(0, 4),
+        tau=st.floats(-0.9, 0.9),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_non_finite_theta_rejected(self, bad, good, where, tau):
+        config = ModelConfig.from_dict(BASELINE_DOC)
+        thetas = good[:where] + [bad] + good[where:]
+        for theta in (bad, np.array(thetas)):
+            for fn in (score_s1, score_s2, gamma1):
+                with pytest.raises(DomainError, match="not finite"):
+                    fn(config, theta, tau)
+
+    def test_score_dispatches_by_name(self, baseline):
+        taus = np.linspace(-0.9, 0.9, 5)
+        np.testing.assert_array_equal(score(baseline, "s1", 0.3, taus), score_s1(baseline, 0.3, taus))
+        np.testing.assert_array_equal(score(baseline, "s2", 0.3, taus), score_s2(baseline, 0.3, taus))
+        with pytest.raises(DomainError, match="algo"):
+            score(baseline, "s3", 0.3, taus)
