@@ -27,7 +27,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from time import perf_counter
 
@@ -211,8 +212,10 @@ class RunManifest:
     config_path: str
     config_sha256: str
     seed: int | None
-    argv: list[str]
-    started_utc: str
+    argv: list[str] = field(default_factory=lambda: sys.argv[1:] or ["<api>"])
+    started_utc: str = field(
+        default_factory=lambda: datetime.now(timezone.utc).isoformat()
+    )
 
     def write(
         self, out_dir: str, texts: dict[str, str], timings: dict | None = None
@@ -327,28 +330,18 @@ def _theta_values(args) -> list[float]:
     return values
 
 
-def _print_schema(names: list[str]) -> None:
+def _print_schema(names) -> None:
     for name in names:
         print(name)
         for column, doc in SCHEMAS[name]:
             print(f"  {column}: {doc}")
 
 
-def _ensure_out(args) -> str:
-    if not args.out:
-        raise DomainError("--out is required for this subcommand")
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _manifest(args, digest: str) -> RunManifest:
-    return RunManifest(
-        config_path=args.config,
-        config_sha256=digest,
-        seed=getattr(args, "seed", None),
-        argv=sys.argv[1:] or ["<api>"],
-        started_utc=datetime.now(timezone.utc).isoformat(),
-    )
+def _required(args, option: str):
+    value = getattr(args, option)
+    if value is None:
+        raise DomainError(f"--{option} is required for {args.command}")
+    return value
 
 
 def _csv(name: str, columns) -> str:
@@ -365,17 +358,13 @@ def _concat(parts) -> list[np.ndarray]:
     return [np.concatenate(blocks) for blocks in zip(*parts)]
 
 
-def _write_outputs(out: str, texts: dict[str, str]) -> None:
-    for name, text in texts.items():
-        write_atomic(os.path.join(out, name), text)
-
-
 # =====================================================================
-# Subcommands
+# Subcommands: each maps (config, args, lap) to {artifact name: text}.
+# lap(stage) records the seconds since the previous lap; a command that
+# laps gets a ``timings`` block in its manifest.
 # =====================================================================
 
-def cmd_validate(args) -> int:
-    config, _ = _load_config(args.config)
+def cmd_validate(config, args, lap) -> dict[str, str]:
     certificate = validate_mlrp(config.signal)
     print(
         "MLRP certificate: accepted "
@@ -387,23 +376,14 @@ def cmd_validate(args) -> int:
         print(f"environment: {report.classification}")
     except UnsupportedModelError as exc:
         print(f"environment: unavailable ({exc})")
-    return EXIT_OK
+    return {}
 
 
-def cmd_scores(args) -> int:
-    if args.schema:
-        _print_schema(["scores.csv"])
-        return EXIT_OK
-    config, digest = _load_config(args.config)
-    manifest = _manifest(args, digest)
+def cmd_scores(config, args, lap) -> dict[str, str]:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
     columns = _concat(score_table(config, theta, tau_grid) for theta in thetas)
-    out = _ensure_out(args)
-    texts = {"scores.csv": _csv("scores.csv", columns)}
-    _write_outputs(out, texts)
-    manifest.write(out, texts)
-    return EXIT_OK
+    return {"scores.csv": _csv("scores.csv", columns)}
 
 
 def _threshold_doc(config, theta) -> dict:
@@ -413,26 +393,13 @@ def _threshold_doc(config, theta) -> dict:
     return doc
 
 
-def cmd_tau(args) -> int:
-    config, digest = _load_config(args.config)
-    thetas = _theta_values(args)
-
-    def doc_for(theta):
-        if args.q is None:
-            return _threshold_doc(config, theta)
-        return asdict(find_regret_crossings(config, theta, args.q))
-
-    docs = [doc_for(theta) for theta in thetas]
-    payload = docs if getattr(args, "theta_grid", None) is not None else docs[0] if len(docs) == 1 else docs
-    text = render_json(payload)
-    if args.out:
-        out = _ensure_out(args)
-        texts = {"thresholds.json": text}
-        _write_outputs(out, texts)
-        _manifest(args, digest).write(out, texts)
-    else:
-        print(text, end="")
-    return EXIT_OK
+def cmd_tau(config, args, lap) -> dict[str, str]:
+    docs = [
+        _threshold_doc(config, theta) if args.q is None
+        else asdict(find_regret_crossings(config, theta, args.q))
+        for theta in _theta_values(args)
+    ]
+    return {"thresholds.json": render_json(docs[0] if len(docs) == 1 else docs)}
 
 
 def _regret_outputs(config, theta, q, tau_grid):
@@ -448,57 +415,32 @@ def _regret_outputs(config, theta, q, tau_grid):
                       curves.p_ex_post, curves.u)
     ]
     jumps = {
-        "theta": float(theta),
-        "q": int(q),
-        "jumps": [
-            {"algo": jump.algo, "tau_d": jump.tau_d, "height": jump.height}
-            for jump in curves.jumps
-        ],
+        "theta": curves.theta,
+        "q": curves.q,
+        "jumps": [asdict(jump) for jump in curves.jumps],
     }
     return columns, jumps
 
 
-def cmd_regret(args) -> int:
-    if args.schema:
-        _print_schema(["regret.csv", "regret_jumps.json"])
-        return EXIT_OK
-    config, digest = _load_config(args.config)
-    manifest = _manifest(args, digest)
+def cmd_regret(config, args, lap) -> dict[str, str]:
+    theta = _required(args, "theta")
     tau_grid = _tau_grid(config, args.tau_grid)
-    if args.q not in (0, 1):
-        raise DomainError(f"--q must be 0 or 1, got {args.q!r}")
-    columns, jumps = _regret_outputs(config, float(args.theta), args.q, tau_grid)
-    out = _ensure_out(args)
-    texts = {
+    columns, jumps = _regret_outputs(config, theta, args.q, tau_grid)
+    return {
         "regret.csv": _csv("regret.csv", columns),
         "regret_jumps.json": render_json(jumps),
     }
-    _write_outputs(out, texts)
-    manifest.write(out, texts)
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    if args.schema:
-        _print_schema([
-            "scores.csv", "regret.csv", "regret_jumps.json",
-            "thresholds.json", "average_regret.csv",
-        ])
-        return EXIT_OK
-    config, digest = _load_config(args.config)
-    manifest = _manifest(args, digest)
+def cmd_sweep(config, args, lap) -> dict[str, str]:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
 
     score_columns = _concat(score_table(config, theta, tau_grid) for theta in thetas)
 
-    regret_parts: list[list[np.ndarray]] = []
-    jump_docs: list[dict] = []
-    for theta in thetas:
-        for q in (0, 1):
-            columns, jumps = _regret_outputs(config, theta, q, tau_grid)
-            regret_parts.append(columns)
-            jump_docs.append(jumps)
+    regret_parts, jump_docs = zip(*(
+        _regret_outputs(config, theta, q, tau_grid) for theta in thetas for q in (0, 1)
+    ))
 
     per_theta = [_threshold_doc(config, theta) for theta in thetas]
 
@@ -515,8 +457,7 @@ def cmd_sweep(args) -> int:
         for tau in tau_grid
     ]
 
-    out = _ensure_out(args)
-    texts = {
+    return {
         "scores.csv": _csv("scores.csv", score_columns),
         "regret.csv": _csv("regret.csv", _concat(regret_parts)),
         "regret_jumps.json": render_json(jump_docs),
@@ -530,42 +471,20 @@ def cmd_sweep(args) -> int:
             "average_regret.csv", [tau_grid, *np.array(averages).T]
         ),
     }
-    _write_outputs(out, texts)
-    manifest.write(out, texts)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    if args.schema:
-        _print_schema([
-            "stage1.csv", "scores_empirical.csv", "regret_mc.csv",
-            "environment.json",
-        ])
-        return EXIT_OK
-    config, digest = _load_config(args.config)
-    manifest = _manifest(args, digest)
-    if args.tau is None:
-        raise DomainError("--tau is required for simulate")
-    tau = float(args.tau)
-    seed = args.seed if args.seed is not None else 0
-    timings, clock = {}, [perf_counter()]
-
-    def lap(stage: str) -> None:
-        clock.append(perf_counter())
-        timings[stage] = clock[-1] - clock[-2]
-
-    population = sample_population(config, args.m, seed)
+def cmd_simulate(config, args, lap) -> dict[str, str]:
+    tau = _required(args, "tau")
+    population = sample_population(config, args.m, args.seed)
     lap("sample_s")
     data = run_stage_one(config, population, tau)
     lap("stage_one_s")
     bins = empirical_scores(data, args.bins)
     lap("binning_s")
-    estimates = mc_average_regret(config, tau, args.m, seed + 1)
+    estimates = mc_average_regret(config, tau, args.m, args.seed + 1)
     lap("mc_regret_s")
     report = classify_environment(config)
     lap("classify_s")
-
-    out = _ensure_out(args)
     texts = {
         "stage1.csv": _csv("stage1.csv", [data.theta, data.accepted, data.q_label]),
         "scores_empirical.csv": _csv(
@@ -577,28 +496,81 @@ def cmd_simulate(args) -> int:
         "environment.json": render_json(asdict(report)),
     }
     lap("render_s")
-    _write_outputs(out, texts)
-    lap("write_s")
-    manifest.write(out, texts, timings)
-    return EXIT_OK
+    return texts
 
 
-def cmd_classify(args) -> int:
-    config, digest = _load_config(args.config)
-    text = render_json(asdict(classify_environment(config)))
-    if args.out:
-        out = _ensure_out(args)
-        texts = {"environment.json": text}
-        _write_outputs(out, texts)
-        _manifest(args, digest).write(out, texts)
-    else:
-        print(text, end="")
-    return EXIT_OK
+def cmd_classify(config, args, lap) -> dict[str, str]:
+    return {"environment.json": render_json(asdict(classify_environment(config)))}
 
 
 # =====================================================================
-# Parser and entry point
+# Command table, runner and entry point
 # =====================================================================
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's function, help line and artifacts in ``--schema``
+    order; with ``stdout`` set, a run without ``--out`` prints its one
+    artifact instead of failing."""
+
+    fn: Callable
+    help: str
+    artifacts: tuple[str, ...] = ()
+    stdout: bool = False
+
+
+COMMANDS = {
+    "validate": Command(cmd_validate, "check a config and print its certificate"),
+    "scores": Command(cmd_scores, "emit the analytic score table", ("scores.csv",)),
+    "tau": Command(cmd_tau, "locate thresholds per theta (JSON)",
+                   ("thresholds.json",), stdout=True),
+    "regret": Command(cmd_regret, "emit regret curves for one applicant",
+                      ("regret.csv", "regret_jumps.json")),
+    "sweep": Command(cmd_sweep, "emit the full artifact set for a config", (
+        "scores.csv", "regret.csv", "regret_jumps.json", "thresholds.json",
+        "average_regret.csv",
+    )),
+    "simulate": Command(cmd_simulate, "run the Monte Carlo population pipeline", (
+        "stage1.csv", "scores_empirical.csv", "regret_mc.csv", "environment.json",
+    )),
+    "classify": Command(cmd_classify, "report the environment class (JSON)",
+                        ("environment.json",), stdout=True),
+}
+
+
+def run(args) -> int:
+    """Print schemas, or load the config, run the command and print its
+    artifact or write every artifact and the manifest to ``--out``."""
+    command = COMMANDS[args.command]
+    if command.artifacts and args.schema:
+        _print_schema(command.artifacts)
+        return EXIT_OK
+    out = getattr(args, "out", None)
+    if command.artifacts and not (out or command.stdout):
+        raise DomainError(f"--out is required for {args.command}")
+    config, digest = _load_config(_required(args, "config"))
+    manifest = RunManifest(
+        config_path=args.config, config_sha256=digest, seed=getattr(args, "seed", None)
+    )
+    timings, clock = {}, [perf_counter()]
+
+    def lap(stage: str) -> None:
+        clock.append(perf_counter())
+        timings[stage] = clock[-1] - clock[-2]
+
+    texts = command.fn(config, args, lap)
+    if not out:
+        for text in texts.values():
+            print(text, end="")
+        return EXIT_OK
+    os.makedirs(out, exist_ok=True)
+    for name, text in texts.items():
+        write_atomic(os.path.join(out, name), text)
+    if timings:
+        lap("write_s")
+    manifest.write(out, texts, timings or None)
+    return EXIT_OK
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -613,59 +585,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"screenlab {__version__}"
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, *, needs_out=False):
-        p.add_argument("--config", required=True, help="model config JSON path")
-        p.add_argument("--out", default=None,
-                       help="output directory" + (" (required)" if needs_out else ""))
-        p.add_argument("--seed", type=int, default=None, help="generator seed")
-        p.add_argument("--schema", action="store_true",
-                       help="print this subcommand's artifact schemas and exit")
-
-    p = sub.add_parser("validate", help="check a config and print its certificate")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("scores", help="emit the analytic score table")
-    common(p, needs_out=True)
-    p.add_argument("--theta", help="comma-separated theta values")
-    p.add_argument("--theta-grid", help="theta grid as min:max:count")
-    p.add_argument("--tau-grid", help="tau grid as min:max:count (clamped)")
-    p.set_defaults(fn=cmd_scores)
-
-    p = sub.add_parser("tau", help="locate thresholds per theta (JSON)")
-    common(p)
-    p.add_argument("--theta", help="comma-separated theta values")
-    p.add_argument("--theta-grid", help="theta grid as min:max:count")
-    p.add_argument("--q", type=int, default=None,
-                   help="emit the regret-crossing report for this bit instead")
-    p.set_defaults(fn=cmd_tau)
-
-    p = sub.add_parser("regret", help="emit regret curves for one applicant")
-    common(p, needs_out=True)
-    p.add_argument("--theta", required=True, type=float)
-    p.add_argument("--q", required=True, type=int)
-    p.add_argument("--tau-grid", help="tau grid as min:max:count (clamped)")
-    p.set_defaults(fn=cmd_regret)
-
-    p = sub.add_parser("sweep", help="emit the full artifact set for a config")
-    common(p, needs_out=True)
-    p.add_argument("--theta", help="comma-separated theta values")
-    p.add_argument("--theta-grid", help="theta grid as min:max:count")
-    p.add_argument("--tau-grid", help="tau grid as min:max:count (clamped)")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="run the Monte Carlo population pipeline")
-    common(p, needs_out=True)
-    p.add_argument("--tau", type=float, help="prejudice level to replay")
-    p.add_argument("--m", type=int, default=100_000, help="population size")
-    p.add_argument("--bins", type=int, default=50, help="theta quantile bins")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("classify", help="report the environment class (JSON)")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
-
+    p = {}
+    for name, command in COMMANDS.items():
+        p[name] = sub.add_parser(name, help=command.help)
+        p[name].add_argument("--config", help="model config JSON path")
+        if command.artifacts:
+            p[name].add_argument("--out", help="output directory"
+                                 + ("" if command.stdout else " (required)"))
+            p[name].add_argument("--schema", action="store_true",
+                                 help="print this subcommand's artifact schemas and exit")
+    for name in ("scores", "tau", "sweep"):
+        p[name].add_argument("--theta", help="comma-separated theta values")
+        p[name].add_argument("--theta-grid", help="theta grid as min:max:count")
+    for name in ("scores", "regret", "sweep"):
+        p[name].add_argument("--tau-grid", help="tau grid as min:max:count (clamped)")
+    p["tau"].add_argument("--q", type=int,
+                          help="emit the regret-crossing report for this bit instead")
+    p["regret"].add_argument("--theta", type=float, help="coarse signal value")
+    p["regret"].add_argument("--q", type=int, help="realized qualification bit, 0 or 1")
+    p["simulate"].add_argument("--tau", type=float, help="prejudice level to replay")
+    p["simulate"].add_argument("--m", type=int, default=100_000, help="population size")
+    p["simulate"].add_argument("--bins", type=int, default=50, help="theta quantile bins")
+    p["simulate"].add_argument("--seed", type=int, default=0, help="generator seed")
     return parser
 
 
@@ -674,12 +615,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         if args.schema:
-            _print_schema(list(SCHEMAS))
+            _print_schema(SCHEMAS)
             return EXIT_OK
         parser.print_help()
         return EXIT_INVALID
     try:
-        return args.fn(args)
+        return run(args)
     except (InvalidModelError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -40,6 +40,11 @@ from .model import DomainError, ModelConfig, PayoffParams, marginal_posterior_ph
 # prejudice interval before any grid evaluation.
 TAU_CLAMP_SCALE = 1e-6
 
+# A cutoff this many conditional sds above both classes' gamma means accepts
+# nobody in float64, and s1's log survival difference, ~z**2/2 in each
+# class, loses its digits to cancellation (to inf - inf past z ~ 1.3e154).
+S1_MAX_Z = 1e4
+
 # The two scores, by the name every curve, table and estimate carries.
 ALGOS = ("s1", "s2")
 
@@ -70,9 +75,10 @@ def clamped_tau_interval(payoffs: PayoffParams) -> tuple[float, float]:
 
 
 def _require_open_interval(payoffs: PayoffParams, tau: np.ndarray) -> None:
-    inside = (tau > payoffs.tau_min) & (tau < payoffs.tau_max)
-    if not np.all(inside):
-        bad = np.asarray(tau)[~inside].flat[0]
+    # min/max cost half of an elementwise mask on scalars; NaN fails both
+    if tau.size and not (payoffs.tau_min < tau.min() and tau.max() < payoffs.tau_max):
+        inside = (tau > payoffs.tau_min) & (tau < payoffs.tau_max)
+        bad = tau[~inside].flat[0]
         raise DomainError(
             f"tau={bad!r} outside the open prejudice interval "
             f"({payoffs.tau_min}, {payoffs.tau_max})"
@@ -108,18 +114,19 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
     """Fine-signal cutoff: acceptance happens exactly when gamma > gamma1.
 
     Closed form from the affine log likelihood ratio; strictly increasing
-    in tau and strictly decreasing in theta.  A NaN or infinite theta
-    raises DomainError.
+    in tau and strictly decreasing in theta.  A NaN or infinite theta, or a
+    finite one so extreme that the cutoff overflows, raises DomainError.
     """
     theta = np.asarray(theta, dtype=float)
-    # the bisections call this with scalars, where math.isfinite costs a
-    # fraction of an array reduction
-    if not (math.isfinite(theta) if theta.ndim == 0 else np.isfinite(theta).all()):
-        bad = float(theta[~np.isfinite(theta)].flat[0])
-        raise DomainError(f"theta={bad!r} is not finite: NaN and infinities have no score")
     w_theta, w_gamma = config.signal.log_ratio_weights
     log_t = log_acceptance_threshold(config.payoffs, tau)
-    return (log_t - config.signal.log_ratio_intercept - w_theta * theta) / w_gamma
+    cutoff = (log_t - config.signal.log_ratio_intercept - w_theta * theta) / w_gamma
+    # the bisections call this with scalars, where math.isfinite costs a
+    # fraction of an array reduction
+    if not (math.isfinite(cutoff) if cutoff.ndim == 0 else np.isfinite(cutoff).all()):
+        bad = float(np.broadcast_to(theta, cutoff.shape)[~np.isfinite(cutoff)].flat[0])
+        raise DomainError(f"theta={bad!r} is NaN, infinite or too extreme: cutoff not finite")
+    return cutoff
 
 
 def _standardized_cutoffs(config: ModelConfig, theta, cutoff):
@@ -148,11 +155,20 @@ def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
 
     Evaluated as a logistic transform of the theta log odds plus the log
     survival difference, which is exact algebra on the mixture form and
-    remains finite when both survivals underflow.
+    remains finite when both survivals underflow.  A cutoff past S1_MAX_Z
+    in both classes raises DomainError.
     """
     theta = np.asarray(theta, dtype=float)
     cutoff = gamma1(config, theta, tau)
     z_q, z_u = _standardized_cutoffs(config, theta, cutoff)
+    beyond = (z_q > S1_MAX_Z) & (z_u > S1_MAX_Z)
+    # a scalar bool is tested directly: ndarray.any costs ~2 us per call
+    if beyond if beyond.ndim == 0 else beyond.any():
+        bad = float(np.broadcast_to(theta, beyond.shape)[beyond].flat[0])
+        raise DomainError(
+            f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:g} sds above "
+            "both classes' means: nobody is accepted, so s1 is undefined"
+        )
     log_odds_theta = (
         config.payoffs.log_odds_prior + config.signal.theta_log_ratio(theta)
     )

@@ -32,6 +32,7 @@ from .model import (
     ScreeningError,
     marginal_posterior_phi,
 )
+from .population import classify_environment, sample_population
 from .regret import _ex_ante, _regret_values, expected_regret_gap
 
 # Roots closer than this (scaled by x_q + x_u) to a cell boundary are
@@ -292,8 +293,6 @@ def find_tau_bar(
     population and propagates the sample standard error through the local
     slope of D.
     """
-    from .population import classify_environment, sample_population
-
     if mode not in ("analytic", "mc"):
         raise DomainError(f"mode must be 'analytic' or 'mc', got {mode!r}")
     lo, hi = _scores.clamped_tau_interval(config.payoffs)

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -31,6 +33,8 @@ from screenlab.cli import main, render_csv
 from screenlab.regret import _regret_values
 from screenlab.scores import ALGOS
 from conftest import BASELINE_DOC, IRREGULAR_DOC, NONMONOTONE_PHI_DOC
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture()
@@ -233,6 +237,14 @@ class TestScores:
     def test_schema_flag(self, config_path, capsys):
         assert main(["scores", "--config", config_path, "--schema"]) == 0
         assert "gamma1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["scores", "tau"])
+    def test_theta_that_accepts_nobody_exits_1(self, config_path, tmp_path, capsys, command):
+        """scores wrote nan for s1 here and tau failed with 'f is NaN'."""
+        out = str(tmp_path / "out")
+        assert main([command, "--config", config_path, "--theta=-1e200", "--out", out]) == 1
+        assert "nobody is accepted" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestRegret:
@@ -458,8 +470,63 @@ class TestEntryPoint:
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
 
+    @pytest.mark.parametrize("argv,first", [
+        (["scores", "--schema"], "scores.csv"),
+        (["regret", "--schema"], "regret.csv"),
+        (["tau", "--config", "gone.json", "--theta", "0", "--schema", "--out", "x"],
+         "thresholds.json"),
+        (["classify", "--config", "gone.json", "--schema", "--out", "x"],
+         "environment.json"),
+    ])
+    def test_schema_needs_no_config_and_computes_nothing(
+        self, tmp_path, monkeypatch, capsys, argv, first
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == first and "{" not in out
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["validate", "scores", "tau", "regret", "sweep", "classify"])
+    def test_seed_is_a_simulate_option(self, config_path, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", config_path, "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["classify"], ["tau", "--theta", "0"],
+        ["scores", "--theta", "0", "--out", "x"],
+        ["simulate", "--tau", "0", "--out", "x"],
+    ])
+    def test_missing_config_exits_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "--config is required" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_global_schema_dump(self, capsys):
         assert main(["--schema"]) == 0
         out = capsys.readouterr().out
         for name in ("scores.csv", "regret.csv", "stage1.csv", "environment.json"):
             assert name in out
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """argv of every `screenlab` call in README.md's CLI section: each line
+    of its sh block, with backslash continuations joined, and each inline
+    `screenlab ...` example of its prose."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block, prose = section.split("```sh\n", 1)[1].split("```", 1)
+    lines = block.replace("\\\n", " ").splitlines()
+    calls = [line for line in lines if line.startswith("screenlab ")]
+    calls += re.findall(r"`(screenlab [^`]+)`", section.split("```sh\n", 1)[0] + prose)
+    return [shlex.split(call)[1:] for call in calls]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = [os.path.join(ROOT, arg) if arg.startswith("configs/") else arg for arg in argv]
+    assert main(argv) == 0

@@ -31,8 +31,8 @@ class TestAcceptanceThreshold:
         )
 
     def test_rejects_tau_outside_open_interval(self, baseline):
-        for tau in (-1.0, 1.0, -1.5, 2.0):
-            with pytest.raises(DomainError):
+        for tau in (-1.0, 1.0, -1.5, 2.0, float("nan"), np.array([0.0, 1.0])):
+            with pytest.raises(DomainError, match="outside the open prejudice interval"):
                 acceptance_threshold_T(baseline.payoffs, tau)
 
     def test_strictly_increasing_in_tau(self, baseline):
@@ -195,6 +195,41 @@ class TestDomain:
             for fn in (score_s1, score_s2, gamma1):
                 with pytest.raises(DomainError, match="not finite"):
                     fn(config, theta, tau)
+
+    @given(
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+        which=st.integers(0, 51),
+        where=st.floats(0.0, 1.0),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_finite_theta_gives_finite_scores(
+        self, baseline, irregular_config, random_table, theta, which, where
+    ):
+        configs = [baseline, irregular_config] + [record.config for record in random_table]
+        config = configs[which]
+        lo, hi = clamped_tau_interval(config.payoffs)
+        tau = lo + where * (hi - lo)
+        for fn in (score_s1, score_s2, gamma1):
+            for thetas in (theta, np.array([theta, 0.0])):
+                try:
+                    value = np.asarray(fn(config, thetas, tau))
+                except DomainError:
+                    continue
+                assert np.isfinite(value).all()
+                if fn is not gamma1:
+                    assert ((value >= 0.0) & (value <= 1.0)).all()
+
+    def test_s1_rejects_a_cutoff_that_accepts_nobody(self, baseline):
+        """Below about theta = -1e4 on the baseline the cutoff sits over 1e4
+        sds above both classes' means; s1's log survival difference became
+        NaN past theta ~ -2.3e154 and lost its digits long before."""
+        taus = np.linspace(-0.9, 0.9, 7)
+        # the accepted crowd the acceptance boundary, whose posterior is
+        # (x_u + tau) / (x_q + x_u); the cutoff here is ~1e3 sds out
+        np.testing.assert_allclose(score_s1(baseline, -1e3, taus), (1.0 + taus) / 2.0, atol=1e-3)
+        for theta in (-2e4, -2.29e154, -1e200, np.array([0.0, -1e200])):
+            with pytest.raises(DomainError, match="nobody is accepted"):
+                score_s1(baseline, theta, taus[:1])
 
     def test_score_dispatches_by_name(self, baseline):
         taus = np.linspace(-0.9, 0.9, 5)
