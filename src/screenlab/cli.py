@@ -312,18 +312,18 @@ def _tau_grid(config: ModelConfig, spec: str | None) -> np.ndarray:
 
 
 def _theta_values(args) -> list[float]:
-    if getattr(args, "theta", None) is not None:
+    if (args.theta is None) == (args.theta_grid is None):
+        raise DomainError("pass exactly one of --theta and --theta-grid")
+    if args.theta is not None:
         try:
             values = [float(part) for part in str(args.theta).split(",") if part]
         except ValueError as exc:
             raise DomainError(f"cannot parse theta list {args.theta!r}") from exc
         if not values:
             raise DomainError("theta list is empty")
-    elif getattr(args, "theta_grid", None) is not None:
+    else:
         lo, hi, count = _parse_grid(args.theta_grid, name="theta grid")
         values = [float(t) for t in np.linspace(lo, hi, count)]
-    else:
-        raise DomainError("one of --theta or --theta-grid is required")
     for value in values:
         if not math.isfinite(value):
             raise DomainError(f"theta={value!r} is not finite")
@@ -423,9 +423,9 @@ def _regret_outputs(config, theta, q, tau_grid):
 
 
 def cmd_regret(config, args, lap) -> dict[str, str]:
-    theta = _required(args, "theta")
+    theta, q = _required(args, "theta"), _required(args, "q")
     tau_grid = _tau_grid(config, args.tau_grid)
-    columns, jumps = _regret_outputs(config, theta, args.q, tau_grid)
+    columns, jumps = _regret_outputs(config, theta, q, tau_grid)
     return {
         "regret.csv": _csv("regret.csv", columns),
         "regret_jumps.json": render_json(jumps),

@@ -40,10 +40,11 @@ from .model import DomainError, ModelConfig, PayoffParams, marginal_posterior_ph
 # prejudice interval before any grid evaluation.
 TAU_CLAMP_SCALE = 1e-6
 
-# A cutoff this many conditional sds above both classes' gamma means accepts
-# nobody in float64, and s1's log survival difference, ~z**2/2 in each
-# class, loses its digits to cancellation (to inf - inf past z ~ 1.3e154).
-S1_MAX_Z = 1e4
+# s1's log survival difference, of two ~-z**2/2 terms, rounds off by ~eps*z**2/2
+# in the log odds (NaN past z ~ 1.3e154); cutoffs over S1_MAX_Z sds above both
+# classes' means, where that exceeds S1_LOG_ODDS_TOL, are rejected.
+S1_LOG_ODDS_TOL = 1e-3
+S1_MAX_Z = math.sqrt(2.0 * S1_LOG_ODDS_TOL / np.finfo(float).eps)  # ~3e6
 
 # The two scores, by the name every curve, table and estimate carries.
 ALGOS = ("s1", "s2")
@@ -156,7 +157,7 @@ def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
     Evaluated as a logistic transform of the theta log odds plus the log
     survival difference, which is exact algebra on the mixture form and
     remains finite when both survivals underflow.  A cutoff past S1_MAX_Z
-    in both classes raises DomainError.
+    sds in both classes, where it has lost its digits, raises DomainError.
     """
     theta = np.asarray(theta, dtype=float)
     cutoff = gamma1(config, theta, tau)
@@ -166,8 +167,8 @@ def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
     if beyond if beyond.ndim == 0 else beyond.any():
         bad = float(np.broadcast_to(theta, beyond.shape)[beyond].flat[0])
         raise DomainError(
-            f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:g} sds above "
-            "both classes' means: nobody is accepted, so s1 is undefined"
+            f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:.3g} sds above "
+            f"both classes' means, where s1's log odds round off by over {S1_LOG_ODDS_TOL:g}"
         )
     log_odds_theta = (
         config.payoffs.log_odds_prior + config.signal.theta_log_ratio(theta)

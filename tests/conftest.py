@@ -35,6 +35,10 @@ ENGINEERED_DOC = {
     "sigma_theta": 1.0, "sigma_gamma": 1.0, "rho": 0.0,
 }
 
+# A gamma shift of 0.001 sd: the fine signal barely separates the classes,
+# so near the clamped upper tau the acceptance cutoff sits ~1.5e4 sds out.
+WEAK_GAMMA_DOC = dict(BASELINE_DOC, mu_q=[1.0, 0.001])
+
 # Certified jointly, yet the theta marginals order the wrong way: the
 # negative correlation lets the gamma shift carry the whole certificate.
 NONMONOTONE_PHI_DOC = {

@@ -32,7 +32,7 @@ from screenlab import cli
 from screenlab.cli import main, render_csv
 from screenlab.regret import _regret_values
 from screenlab.scores import ALGOS
-from conftest import BASELINE_DOC, IRREGULAR_DOC, NONMONOTONE_PHI_DOC
+from conftest import BASELINE_DOC, IRREGULAR_DOC, NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -161,6 +161,15 @@ class TestTau:
 
     def test_missing_theta_exits_1(self, config_path, capsys):
         assert main(["tau", "--config", config_path]) == 1
+        assert "exactly one of --theta and --theta-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tau", "scores", "sweep"])
+    def test_theta_with_theta_grid_exits_1(self, config_path, tmp_path, capsys, command):
+        out = str(tmp_path / "out")
+        argv = [command, "--config", config_path, "--theta", "0", "--theta-grid=-1:1:3"]
+        assert main(argv + ["--out", out]) == 1
+        assert "exactly one of --theta and --theta-grid" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command,theta", [
         ("tau", "nan"), ("tau", "0.5,inf"), ("scores", "inf"), ("scores", "-inf"),
@@ -239,12 +248,23 @@ class TestScores:
         assert "gamma1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["scores", "tau"])
-    def test_theta_that_accepts_nobody_exits_1(self, config_path, tmp_path, capsys, command):
+    def test_theta_past_s1_precision_exits_1(self, config_path, tmp_path, capsys, command):
         """scores wrote nan for s1 here and tau failed with 'f is NaN'."""
         out = str(tmp_path / "out")
         assert main([command, "--config", config_path, "--theta=-1e200", "--out", out]) == 1
-        assert "nobody is accepted" in capsys.readouterr().err
+        assert "round off" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["scores", "sweep"])
+    def test_weak_gamma_signal_runs(self, tmp_path, command):
+        """The default tau grid reaches the clamp edge, where the cutoff of
+        this config lies ~1.5e4 sds above both classes' means."""
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(WEAK_GAMMA_DOC))
+        out = str(tmp_path / "out")
+        assert main([command, "--config", str(path), "--theta=0", "--out", out]) == 0
+        s1 = np.array([float(row["s1"]) for row in read_csv(os.path.join(out, "scores.csv"))])
+        assert len(s1) == 400 and ((s1 >= 0.0) & (s1 <= 1.0)).all()
 
 
 class TestRegret:
@@ -266,6 +286,12 @@ class TestRegret:
             "regret", "--config", config_path, "--theta", "0.0", "--q", "7",
             "--out", str(tmp_path / "x"),
         ]) == 1
+
+    @pytest.mark.parametrize("present,missing", [(["--q", "1"], "theta"), (["--theta", "0"], "q")])
+    def test_missing_option_exits_1(self, config_path, tmp_path, capsys, present, missing):
+        argv = ["regret", "--config", config_path, "--out", str(tmp_path / "x")]
+        assert main(argv + present) == 1
+        assert f"--{missing} is required for regret" in capsys.readouterr().err
 
 
 class TestSweep:

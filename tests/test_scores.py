@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 from scipy.stats import norm
 
 from screenlab import (
@@ -21,7 +22,7 @@ from screenlab import (
     score_s2,
 )
 from screenlab.scores import score
-from conftest import BASELINE_DOC, baseline_theta_grid
+from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid
 
 
 class TestAcceptanceThreshold:
@@ -214,22 +215,49 @@ class TestDomain:
                 try:
                     value = np.asarray(fn(config, thetas, tau))
                 except DomainError:
+                    # every cutoff of these configs within |theta| <= 1e4
+                    # lies under 6e4 sds out, far inside S1_MAX_Z
+                    assert abs(theta) > 1e4
                     continue
                 assert np.isfinite(value).all()
                 if fn is not gamma1:
                     assert ((value >= 0.0) & (value <= 1.0)).all()
 
-    def test_s1_rejects_a_cutoff_that_accepts_nobody(self, baseline):
-        """Below about theta = -1e4 on the baseline the cutoff sits over 1e4
-        sds above both classes' means; s1's log survival difference became
-        NaN past theta ~ -2.3e154 and lost its digits long before."""
+    def test_s1_rejects_a_cutoff_past_its_precision(self, baseline):
+        """On the baseline the cutoff sits about -theta sds above both means;
+        s1's log survival difference became NaN past theta ~ -2.3e154 and
+        rounds off by ~eps * theta**2 / 2 long before."""
         taus = np.linspace(-0.9, 0.9, 7)
         # the accepted crowd the acceptance boundary, whose posterior is
-        # (x_u + tau) / (x_q + x_u); the cutoff here is ~1e3 sds out
-        np.testing.assert_allclose(score_s1(baseline, -1e3, taus), (1.0 + taus) / 2.0, atol=1e-3)
-        for theta in (-2e4, -2.29e154, -1e200, np.array([0.0, -1e200])):
-            with pytest.raises(DomainError, match="nobody is accepted"):
+        # (x_u + tau) / (x_q + x_u)
+        for theta in (-1e3, -1e6):
+            np.testing.assert_allclose(
+                score_s1(baseline, theta, taus), (1.0 + taus) / 2.0, atol=1e-3
+            )
+        for theta in (-1e7, -2.29e154, -1e200, np.array([0.0, -1e200])):
+            with pytest.raises(DomainError, match="round off"):
                 score_s1(baseline, theta, taus[:1])
+
+    def test_s1_keeps_its_digits_on_a_weak_gamma_signal(self):
+        """At the clamped upper tau the cutoff is ~1.5e4 sds out; s1 must
+        match the tail expansion of its log survival difference."""
+        config = ModelConfig.from_dict(WEAK_GAMMA_DOC)
+        lo, hi = clamped_tau_interval(config.payoffs)
+        taus = np.linspace(lo, hi, 400)
+        for theta in (-1.0, 0.0, 1.0):
+            s1 = score_s1(config, theta, taus)
+            assert ((s1 >= 0.0) & (s1 <= 1.0)).all() and (np.diff(s1) >= 0.0).all()
+            cutoff = gamma1(config, theta, hi)
+            sd = config.signal.conditional_gamma_sd
+            z_q, z_u = (cutoff - 0.001) / sd, cutoff / sd
+            assert z_u > 1e4
+            # log ndtr(-z) = -z**2/2 - log z - log(2 pi)/2 + log(1 - 1/z**2 + ...)
+            log_diff = (
+                (z_u - z_q) * (z_u + z_q) / 2.0 + np.log(z_u / z_q)
+                + np.log1p(-1.0 / z_q**2) - np.log1p(-1.0 / z_u**2)
+            )
+            log_odds = config.payoffs.log_odds_prior + config.signal.theta_log_ratio(theta)
+            np.testing.assert_allclose(s1[-1], expit(log_odds + log_diff), rtol=0, atol=1e-7)
 
     def test_score_dispatches_by_name(self, baseline):
         taus = np.linspace(-0.9, 0.9, 5)
