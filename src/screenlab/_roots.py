@@ -26,6 +26,11 @@ class BracketError(ScreeningError):
     """The supplied bracket does not straddle a sign change."""
 
 
+# Most bisection steps per root; ~60 reach one representable gap on the
+# package's brackets, which span a few units.
+MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class RootResult:
     root: float
@@ -41,17 +46,16 @@ def bisect_monotone(
     *,
     residual_tol: float = 1e-10,
     xtol: float = 0.0,
-    max_iter: int = 200,
 ) -> RootResult:
     """Find the root of a monotone ``f`` on [lo, hi].
 
     Runs to machine resolution by default; a positive ``xtol`` stops once
     the bracket is that narrow (useful when each evaluation is itself a
-    quadrature).  Raises BracketError when f(lo) and f(hi) share a sign,
-    and ScreeningError when ``f`` returns NaN or the converged root's
-    residual exceeds ``residual_tol`` (which for a genuinely monotone
-    continuous curve indicates the tolerance was set below what float64
-    can deliver).
+    quadrature).  Raises BracketError when f(lo) and f(hi) share a sign or
+    are both zero, and ScreeningError when ``f`` returns NaN or the
+    converged root's residual exceeds ``residual_tol`` (which for a
+    genuinely monotone continuous curve indicates the tolerance was set
+    below what float64 can deliver).
     """
     lo = float(lo)
     hi = float(hi)
@@ -64,18 +68,19 @@ def bisect_monotone(
             f"f is NaN on the bracket [{lo!r}, {hi!r}]: "
             f"f(lo)={f_lo!r}, f(hi)={f_hi!r}"
         )
-    if f_lo == 0.0:
-        return RootResult(lo, 0.0, 0.0, 0)
-    if f_hi == 0.0:
-        return RootResult(hi, 0.0, 0.0, 0)
+    # a zero at both ends is a flat bracket, with no single root
     if np.sign(f_lo) == np.sign(f_hi):
         raise BracketError(
             f"no sign change on bracket [{lo!r}, {hi!r}]: "
             f"f(lo)={f_lo!r}, f(hi)={f_hi!r}"
         )
+    if f_lo == 0.0:
+        return RootResult(lo, 0.0, 0.0, 0)
+    if f_hi == 0.0:
+        return RootResult(hi, 0.0, 0.0, 0)
     descending = f_lo > 0.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or hi - lo <= xtol:
             break
@@ -104,8 +109,6 @@ def bisect_monotone_many(
     f: Callable[[np.ndarray], np.ndarray],
     lo,
     hi,
-    *,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Vectorized machine-resolution bisection for a batch of brackets.
 
@@ -128,7 +131,7 @@ def bisect_monotone_many(
             f"f values ({f_lo.flat[bad]!r}, {f_hi.flat[bad]!r})"
         )
     lo_positive = f_lo > 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
         open_cells = (mid != lo) & (mid != hi)
         if not np.any(open_cells):

@@ -212,7 +212,7 @@ class RunManifest:
     config_path: str
     config_sha256: str
     seed: int | None
-    argv: list[str] = field(default_factory=lambda: sys.argv[1:] or ["<api>"])
+    argv: list[str]
     started_utc: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
@@ -538,9 +538,10 @@ COMMANDS = {
 }
 
 
-def run(args) -> int:
+def run(args, argv: list[str]) -> int:
     """Print schemas, or load the config, run the command and print its
-    artifact or write every artifact and the manifest to ``--out``."""
+    artifact or write every artifact and the manifest, which records
+    ``argv``, to ``--out``."""
     command = COMMANDS[args.command]
     if command.artifacts and args.schema:
         _print_schema(command.artifacts)
@@ -549,9 +550,8 @@ def run(args) -> int:
     if command.artifacts and not (out or command.stdout):
         raise DomainError(f"--out is required for {args.command}")
     config, digest = _load_config(_required(args, "config"))
-    manifest = RunManifest(
-        config_path=args.config, config_sha256=digest, seed=getattr(args, "seed", None)
-    )
+    manifest = RunManifest(config_path=args.config, config_sha256=digest,
+                           seed=getattr(args, "seed", None), argv=argv)
     timings, clock = {}, [perf_counter()]
 
     def lap(stage: str) -> None:
@@ -611,6 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -620,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_INVALID
     try:
-        return run(args)
+        return run(args, argv)
     except (InvalidModelError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -341,30 +341,15 @@ class NonatomicReport:
     duplicates: dict[str, int]
 
 
-def verify_nonatomic(
-    config: ModelConfig,
-    tau: float,
-    m: int,
-    seed: int,
-    *,
-    thetas: np.ndarray | None = None,
-) -> NonatomicReport:
+def verify_nonatomic(config: ModelConfig, tau: float, m: int, seed: int) -> NonatomicReport:
     """Count exact floating-point collisions among per-applicant values.
 
-    Samples theta from the mixture marginal (or uses the supplied array,
-    which lets a degenerate constant sample invert the check), evaluates
-    both scores at the given tau and both critical prejudices per
-    applicant, and reports duplicate counts.  For a continuous theta law
-    every count is expected to be zero.
+    Samples theta from the mixture marginal, evaluates both scores at the
+    given tau and both critical prejudices per applicant, and reports
+    duplicate counts.  For a continuous theta law every count is expected
+    to be zero.
     """
-    if thetas is None:
-        population = sample_population(config, m, seed)
-        thetas = population.theta
-    else:
-        thetas = np.asarray(thetas, dtype=float)
-        m = len(thetas)
-        if m < 1:
-            raise DomainError("need at least one theta value")
+    thetas = sample_population(config, m, seed).theta
     payoffs = config.payoffs
     beta = config.beta
     lo, hi = _scores.clamped_tau_interval(payoffs)

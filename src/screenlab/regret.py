@@ -15,10 +15,11 @@ each score curve is continuous except for a single jump where the score
 crosses beta (the score's critical prejudice): height x_q for a qualified
 applicant and x_u for an unqualified one.
 
-``expected_regret`` integrates u over the applicant population for a fixed
-tau.  The integrand is smooth except where the acceptance indicator flips,
-so the theta axis is split at that breakpoint first and each piece is
-handled by an adaptive Gauss-Legendre panel scheme.
+``expected_regret`` averages u = N(s) - p over the applicant population for
+a fixed tau.  N(s) is smooth in theta and is integrated by an adaptive
+Gauss-Legendre panel scheme.  The score rises in theta, so the applicants
+accepted are those above one breakpoint, and the mean of p is the class
+tail masses above it, in closed form.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import scores as _scores
 from ._roots import bisect_monotone
@@ -241,10 +243,8 @@ def _panel_values(f, a: float, b: float) -> tuple[float, float]:
 
 
 def _adaptive_integral(f, a: float, b: float, tol: float, max_panels: int) -> float:
-    """Adaptive Gauss-Legendre integration of a smooth vectorized f."""
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, 9)
+    """Adaptive Gauss-Legendre integration of a smooth vectorized f on a < b."""
+    edges = np.linspace(a, b, 9).tolist()
     heap = []
     for left, right in zip(edges[:-1], edges[1:]):
         value, err = _panel_values(f, left, right)
@@ -276,12 +276,12 @@ def _theta_range(config: ModelConfig) -> tuple[float, float]:
 
 def _acceptance_breakpoint(
     config: ModelConfig, algo: str, tau: float, lo: float, hi: float
-) -> float | None:
-    """Theta above which the second stage accepts, or None when one-sided.
+) -> float:
+    """Theta above which the second stage accepts, within [lo, hi].
 
     Returns lo when the rule accepts everywhere and hi when it accepts
-    nowhere on [lo, hi]; both collapse the accepted region to a boundary
-    case the integrator handles uniformly.
+    nowhere on [lo, hi], so the accepted mass above it needs no special
+    case.
     """
     beta = config.payoffs.beta
 
@@ -307,43 +307,35 @@ def expected_regret(
 ) -> float:
     """Population mean of the regret loss u(s(Theta, tau)).
 
-    Decomposes the expectation into a smooth ex ante term over the full
-    theta range and an ex post term supported on the accepted region,
-    whose boundary is located by bisection before integrating.  The result
-    is deterministic to the quadrature tolerance.
+    E[N(s)] is one adaptive quadrature over the full theta range.  The
+    realized payoff p is x_q for an accepted qualified applicant and -x_u
+    for an accepted unqualified one, and acceptance means theta above the
+    breakpoint, so E[p] = x_q*pi*P_q(accepted) - x_u*(1-pi)*P_u(accepted)
+    with each class's mass between the breakpoint and the range's top.
     """
     require_increasing_phi(config, "expected_regret")
     tau = float(tau)
     payoffs = config.payoffs
-    signal = config.signal
+    pi = payoffs.pi
+    sd = config.signal.sigma_theta
+    mu_q = config.signal.mu_q[0]
+    mu_u = config.signal.mu_u[0]
     lo, hi = _theta_range(config)
 
     def ex_ante_term(theta):
-        f_q = _normal_pdf(theta, signal.mu_q[0], signal.sigma_theta)
-        f_u = _normal_pdf(theta, signal.mu_u[0], signal.sigma_theta)
-        mixture = payoffs.pi * f_q + (1.0 - payoffs.pi) * f_u
+        mixture = pi * _normal_pdf(theta, mu_q, sd) + (1.0 - pi) * _normal_pdf(theta, mu_u, sd)
         return _ex_ante(payoffs, _scores.score(config, algo, theta, tau)) * mixture
 
-    def ex_post_term(theta):
-        f_q = _normal_pdf(theta, signal.mu_q[0], signal.sigma_theta)
-        f_u = _normal_pdf(theta, signal.mu_u[0], signal.sigma_theta)
-        return (
-            payoffs.x_q * payoffs.pi * f_q
-            - payoffs.x_u * (1.0 - payoffs.pi) * f_u
-        )
-
     breakpoint_theta = _acceptance_breakpoint(config, algo, tau, lo, hi)
-    expected_n = _adaptive_integral(ex_ante_term, lo, breakpoint_theta, tol / 4,
-                                    max_panels)
-    expected_n += _adaptive_integral(ex_ante_term, breakpoint_theta, hi, tol / 4,
-                                     max_panels)
-    expected_p = _adaptive_integral(ex_post_term, breakpoint_theta, hi, tol / 2,
-                                    max_panels)
-    return expected_n - expected_p
+
+    def accepted_mass(mean: float) -> float:
+        return float(ndtr((hi - mean) / sd) - ndtr((breakpoint_theta - mean) / sd))
+
+    expected_p = (payoffs.x_q * pi * accepted_mass(mu_q)
+                  - payoffs.x_u * (1.0 - pi) * accepted_mass(mu_u))
+    return _adaptive_integral(ex_ante_term, lo, hi, tol, max_panels) - expected_p
 
 
-def expected_regret_gap(config: ModelConfig, tau: float, *, tol: float = 1e-8) -> float:
+def expected_regret_gap(config: ModelConfig, tau: float) -> float:
     """E[u(s2)] - E[u(s1)] at one tau: positive where s1 is the cheaper score."""
-    return expected_regret(config, "s2", tau, tol=tol) - expected_regret(
-        config, "s1", tau, tol=tol
-    )
+    return expected_regret(config, "s2", tau) - expected_regret(config, "s1", tau)

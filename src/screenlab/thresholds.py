@@ -35,10 +35,21 @@ from .model import (
 from .population import classify_environment, sample_population
 from .regret import _ex_ante, _regret_values, expected_regret_gap
 
-# Roots closer than this (scaled by x_q + x_u) to a cell boundary are
+# Largest residual accepted at a per-theta root: tau_star, the critical
+# prejudices and the regret crossings.
+ROOT_TOL = 1e-10
+
+# Roots closer than this multiple of ROOT_TOL to a cell boundary are
 # flagged rather than trusted: a root sitting on a jump is a limit
 # statement about the discontinuity, not a crossing.
 BOUNDARY_FLAG_FACTOR = 10.0
+
+# Largest average-regret gap accepted at the analytic tau_bar: ten times
+# expected_regret's default quadrature tolerance of 1e-8.
+TAU_BAR_RESIDUAL_TOL = 1e-7
+
+# Taus at which an irregular environment's gap is confirmed to hold its sign.
+CONFIRM_GRID = 101
 
 # Two critical prejudices closer than this (scaled by x_q + x_u) are
 # reported as coinciding.
@@ -97,7 +108,7 @@ class TauBarResult:
 # Equalizing prejudice
 # =====================================================================
 
-def find_tau_star(config: ModelConfig, theta: float, tol: float = 1e-10) -> float:
+def find_tau_star(config: ModelConfig, theta: float) -> float:
     """The unique tau where both scores agree for this theta.
 
     The score gap s1 - s2 is strictly increasing in tau and changes sign
@@ -113,7 +124,7 @@ def find_tau_star(config: ModelConfig, theta: float, tol: float = 1e-10) -> floa
         )
 
     try:
-        return bisect_monotone(gap, lo, hi, residual_tol=tol).root
+        return bisect_monotone(gap, lo, hi, residual_tol=ROOT_TOL).root
     except BracketError as exc:
         raise EndpointResolutionError(
             f"score curves do not cross on the clamped interval for "
@@ -127,7 +138,7 @@ def find_tau_star(config: ModelConfig, theta: float, tol: float = 1e-10) -> floa
 # =====================================================================
 
 def find_critical_prejudices(
-    config: ModelConfig, theta: float, tol: float = 1e-10
+    config: ModelConfig, theta: float
 ) -> tuple[float | None, float]:
     """Roots of each score against the critical score beta.
 
@@ -144,7 +155,7 @@ def find_critical_prejudices(
             return float(_scores.score(config, algo, theta, tau)) - beta
 
         try:
-            return bisect_monotone(gap, lo, hi, residual_tol=tol).root
+            return bisect_monotone(gap, lo, hi, residual_tol=ROOT_TOL).root
         except BracketError as exc:
             raise EndpointResolutionError(
                 f"score {algo} never meets beta={beta!r} on the "
@@ -157,12 +168,10 @@ def find_critical_prejudices(
     return root("s1"), tau_d2
 
 
-def threshold_report(
-    config: ModelConfig, theta: float, tol: float = 1e-10
-) -> ThresholdReport:
+def threshold_report(config: ModelConfig, theta: float) -> ThresholdReport:
     """Full per-theta report: equalizing and critical prejudices."""
-    tau_star = find_tau_star(config, theta, tol=tol)
-    tau_d1, tau_d2 = find_critical_prejudices(config, theta, tol=tol)
+    tau_star = find_tau_star(config, theta)
+    tau_d1, tau_d2 = find_critical_prejudices(config, theta)
     equalized = 0.5 * float(
         _scores.score_s1(config, theta, tau_star)
         + _scores.score_s2(config, theta, tau_star)
@@ -192,9 +201,7 @@ def threshold_report(
 # Regret-curve crossings
 # =====================================================================
 
-def find_regret_crossings(
-    config: ModelConfig, theta: float, q: int, tol: float = 1e-10
-) -> CrossingReport:
+def find_regret_crossings(config: ModelConfig, theta: float, q: int) -> CrossingReport:
     """All tau where both scores generate identical regret for (theta, q).
 
     The clamped interval is partitioned at the critical prejudices.  On
@@ -209,13 +216,13 @@ def find_regret_crossings(
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
     payoffs = config.payoffs
     lo, hi = _scores.clamped_tau_interval(payoffs)
-    tau_d1, tau_d2 = find_critical_prejudices(config, theta, tol=tol)
+    tau_d1, tau_d2 = find_critical_prejudices(config, theta)
     boundaries = sorted(
         {t for t in (tau_d1, tau_d2) if t is not None and lo < t < hi}
     )
     edges = [lo, *boundaries, hi]
     drift = payoffs.x_q if q == 1 else -payoffs.x_u
-    window = BOUNDARY_FLAG_FACTOR * tol
+    window = BOUNDARY_FLAG_FACTOR * ROOT_TOL
 
     def ex_ante_gap(tau):
         return (_ex_ante(payoffs, _scores.score_s1(config, theta, tau))
@@ -240,7 +247,7 @@ def find_regret_crossings(
         elif g_b == 0.0:
             root = b
         elif g_a < 0.0 < g_b:
-            root = bisect_monotone(cell_gap, a, b, residual_tol=tol).root
+            root = bisect_monotone(cell_gap, a, b, residual_tol=ROOT_TOL).root
         else:
             continue
         if crossings and root == crossings[-1]:
@@ -277,9 +284,6 @@ def find_tau_bar(
     config: ModelConfig,
     mode: str = "analytic",
     *,
-    tol: float = 1e-10,
-    quad_tol: float = 1e-8,
-    confirm_grid: int = 101,
     m: int = 100_000,
     seed: int = 0,
 ) -> TauBarResult:
@@ -300,10 +304,10 @@ def find_tau_bar(
 
     if mode == "analytic":
         def gap(tau: float) -> float:
-            return expected_regret_gap(config, tau, tol=quad_tol)
+            return expected_regret_gap(config, tau)
 
         if report.classification == "irregular":
-            grid = np.linspace(lo, hi, confirm_grid)
+            grid = np.linspace(lo, hi, CONFIRM_GRID)
             values = np.array([gap(t) for t in grid])
             if np.any(values >= 0.0):
                 worst = int(np.argmax(values))
@@ -312,11 +316,10 @@ def find_tau_bar(
                     f"gap is {values[worst]!r} >= 0 at tau={grid[worst]!r}"
                 )
             return TauBarResult(value=None, mode=mode, reason="irregular")
-        residual_tol = max(tol, 10.0 * quad_tol)
         scale = config.payoffs.x_q + config.payoffs.x_u
         try:
             root = bisect_monotone(
-                gap, lo, hi, residual_tol=residual_tol, xtol=1e-10 * scale
+                gap, lo, hi, residual_tol=TAU_BAR_RESIDUAL_TOL, xtol=1e-10 * scale
             ).root
         except BracketError as exc:
             raise EndpointResolutionError(
@@ -340,7 +343,7 @@ def find_tau_bar(
         return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(len(diff)))
 
     if report.classification == "irregular":
-        grid = np.linspace(lo, hi, confirm_grid)
+        grid = np.linspace(lo, hi, CONFIRM_GRID)
         for t in grid:
             value, se = estimate(float(t))
             if value >= 3.0 * se:
@@ -366,8 +369,8 @@ def find_tau_bar(
     _, se_root = estimate(root)
     delta = 0.01 * scale
     slope = (
-        expected_regret_gap(config, min(root + delta, hi), tol=quad_tol)
-        - expected_regret_gap(config, max(root - delta, lo), tol=quad_tol)
+        expected_regret_gap(config, min(root + delta, hi))
+        - expected_regret_gap(config, max(root - delta, lo))
     ) / (min(root + delta, hi) - max(root - delta, lo))
     if slope >= 0.0:
         raise InconclusiveResolutionError(

@@ -209,6 +209,16 @@ class TestScores:
         raw = open(config_path, "rb").read()
         assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
 
+    def test_manifest_records_the_argv_given_to_main(self, config_path, tmp_path):
+        """A run from Python records the list it passed, not the host
+        process's command line."""
+        out = str(tmp_path / "out")
+        argv = ["scores", "--config", config_path, "--theta", "0.0",
+                "--tau-grid=-0.5:0.5:3", "--out", out]
+        assert main(argv) == 0
+        manifest = json.loads(read_text(os.path.join(out, "run_manifest.json")))
+        assert manifest["argv"] == argv
+
     def test_grid_clamped_with_notice(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main([
@@ -556,3 +566,13 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     argv = [os.path.join(ROOT, arg) if arg.startswith("configs/") else arg for arg in argv]
     assert main(argv) == 0
+
+
+def test_readme_python_example_runs(monkeypatch, capsys):
+    """README's Python API block, run from the repo root as written; what
+    it prints holds Python floats, not numpy scalars."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "np.float64" not in capsys.readouterr().out

@@ -14,13 +14,13 @@ from screenlab import (
     PayoffParams,
     QuadratureError,
     UnsupportedModelError,
+    bisect_monotone,
     clamped_tau_interval,
     ex_ante_payoff,
     expected_regret,
     expected_regret_gap,
     find_critical_prejudices,
     individual_regret,
-    marginal_posterior_phi,
     regret_curve,
     score_s1,
     score_s2,
@@ -133,68 +133,69 @@ class TestRegretCurves:
                 np.testing.assert_allclose(curves.u[algo][j], rec.u, rtol=1e-12)
 
 
+def scipy_expected_regret(config, algo, tau, accepted: set) -> float:
+    """E[u] by scipy.integrate.quad over the means +/- 10 sd, split where
+    the acceptance indicator flips; adds who is accepted to ``accepted``."""
+    payoffs = config.payoffs
+    pi = payoffs.pi
+    sd = config.signal.sigma_theta
+    mu_q = config.signal.mu_q[0]
+    mu_u = config.signal.mu_u[0]
+    lo = min(mu_q, mu_u) - 10.0 * sd
+    hi = max(mu_q, mu_u) + 10.0 * sd
+    score_fn = score_s1 if algo == "s1" else score_s2
+
+    def integrand(theta):
+        s = float(score_fn(config, theta, tau))
+        n = s * payoffs.x_q - (1 - s) * payoffs.x_u
+        f_q = pi * norm.pdf(theta, mu_q, sd)
+        f_u = (1 - pi) * norm.pdf(theta, mu_u, sd)
+        if n > payoffs.c:
+            return n * (f_q + f_u) - (f_q * payoffs.x_q - f_u * payoffs.x_u)
+        return n * (f_q + f_u)
+
+    def excess(theta):
+        s = np.asarray(score_fn(config, theta, tau))
+        return s * payoffs.x_q - (1 - s) * payoffs.x_u - payoffs.c
+
+    # the acceptance indicator flips at most once in theta
+    if excess(lo) > 0 or excess(hi) <= 0:
+        edges = [lo, hi]
+        accepted.add("everyone" if excess(lo) > 0 else "no one")
+    else:
+        edges = [lo, bisect_monotone(excess, lo, hi, residual_tol=1e-9).root, hi]
+        accepted.add("upper tail")
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        piece, err = quad(integrand, a, b, limit=300)
+        assert err < 1e-7
+        total += piece
+    return total
+
+
 class TestExpectedRegret:
     def test_reference_values(self, baseline):
-        np.testing.assert_allclose(
-            expected_regret(baseline, "s1", 0.0), 0.5459524011, atol=2e-8
-        )
-        np.testing.assert_allclose(
-            expected_regret(baseline, "s2", 0.0), -0.3829867601, atol=2e-8
-        )
+        s1 = expected_regret(baseline, "s1", 0.0)
+        s2 = expected_regret(baseline, "s2", 0.0)
+        np.testing.assert_allclose(s1, 0.5459524011, atol=2e-8)
+        np.testing.assert_allclose(s2, -0.3829867601, atol=2e-8)
+        assert type(s1) is float and type(s2) is float
 
-    def test_matches_scipy_quadrature(self, baseline):
-        """Dual route: same integrand, scipy's adaptive quadrature, with
-        the integral split at the acceptance breakpoint."""
-        payoffs = baseline.payoffs
-        pi = payoffs.pi
-
-        def averaged(tau, algo):
-            score_fn = score_s1 if algo == "s1" else score_s2
-            beta = payoffs.beta
-
-            def integrand(theta):
-                s = float(score_fn(baseline, theta, tau))
-                phi = float(marginal_posterior_phi(baseline, theta))
-                n = s * payoffs.x_q - (1 - s) * payoffs.x_u
-                weight = pi * norm.pdf(theta, 1.0, 1.0) + (1 - pi) * norm.pdf(
-                    theta, 0.0, 1.0
-                )
-                if n > payoffs.c:
-                    drift = phi * payoffs.x_q - (1 - phi) * payoffs.x_u
-                    mix_drift = (
-                        pi * norm.pdf(theta, 1.0, 1.0) * payoffs.x_q
-                        - (1 - pi) * norm.pdf(theta, 0.0, 1.0) * payoffs.x_u
+    def test_matches_scipy_quadrature(self, baseline, irregular_config, random_table):
+        """Dual route: scipy's adaptive quadrature of u = N(s) - p itself,
+        split at the acceptance breakpoint, with the class means and sd read
+        from the config.  The taus include one next to each clamp edge,
+        where the rule accepts everyone or no one."""
+        for config in (baseline, irregular_config, random_table[2].config):
+            accepted = set()
+            for tau in np.linspace(*clamped_tau_interval(config.payoffs), 5):
+                for algo in ("s1", "s2"):
+                    np.testing.assert_allclose(
+                        expected_regret(config, algo, tau),
+                        scipy_expected_regret(config, algo, tau, accepted),
+                        atol=5e-8,
                     )
-                    return n * weight - mix_drift
-                return n * weight
-
-            total = 0.0
-            # the acceptance indicator flips at most once in theta; split
-            # exactly there when it does
-            from screenlab import bisect_monotone
-
-            def excess(theta):
-                s = np.asarray(score_fn(baseline, theta, tau))
-                return s * payoffs.x_q - (1 - s) * payoffs.x_u - payoffs.c
-
-            if excess(-9.0) > 0 or excess(10.0) <= 0:
-                edges = [-9.0, 10.0]
-            else:
-                flip = bisect_monotone(excess, -9.0, 10.0, residual_tol=1e-9).root
-                edges = [-9.0, flip, 10.0]
-            for a, b in zip(edges[:-1], edges[1:]):
-                piece, err = quad(integrand, a, b, limit=300)
-                assert err < 1e-7
-                total += piece
-            return total
-
-        for tau in (-0.5, 0.0, 0.5):
-            for algo in ("s1", "s2"):
-                np.testing.assert_allclose(
-                    expected_regret(baseline, algo, tau),
-                    averaged(tau, algo),
-                    atol=5e-8,
-                )
+            assert accepted == {"everyone", "no one", "upper tail"}
 
     def test_gap_is_difference_of_expectations(self, baseline):
         gap = expected_regret_gap(baseline, 0.1)

@@ -31,6 +31,11 @@ class TestScalarBisection:
         assert result.root == 1.0
         assert result.iterations == 0
 
+    def test_rejects_flat_bracket(self):
+        """f == 0 everywhere: every point is a root, so none is returned."""
+        with pytest.raises(BracketError, match="no sign change"):
+            bisect_monotone(lambda x: 0.0, 0.0, 1.0)
+
     def test_rejects_same_sign_bracket(self):
         with pytest.raises(BracketError, match="no sign change"):
             bisect_monotone(lambda x: x + 10.0, 0.0, 1.0)

@@ -60,8 +60,11 @@ class TestEqualizingPrejudice:
         assert taus[flips[0]] <= root <= taus[flips[0] + 1]
 
     def test_far_tail_theta_raises_endpoint_error(self, baseline):
-        with pytest.raises(EndpointResolutionError):
-            find_tau_star(baseline, -30.0)
+        """At theta=50 both scores are exactly 1.0 across the clamped
+        interval: every tau equalizes them, so the clamp edge is no answer."""
+        for theta in (-30.0, 50.0):
+            with pytest.raises(EndpointResolutionError):
+                find_tau_star(baseline, theta)
 
 
 class TestCriticalPrejudices:
@@ -201,7 +204,8 @@ class TestTauBar:
         analytic = find_tau_bar(baseline, "analytic").value
         result = find_tau_bar(baseline, "mc", m=100_000, seed=5)
         assert result.mode == "mc"
-        assert result.standard_error is not None
+        assert type(result.value) is float
+        assert type(result.standard_error) is float
         assert abs(result.value - analytic) < 4 * result.standard_error
 
     def test_mc_mode_irregular_detected(self, irregular_config):
