@@ -7,10 +7,12 @@ develop near the ends of the prejudice interval, and it terminates at
 floating-point resolution, which keeps distinct inputs from collapsing
 onto a shared root value.
 
-Bisection runs until the midpoint stops moving (the bracket spans at most
-one representable gap), then the residual is checked against a tolerance.
-A NaN value anywhere along the way raises instead of steering the bracket,
-since every comparison with NaN is False.
+One loop bisects a batch of brackets at once; a single bracket is a batch
+of one.  Each member runs until its midpoint stops moving (the bracket
+spans at most one representable gap) or lands on an exact zero, then its
+residual is checked against a tolerance.  A NaN value raises, since every
+comparison with NaN is False: at an end at once, inside the bracket once
+the loop ends, the member having stopped where it met it.
 """
 from __future__ import annotations
 
@@ -23,7 +25,11 @@ from .model import ScreeningError
 
 
 class BracketError(ScreeningError):
-    """The supplied bracket does not straddle a sign change."""
+    """A bracket does not straddle a sign change; ``member`` is its flat index."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 # Most bisection steps per root; ~60 reach one representable gap on the
@@ -33,10 +39,16 @@ MAX_ITER = 200
 
 @dataclass(frozen=True)
 class RootResult:
-    root: float
-    residual: float
-    bracket_width: float
-    iterations: int
+    """A root, |f(root)|, the final bracket width and the bisection steps.
+
+    Floats from ``bisect_monotone``; arrays, member by member, from
+    ``bisect_monotone_many``.
+    """
+
+    root: float | np.ndarray
+    residual: float | np.ndarray
+    bracket_width: float | np.ndarray
+    iterations: int | np.ndarray
 
 
 def bisect_monotone(
@@ -57,98 +69,89 @@ def bisect_monotone(
     genuinely monotone continuous curve indicates the tolerance was set
     below what float64 can deliver).
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not lo < hi:
-        raise BracketError(f"empty bracket: lo={lo!r} >= hi={hi!r}")
-    f_lo = float(f(lo))
-    f_hi = float(f(hi))
-    if f_lo != f_lo or f_hi != f_hi:
-        raise ScreeningError(
-            f"f is NaN on the bracket [{lo!r}, {hi!r}]: "
-            f"f(lo)={f_lo!r}, f(hi)={f_hi!r}"
-        )
-    # a zero at both ends is a flat bracket, with no single root
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise BracketError(
-            f"no sign change on bracket [{lo!r}, {hi!r}]: "
-            f"f(lo)={f_lo!r}, f(hi)={f_hi!r}"
-        )
-    if f_lo == 0.0:
-        return RootResult(lo, 0.0, 0.0, 0)
-    if f_hi == 0.0:
-        return RootResult(hi, 0.0, 0.0, 0)
-    descending = f_lo > 0.0
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo <= xtol:
-            break
-        f_mid = float(f(mid))
-        if f_mid != f_mid:
-            raise ScreeningError(f"f is NaN at {mid!r} inside [{lo!r}, {hi!r}]")
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0.0) == descending:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    residual = abs(float(f(root)))
-    if not residual <= residual_tol:
-        raise ScreeningError(
-            f"bisection converged to {root!r} but the residual {residual:.3e} "
-            f"exceeds the tolerance {residual_tol:.3e}; "
-            f"final bracket [{lo!r}, {hi!r}]"
-        )
-    return RootResult(root, residual, hi - lo, iterations)
+    lone = _bisect(lambda x: f(float(x)), float(lo), float(hi), residual_tol, xtol)
+    return RootResult(float(lone.root), float(lone.residual),
+                      float(lone.bracket_width), int(lone.iterations))
 
 
 def bisect_monotone_many(
     f: Callable[[np.ndarray], np.ndarray],
     lo,
     hi,
-) -> np.ndarray:
-    """Vectorized machine-resolution bisection for a batch of brackets.
+    *,
+    residual_tol: float = 1e-10,
+    xtol: float = 0.0,
+) -> RootResult:
+    """``bisect_monotone`` for a batch of brackets, member by member.
 
-    ``f`` must map an array of abscissas to an array of values, elementwise
-    monotone in the same direction for every batch member, and every
-    bracket must straddle a sign change.  Returns the array of roots;
-    raises ScreeningError when ``f`` returns NaN for any member.
+    ``f`` maps an array of abscissas to an array of values, each member
+    monotone on its own bracket.  Every member takes the steps, and
+    reaches the bits, that ``bisect_monotone`` takes on its bracket alone;
+    an error names the first offending member.
     """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    f_lo = np.asarray(f(lo), dtype=float)
-    f_hi = np.asarray(f(hi), dtype=float)
-    _require_no_nan(f_lo, lo)
-    _require_no_nan(f_hi, hi)
-    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0):
-        bad = int(np.argmax(np.sign(f_lo) * np.sign(f_hi) > 0))
-        raise BracketError(
-            f"no sign change for batch member {bad}: "
-            f"bracket [{lo.flat[bad]!r}, {hi.flat[bad]!r}], "
-            f"f values ({f_lo.flat[bad]!r}, {f_hi.flat[bad]!r})"
-        )
-    lo_positive = f_lo > 0.0
+    return _bisect(f, lo, hi, residual_tol, xtol)
+
+
+def _bisect(f, lo, hi, residual_tol: float, xtol: float) -> RootResult:
+    """The one bisection loop; 0-d brackets, a batch of one, keep their
+    shape, so ``f`` runs on numpy's scalar paths."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo.shape
+
+    def member(i: int) -> str:  # a lone bracket needs no member name
+        name = f" for batch member {i}" if shape else ""
+        return f"{name} on bracket [{float(lo.flat[i])!r}, {float(hi.flat[i])!r}]"
+
+    def ends(i: int) -> str:
+        return f"{member(i)}: f(lo)={float(f_lo.flat[i])!r}, f(hi)={float(f_hi.flat[i])!r}"
+
+    def values(x) -> np.ndarray:
+        # 0-d values index to numpy scalars, whose arithmetic is cheaper
+        return np.asarray(f(x), dtype=float).reshape(shape)[()]
+
+    empty = ~(lo < hi)
+    if empty.any():
+        i = int(np.argmax(empty))
+        raise BracketError(f"empty bracket, lo >= hi{member(i)}", i)
+    f_lo = values(lo)
+    f_hi = values(hi)
+    nan = np.isnan(f_lo) | np.isnan(f_hi)
+    if nan.any():
+        raise ScreeningError("f is NaN" + ends(int(np.argmax(nan))))
+    flat = np.sign(f_lo) == np.sign(f_hi)  # a zero at both ends has no single root
+    if flat.any():
+        i = int(np.argmax(flat))
+        raise BracketError("no sign change" + ends(i), i)
+    # an exact zero at an end is the root, before any step
+    hi = np.where(f_lo == 0.0, lo, hi)[()]
+    lo = np.where(f_hi == 0.0, hi, lo)[()]
+    orient = np.where(f_lo > 0.0, -1.0, 1.0)[()]  # orient * f rises through the root
+    done = lo == hi
+    steps = []  # which members had stopped before each step
     for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
-        open_cells = (mid != lo) & (mid != hi)
-        if not np.any(open_cells):
+        steps.append(done)
+        done = done | (mid == lo) | (mid == hi) | (hi - lo <= xtol)
+        if done.all():
             break
-        f_mid = np.asarray(f(mid), dtype=float)
-        _require_no_nan(f_mid, mid)
-        move_lo = open_cells & ((f_mid > 0.0) == lo_positive)
-        move_hi = open_cells & ~move_lo
-        lo[move_lo] = mid[move_lo]
-        hi[move_hi] = mid[move_hi]
-    return 0.5 * (lo + hi)
-
-
-def _require_no_nan(values: np.ndarray, at: np.ndarray) -> None:
-    nan = np.isnan(values)
+        g = orient * values(mid)
+        # each live member moves one end onto mid, both on an exact zero,
+        # where it stops; a NaN also moves both and is reported below (nan
+        # holds no member yet: NaN at an end has raised)
+        lo, hi = np.where([done | (g > 0.0), done | (g < 0.0)], [lo, hi], mid)
+        done = done | (g == 0.0)
+        nan = nan | ((g != g) & ~done)
+    iterations = len(steps) - np.sum(steps, axis=0, dtype=np.int64)
+    root = 0.5 * (lo + hi)
     if nan.any():
-        bad = int(np.argmax(nan))
+        i = int(np.argmax(nan))
+        raise ScreeningError(f"f is NaN at {float(root.flat[i])!r}{member(i)}")
+    residual = np.abs(values(root))
+    bad = ~(residual <= residual_tol)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ScreeningError(
-            f"f is NaN for batch member {bad} at {at.flat[bad]!r}"
+            f"bisection converged to {float(root.flat[i])!r}{member(i)} but the "
+            f"residual {float(residual.flat[i]):.3e} exceeds the tolerance {residual_tol:.3e}"
         )
+    return RootResult(root, residual, hi - lo, iterations)

@@ -386,28 +386,20 @@ def cmd_scores(config, args, lap) -> dict[str, str]:
     return {"scores.csv": _csv("scores.csv", columns)}
 
 
-def _threshold_doc(config, theta) -> dict:
-    doc = asdict(threshold_report(config, theta))
-    for q in (0, 1):
-        doc[f"crossings_q{q}"] = asdict(find_regret_crossings(config, theta, q))
-    return doc
-
-
 def cmd_tau(config, args, lap) -> dict[str, str]:
-    docs = [
-        _threshold_doc(config, theta) if args.q is None
-        else asdict(find_regret_crossings(config, theta, args.q))
-        for theta in _theta_values(args)
-    ]
+    thetas = _theta_values(args)
+    reports = threshold_report(config, np.array(thetas)) if args.q is None else [
+        find_regret_crossings(config, theta, args.q) for theta in thetas]
+    docs = [asdict(report) for report in reports]
     return {"thresholds.json": render_json(docs[0] if len(docs) == 1 else docs)}
 
 
-def _regret_outputs(config, theta, q, tau_grid):
+def _regret_outputs(config, report, q, tau_grid):
     """regret.csv columns (rows by algo, then tau) and the jump doc."""
-    curves = regret_curve(config, theta, q, tau_grid)
+    curves = regret_curve(config, report, q, tau_grid)
     k = len(curves.tau)
     columns = [
-        np.full(2 * k, theta), np.full(2 * k, q), np.tile(curves.tau, 2),
+        np.full(2 * k, curves.theta), np.full(2 * k, q), np.tile(curves.tau, 2),
         np.repeat(ALGOS, k),
     ] + [
         np.concatenate([field[algo] for algo in ALGOS])
@@ -425,7 +417,7 @@ def _regret_outputs(config, theta, q, tau_grid):
 def cmd_regret(config, args, lap) -> dict[str, str]:
     theta, q = _required(args, "theta"), _required(args, "q")
     tau_grid = _tau_grid(config, args.tau_grid)
-    columns, jumps = _regret_outputs(config, theta, q, tau_grid)
+    columns, jumps = _regret_outputs(config, threshold_report(config, theta), q, tau_grid)
     return {
         "regret.csv": _csv("regret.csv", columns),
         "regret_jumps.json": render_json(jumps),
@@ -438,11 +430,11 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
 
     score_columns = _concat(score_table(config, theta, tau_grid) for theta in thetas)
 
+    # every theta's thresholds are rooted once, and its curves jump there
+    reports = threshold_report(config, np.array(thetas))
     regret_parts, jump_docs = zip(*(
-        _regret_outputs(config, theta, q, tau_grid) for theta in thetas for q in (0, 1)
+        _regret_outputs(config, report, q, tau_grid) for report in reports for q in (0, 1)
     ))
-
-    per_theta = [_threshold_doc(config, theta) for theta in thetas]
 
     try:
         env_doc = asdict(classify_environment(config))
@@ -452,23 +444,20 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
         env_doc = None
         tau_bar, reason = None, f"unsupported: {exc}"
 
-    averages = [
-        [expected_regret(config, algo, float(tau)) for algo in ALGOS]
-        for tau in tau_grid
-    ]
+    averages = [expected_regret(config, algo, tau_grid) for algo in ALGOS]
 
     return {
         "scores.csv": _csv("scores.csv", score_columns),
         "regret.csv": _csv("regret.csv", _concat(regret_parts)),
         "regret_jumps.json": render_json(jump_docs),
         "thresholds.json": render_json({
-            "per_theta": per_theta,
+            "per_theta": [asdict(report) for report in reports],
             "tau_bar": tau_bar,
             "tau_bar_reason": reason,
             "environment": env_doc,
         }),
         "average_regret.csv": _csv(
-            "average_regret.csv", [tau_grid, *np.array(averages).T]
+            "average_regret.csv", [tau_grid, *averages]
         ),
     }
 

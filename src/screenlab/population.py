@@ -362,14 +362,14 @@ def verify_nonatomic(config: ModelConfig, tau: float, m: int, seed: int) -> Nona
     tau_d2 = bisect_monotone_many(
         lambda t: np.asarray(_scores.score_s2(config, thetas, t)) - beta,
         lo_vec, hi_vec,
-    )
+    ).root
     phi = np.asarray(marginal_posterior_phi(config, thetas))
     has_d1 = phi < beta
     sub = thetas[has_d1]
     tau_d1 = bisect_monotone_many(
         lambda t: np.asarray(_scores.score_s1(config, sub, t)) - beta,
         np.full(len(sub), lo), np.full(len(sub), hi),
-    ) if len(sub) else np.empty(0)
+    ).root if len(sub) else np.empty(0)
 
     def dup(values: np.ndarray) -> int:
         return int(len(values) - len(np.unique(values)))

@@ -15,11 +15,14 @@ each score curve is continuous except for a single jump where the score
 crosses beta (the score's critical prejudice): height x_q for a qualified
 applicant and x_u for an unqualified one.
 
-``expected_regret`` averages u = N(s) - p over the applicant population for
-a fixed tau.  N(s) is smooth in theta and is integrated by an adaptive
-Gauss-Legendre panel scheme.  The score rises in theta, so the applicants
-accepted are those above one breakpoint, and the mean of p is the class
-tail masses above it, in closed form.
+``expected_regret`` averages u = N(s) - p over the applicant population at
+each tau of a grid.  N(s) is smooth in theta and is integrated by an
+adaptive Gauss-Legendre panel scheme.  The score rises in theta, so the
+applicants accepted are those above one breakpoint, and the mean of p is
+the class tail masses above it, in closed form.  A whole grid takes one
+bisection for every breakpoint and one score call for every tau's initial
+panels; only a tau whose error estimate misses the tolerance refines its
+own panels, one at a time.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import scores as _scores
-from ._roots import bisect_monotone
+from ._roots import bisect_monotone_many
 from .model import (
     DomainError,
     ModelConfig,
@@ -163,17 +166,18 @@ class RegretCurves:
     jumps: tuple[JumpAnnotation, ...]
 
 
-def regret_curve(config: ModelConfig, theta, q, tau_grid) -> RegretCurves:
+def regret_curve(config: ModelConfig, report, q, tau_grid) -> RegretCurves:
     """Evaluate u(s1(tau)) and u(s2(tau)) along a grid, annotating jumps.
 
-    The grid must stay inside the open prejudice interval.  Jump locations
-    are the critical prejudices; the s1 jump is absent for theta with
-    phi(theta) >= beta, where that curve is continuous throughout.
+    ``report`` is the applicant's ThresholdReport: the curves are taken at
+    its theta and jump at its critical prejudices, rooted once for every
+    curve of that theta.  The grid must stay inside the open prejudice
+    interval.  The s1 jump is absent for phi(theta) >= beta, where that
+    curve is continuous throughout.
     """
-    from .thresholds import find_critical_prejudices
-
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
+    theta = report.theta
     tau = np.sort(np.asarray(tau_grid, dtype=float).ravel())
     payoffs = config.payoffs
     score, n_ex_ante, accepted, p_ex_post, u = {}, {}, {}, {}, {}
@@ -186,7 +190,7 @@ def regret_curve(config: ModelConfig, theta, q, tau_grid) -> RegretCurves:
         p_ex_post[algo] = p
         u[algo] = loss
 
-    tau_d1, tau_d2 = find_critical_prejudices(config, theta)
+    tau_d1, tau_d2 = report.tau_d1, report.tau_d2
     jumps = []
     if tau_d1 is not None:
         jumps.append(JumpAnnotation(
@@ -228,27 +232,25 @@ def _normal_pdf(x, mean: float, sd: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / sd)
 
 
-def _panel_values(f, a: float, b: float) -> tuple[float, float]:
-    """(fine estimate, error estimate) for one panel.
+def _panel_nodes(a: float, b: float) -> np.ndarray:
+    """Both node sets of the panel [a, b], coarse first."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES_BOTH
 
-    Both node sets are evaluated in a single call so the per-panel python
-    overhead stays flat as the panel list grows.
-    """
+
+def _panel_values(values: np.ndarray, a: float, b: float) -> tuple[float, float]:
+    """(fine estimate, error estimate) for one panel from f at its nodes."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    values = np.asarray(f(mid + half * _NODES_BOTH), dtype=float)
     coarse = half * float(np.dot(_NODES_COARSE[1], values[:20]))
     fine = half * float(np.dot(_NODES_FINE[1], values[20:]))
     return fine, abs(fine - coarse)
 
 
-def _adaptive_integral(f, a: float, b: float, tol: float, max_panels: int) -> float:
-    """Adaptive Gauss-Legendre integration of a smooth vectorized f on a < b."""
-    edges = np.linspace(a, b, 9).tolist()
-    heap = []
-    for left, right in zip(edges[:-1], edges[1:]):
-        value, err = _panel_values(f, left, right)
-        heapq.heappush(heap, (-err, left, right, value))
+def _refine(f, heap: list, tol: float, max_panels: int) -> float:
+    """Adaptive Gauss-Legendre integral of a smooth vectorized f.
+
+    ``heap`` holds (-error, left, right, value) panels covering the range;
+    the worst panel is halved until the error estimates sum below tol.
+    """
     while True:
         total_err = -sum(item[0] for item in heap)
         if total_err < tol:
@@ -263,7 +265,7 @@ def _adaptive_integral(f, a: float, b: float, tol: float, max_panels: int) -> fl
         _, left, right, _ = heapq.heappop(heap)
         mid = 0.5 * (left + right)
         for seg in ((left, mid), (mid, right)):
-            value, err = _panel_values(f, *seg)
+            value, err = _panel_values(f(_panel_nodes(*seg)), *seg)
             heapq.heappush(heap, (-err, seg[0], seg[1], value))
 
 
@@ -274,39 +276,17 @@ def _theta_range(config: ModelConfig) -> tuple[float, float]:
     return min(means) - 10.0 * sd, max(means) + 10.0 * sd
 
 
-def _acceptance_breakpoint(
-    config: ModelConfig, algo: str, tau: float, lo: float, hi: float
-) -> float:
-    """Theta above which the second stage accepts, within [lo, hi].
-
-    Returns lo when the rule accepts everywhere and hi when it accepts
-    nowhere on [lo, hi], so the accepted mass above it needs no special
-    case.
-    """
-    beta = config.payoffs.beta
-
-    def gap(theta):
-        return _scores.score(config, algo, theta, tau) - beta
-
-    gap_lo = float(gap(lo))
-    gap_hi = float(gap(hi))
-    if gap_lo > 0.0:
-        return lo
-    if gap_hi <= 0.0:
-        return hi
-    return bisect_monotone(gap, lo, hi).root
-
-
 def expected_regret(
     config: ModelConfig,
     algo: str,
-    tau: float,
+    tau,
     *,
     tol: float = 1e-8,
     max_panels: int = 200,
-) -> float:
-    """Population mean of the regret loss u(s(Theta, tau)).
+):
+    """Population mean of the regret loss u(s(Theta, tau)), at each tau.
 
+    ``tau`` is a scalar, giving a float, or a 1-D array, giving an array.
     E[N(s)] is one adaptive quadrature over the full theta range.  The
     realized payoff p is x_q for an accepted qualified applicant and -x_u
     for an accepted unqualified one, and acceptance means theta above the
@@ -314,28 +294,57 @@ def expected_regret(
     with each class's mass between the breakpoint and the range's top.
     """
     require_increasing_phi(config, "expected_regret")
-    tau = float(tau)
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise DomainError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")
+    flat = taus.reshape(-1)
     payoffs = config.payoffs
-    pi = payoffs.pi
+    pi, beta = payoffs.pi, payoffs.beta
     sd = config.signal.sigma_theta
-    mu_q = config.signal.mu_q[0]
-    mu_u = config.signal.mu_u[0]
+    mu_q, mu_u = config.signal.mu_q[0], config.signal.mu_u[0]
     lo, hi = _theta_range(config)
 
-    def ex_ante_term(theta):
+    def integrand(theta, tau):
         mixture = pi * _normal_pdf(theta, mu_q, sd) + (1.0 - pi) * _normal_pdf(theta, mu_u, sd)
         return _ex_ante(payoffs, _scores.score(config, algo, theta, tau)) * mixture
 
-    breakpoint_theta = _acceptance_breakpoint(config, algo, tau, lo, hi)
+    # the rule accepts above one breakpoint: lo when it accepts everyone,
+    # hi when no one, else the root of s - beta, all taus in one bisection;
+    # a lone tau stays 0-d, where numpy takes its fast scalar paths
+    gap_lo = _scores.score(config, algo, lo, taus) - beta
+    gap_hi = _scores.score(config, algo, hi, taus) - beta
+    breakpoints = np.where(gap_lo > 0.0, lo, hi)
+    split = ~(gap_lo > 0.0) & ~(gap_hi <= 0.0)
+    if split.any():
+        inner = taus[split] if taus.ndim else taus
+        breakpoints[split] = bisect_monotone_many(
+            lambda theta: _scores.score(config, algo, theta, inner) - beta,
+            np.full_like(inner, lo), np.full_like(inner, hi),
+        ).root
 
-    def accepted_mass(mean: float) -> float:
-        return float(ndtr((hi - mean) / sd) - ndtr((breakpoint_theta - mean) / sd))
+    # the 8 initial panels of every tau in one evaluation; each tau's heap
+    # refines only where its error estimate asks for it
+    edges = np.linspace(lo, hi, 9).tolist()
+    panels = list(zip(edges[:-1], edges[1:]))
+    nodes = np.concatenate([_panel_nodes(a, b) for a, b in panels])
+    values = integrand(nodes, flat[:, None]).reshape(len(flat), len(panels), len(_NODES_BOTH))
+    integrals = []
+    for t, rows in zip(flat.tolist(), values):
+        heap = []
+        for (a, b), row in zip(panels, rows):
+            value, err = _panel_values(row, a, b)
+            heapq.heappush(heap, (-err, a, b, value))
+        integrals.append(_refine(lambda theta, t=t: integrand(theta, t), heap, tol, max_panels))
+
+    def accepted_mass(mean: float) -> np.ndarray:
+        return ndtr((hi - mean) / sd) - ndtr((breakpoints - mean) / sd)
 
     expected_p = (payoffs.x_q * pi * accepted_mass(mu_q)
                   - payoffs.x_u * (1.0 - pi) * accepted_mass(mu_u))
-    return _adaptive_integral(ex_ante_term, lo, hi, tol, max_panels) - expected_p
+    result = np.array(integrals) - expected_p
+    return float(result[0]) if taus.ndim == 0 else result
 
 
-def expected_regret_gap(config: ModelConfig, tau: float) -> float:
-    """E[u(s2)] - E[u(s1)] at one tau: positive where s1 is the cheaper score."""
+def expected_regret_gap(config: ModelConfig, tau):
+    """E[u(s2)] - E[u(s1)] at each tau: positive where s1 is the cheaper score."""
     return expected_regret(config, "s2", tau) - expected_regret(config, "s1", tau)

@@ -79,7 +79,7 @@ def _require_open_interval(payoffs: PayoffParams, tau: np.ndarray) -> None:
     # min/max cost half of an elementwise mask on scalars; NaN fails both
     if tau.size and not (payoffs.tau_min < tau.min() and tau.max() < payoffs.tau_max):
         inside = (tau > payoffs.tau_min) & (tau < payoffs.tau_max)
-        bad = tau[~inside].flat[0]
+        bad = float(tau[~inside].flat[0])
         raise DomainError(
             f"tau={bad!r} outside the open prejudice interval "
             f"({payoffs.tau_min}, {payoffs.tau_max})"

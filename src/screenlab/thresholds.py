@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scores as _scores
-from ._roots import BracketError, bisect_monotone
+from ._roots import BracketError, bisect_monotone, bisect_monotone_many
 from .model import (
     DomainError,
     ModelConfig,
@@ -69,19 +69,6 @@ class InconclusiveResolutionError(ScreeningError):
 
 
 @dataclass(frozen=True)
-class ThresholdReport:
-    """Per-applicant threshold summary at one theta."""
-
-    theta: float
-    tau_star: float
-    tau_d1: float | None
-    tau_d2: float
-    equalized_score: float
-    ordering: str
-    knife_edge: bool = False
-
-
-@dataclass(frozen=True)
 class CrossingReport:
     """Where the two regret curves meet, for one (theta, q)."""
 
@@ -90,6 +77,22 @@ class CrossingReport:
     crossings: tuple[float, ...]
     case_label: str
     boundary_flags: tuple[bool, ...]
+
+
+@dataclass(frozen=True)
+class ThresholdReport:
+    """Per-applicant threshold summary at one theta, with the regret-curve
+    crossings of an unqualified and a qualified applicant."""
+
+    theta: float
+    tau_star: float
+    tau_d1: float | None
+    tau_d2: float
+    equalized_score: float
+    ordering: str
+    knife_edge: bool
+    crossings_q0: CrossingReport
+    crossings_q1: CrossingReport
 
 
 @dataclass(frozen=True)
@@ -104,97 +107,103 @@ class TauBarResult:
     seed: int | None = None
 
 
+def _tau_roots(config: ModelConfig, gap, thetas: np.ndarray, what: str) -> np.ndarray:
+    """One root of ``gap`` per theta on the clamped interval, in one bisection;
+    a theta without a sign change raises EndpointResolutionError: ``what``."""
+    lo, hi = _scores.clamped_tau_interval(config.payoffs)
+    try:
+        return bisect_monotone_many(
+            gap, np.full_like(thetas, lo), np.full_like(thetas, hi), residual_tol=ROOT_TOL
+        ).root
+    except BracketError as exc:
+        theta = float(thetas.flat[exc.member])
+        raise EndpointResolutionError(f"{what} for theta={theta!r}: {exc}") from exc
+
+
 # =====================================================================
 # Equalizing prejudice
 # =====================================================================
 
-def find_tau_star(config: ModelConfig, theta: float) -> float:
-    """The unique tau where both scores agree for this theta.
+def find_tau_star(config: ModelConfig, theta):
+    """The unique tau where both scores agree, per theta.
 
     The score gap s1 - s2 is strictly increasing in tau and changes sign
     across the open interval, so bisection on the clamped interval finds
-    the root unless it sits inside the clamp margin.
+    the root unless it sits inside the clamp margin.  A scalar theta gives
+    a float, a 1-D array one root per theta from one batch bisection.
     """
-    lo, hi = _scores.clamped_tau_interval(config.payoffs)
-
-    def gap(tau: float) -> float:
-        return float(
-            _scores.score_s1(config, theta, tau)
-            - _scores.score_s2(config, theta, tau)
-        )
-
-    try:
-        return bisect_monotone(gap, lo, hi, residual_tol=ROOT_TOL).root
-    except BracketError as exc:
-        raise EndpointResolutionError(
-            f"score curves do not cross on the clamped interval for "
-            f"theta={theta!r}; the crossing sits within the clamp margin, "
-            f"re-evaluate with a smaller clamp scale ({exc})"
-        ) from exc
+    thetas = np.asarray(theta, dtype=float)
+    roots = _tau_roots(
+        config,
+        lambda tau: _scores.score_s1(config, thetas, tau) - _scores.score_s2(config, thetas, tau),
+        thetas,
+        "score curves do not cross on the clamped interval (the crossing sits "
+        "within the clamp margin; re-evaluate with a smaller clamp scale)",
+    )
+    return float(roots) if thetas.ndim == 0 else roots
 
 
 # =====================================================================
 # Critical prejudices
 # =====================================================================
 
-def find_critical_prejudices(
-    config: ModelConfig, theta: float
-) -> tuple[float | None, float]:
+def find_critical_prejudices(config: ModelConfig, theta):
     """Roots of each score against the critical score beta.
 
     Returns (tau_d1, tau_d2) where tau_d1 is None when phi(theta) >= beta:
     the outcome-trained score stays strictly above phi, hence above beta,
     and its regret curve never jumps.  The knife edge phi(theta) == beta
-    is folded into the absent case.
+    is folded into the absent case.  A 1-D theta array gives two lists,
+    one entry per theta, each score's roots from one batch bisection.
     """
-    lo, hi = _scores.clamped_tau_interval(config.payoffs)
+    thetas = np.asarray(theta, dtype=float)
     beta = config.beta
 
-    def root(algo: str) -> float:
-        def gap(tau: float) -> float:
-            return float(_scores.score(config, algo, theta, tau)) - beta
+    def roots(algo: str, members: np.ndarray) -> np.ndarray:
+        return _tau_roots(
+            config, lambda tau: _scores.score(config, algo, members, tau) - beta, members,
+            f"score {algo} never meets beta={beta!r} on the clamped interval",
+        )
 
-        try:
-            return bisect_monotone(gap, lo, hi, residual_tol=ROOT_TOL).root
-        except BracketError as exc:
-            raise EndpointResolutionError(
-                f"score {algo} never meets beta={beta!r} on the "
-                f"clamped interval for theta={theta!r}: {exc}"
-            ) from exc
-
-    tau_d2 = root("s2")
-    if float(marginal_posterior_phi(config, theta)) >= beta:
-        return None, tau_d2
-    return root("s1"), tau_d2
+    tau_d2 = roots("s2", thetas)
+    has_d1 = marginal_posterior_phi(config, thetas) < beta
+    if thetas.ndim == 0:
+        return (float(roots("s1", thetas)) if has_d1 else None), float(tau_d2)
+    tau_d1 = [None] * len(thetas)
+    if has_d1.any():
+        for i, root in zip(np.flatnonzero(has_d1), roots("s1", thetas[has_d1]).tolist()):
+            tau_d1[i] = root
+    return tau_d1, tau_d2.tolist()
 
 
-def threshold_report(config: ModelConfig, theta: float) -> ThresholdReport:
-    """Full per-theta report: equalizing and critical prejudices."""
-    tau_star = find_tau_star(config, theta)
-    tau_d1, tau_d2 = find_critical_prejudices(config, theta)
-    equalized = 0.5 * float(
-        _scores.score_s1(config, theta, tau_star)
-        + _scores.score_s2(config, theta, tau_star)
-    )
-    phi = float(marginal_posterior_phi(config, theta))
+def threshold_report(config: ModelConfig, theta):
+    """Full per-theta report: equalizing and critical prejudices, and the
+    regret-curve crossings for both qualification bits.
+
+    A 1-D theta array gives a list of reports, with each kind of root
+    found for every theta in one batch bisection.
+    """
+    flat = np.asarray(theta, dtype=float).reshape(-1)
+    tau_star = find_tau_star(config, flat)
+    tau_d1, tau_d2 = find_critical_prejudices(config, flat)
+    equalized = 0.5 * (_scores.score_s1(config, flat, tau_star)
+                       + _scores.score_s2(config, flat, tau_star))
+    phi = marginal_posterior_phi(config, flat)
+    crossings = [_crossings(config, flat, q, tau_d1, tau_d2) for q in (0, 1)]
     scale = config.payoffs.x_q + config.payoffs.x_u
-    if tau_d1 is None:
-        ordering = "d1-absent"
-    elif abs(tau_d1 - tau_d2) <= ORDERING_ATOL_SCALE * scale:
-        ordering = "d1=d2"
-    elif tau_d1 < tau_d2:
-        ordering = "d1<d2"
-    else:
-        ordering = "d2<d1"
-    return ThresholdReport(
-        theta=float(theta),
-        tau_star=tau_star,
-        tau_d1=tau_d1,
-        tau_d2=tau_d2,
-        equalized_score=equalized,
-        ordering=ordering,
-        knife_edge=(phi == config.beta),
-    )
+    reports = []
+    for i, (d1, d2) in enumerate(zip(tau_d1, tau_d2)):
+        if d1 is None:
+            ordering = "d1-absent"
+        elif abs(d1 - d2) <= ORDERING_ATOL_SCALE * scale:
+            ordering = "d1=d2"
+        else:
+            ordering = "d1<d2" if d1 < d2 else "d2<d1"
+        reports.append(ThresholdReport(
+            float(flat[i]), float(tau_star[i]), d1, d2, float(equalized[i]), ordering,
+            bool(phi[i] == config.beta), crossings[0][i], crossings[1][i],
+        ))
+    return reports[0] if np.ndim(theta) == 0 else reports
 
 
 # =====================================================================
@@ -214,66 +223,59 @@ def find_regret_crossings(config: ModelConfig, theta: float, q: int) -> Crossing
     """
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
+    tau_d1, tau_d2 = find_critical_prejudices(config, theta)
+    return _crossings(config, np.array([theta], dtype=float), q, [tau_d1], [tau_d2])[0]
+
+
+def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
+    """find_regret_crossings for each theta, given its critical prejudices;
+    the cells of every theta are bisected in one batch."""
     payoffs = config.payoffs
     lo, hi = _scores.clamped_tau_interval(payoffs)
-    tau_d1, tau_d2 = find_critical_prejudices(config, theta)
-    boundaries = sorted(
-        {t for t in (tau_d1, tau_d2) if t is not None and lo < t < hi}
-    )
-    edges = [lo, *boundaries, hi]
     drift = payoffs.x_q if q == 1 else -payoffs.x_u
     window = BOUNDARY_FLAG_FACTOR * ROOT_TOL
+    boundaries, cells = [], []
+    for i, (d1, d2) in enumerate(zip(tau_d1, tau_d2)):
+        boundaries.append(sorted({t for t in (d1, d2) if t is not None and lo < t < hi}))
+        edges = [lo, *boundaries[i], hi]
+        for a, b in zip(edges[:-1], edges[1:]):
+            if a < b:
+                accept_1 = 1 if (d1 is None or a >= d1) else 0
+                accept_2 = 1 if b <= d2 else 0
+                cells.append((i, a, b, (accept_1 - accept_2) * drift))
+    owner, a, b, offset = (np.array(column) for column in zip(*cells))
+    theta = thetas[owner]
 
-    def ex_ante_gap(tau):
-        return (_ex_ante(payoffs, _scores.score_s1(config, theta, tau))
-                - _ex_ante(payoffs, _scores.score_s2(config, theta, tau)))
+    def cell_gap(tau, members=slice(None)):
+        s1 = _scores.score_s1(config, theta[members], tau)
+        s2 = _scores.score_s2(config, theta[members], tau)
+        return _ex_ante(payoffs, s1) - _ex_ante(payoffs, s2) - offset[members]
 
-    crossings: list[float] = []
-    flags: list[bool] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if not a < b:
-            continue
-        accept_1 = 1 if (tau_d1 is None or a >= tau_d1) else 0
-        accept_2 = 1 if b <= tau_d2 else 0
-        offset = (accept_1 - accept_2) * drift
-
-        def cell_gap(tau: float) -> float:
-            return float(ex_ante_gap(tau)) - offset
-
-        g_a = cell_gap(a)
-        g_b = cell_gap(b)
-        if g_a == 0.0:
-            root = a
-        elif g_b == 0.0:
-            root = b
-        elif g_a < 0.0 < g_b:
-            root = bisect_monotone(cell_gap, a, b, residual_tol=ROOT_TOL).root
-        else:
-            continue
-        if crossings and root == crossings[-1]:
-            continue
-        near_jump = any(abs(root - t) <= window for t in boundaries)
-        crossings.append(root)
-        flags.append(near_jump)
-
-    if q == 0:
-        label = "unqualified"
-    else:
-        surplus_dominates = payoffs.x_q - payoffs.c > payoffs.x_u
-        phi = float(marginal_posterior_phi(config, theta))
-        if not surplus_dominates:
+    g_a = cell_gap(a)
+    g_b = cell_gap(b)
+    roots = np.where(g_a == 0.0, a, b)
+    found = (g_a == 0.0) | (g_b == 0.0)
+    inside = ~found & (g_a < 0.0) & (0.0 < g_b)
+    if inside.any():
+        roots[inside] = bisect_monotone_many(
+            lambda tau: cell_gap(tau, inside), a[inside], b[inside], residual_tol=ROOT_TOL
+        ).root
+    phi = marginal_posterior_phi(config, thetas)
+    reports = []
+    for i, theta_i in enumerate(thetas.tolist()):
+        crossings, flags = [], []
+        for root in roots[(found | inside) & (owner == i)].tolist():
+            if not crossings or root != crossings[-1]:
+                crossings.append(root)
+                flags.append(any(abs(root - t) <= window for t in boundaries[i]))
+        if q == 0:
+            label = "unqualified"
+        elif not payoffs.x_q - payoffs.c > payoffs.x_u:
             label = "case-3"
-        elif _ex_ante(payoffs, phi) < 0.0:
-            label = "case-1"
         else:
-            label = "case-2"
-    return CrossingReport(
-        theta=float(theta),
-        q=int(q),
-        crossings=tuple(crossings),
-        case_label=label,
-        boundary_flags=tuple(flags),
-    )
+            label = "case-1" if _ex_ante(payoffs, phi[i]) < 0.0 else "case-2"
+        reports.append(CrossingReport(theta_i, int(q), tuple(crossings), label, tuple(flags)))
+    return reports
 
 
 # =====================================================================
@@ -303,12 +305,9 @@ def find_tau_bar(
     report = classify_environment(config)
 
     if mode == "analytic":
-        def gap(tau: float) -> float:
-            return expected_regret_gap(config, tau)
-
         if report.classification == "irregular":
             grid = np.linspace(lo, hi, CONFIRM_GRID)
-            values = np.array([gap(t) for t in grid])
+            values = expected_regret_gap(config, grid)
             if np.any(values >= 0.0):
                 worst = int(np.argmax(values))
                 raise ScreeningError(
@@ -319,7 +318,8 @@ def find_tau_bar(
         scale = config.payoffs.x_q + config.payoffs.x_u
         try:
             root = bisect_monotone(
-                gap, lo, hi, residual_tol=TAU_BAR_RESIDUAL_TOL, xtol=1e-10 * scale
+                lambda tau: expected_regret_gap(config, tau), lo, hi,
+                residual_tol=TAU_BAR_RESIDUAL_TOL, xtol=1e-10 * scale,
             ).root
         except BracketError as exc:
             raise EndpointResolutionError(
@@ -368,10 +368,9 @@ def find_tau_bar(
         ) from exc
     _, se_root = estimate(root)
     delta = 0.01 * scale
-    slope = (
-        expected_regret_gap(config, min(root + delta, hi))
-        - expected_regret_gap(config, max(root - delta, lo))
-    ) / (min(root + delta, hi) - max(root - delta, lo))
+    right, left = min(root + delta, hi), max(root - delta, lo)
+    gap_right, gap_left = expected_regret_gap(config, np.array([right, left])).tolist()
+    slope = (gap_right - gap_left) / (right - left)
     if slope >= 0.0:
         raise InconclusiveResolutionError(
             f"average-regret gap slope {slope!r} is not negative near the "

@@ -28,6 +28,7 @@ from screenlab import (
     sample_population,
     score_s1,
     score_s2,
+    threshold_report,
     verify_nonatomic,
 )
 from screenlab.population import empirical_scores
@@ -149,12 +150,12 @@ def test_criterion_04_critical_prejudice_chain(random_table):
             assert abs(t1 - t2) < COINCIDENCE_TOL
 
 
-def _check_jump_structure(config, theta, q, taus):
+def _check_jump_structure(config, report, q, taus):
     payoffs = config.payoffs
     step = taus[1] - taus[0]
-    curves = regret_curve(config, theta, q, taus)
+    curves = regret_curve(config, report, q, taus)
     annotated = {jump.algo: jump for jump in curves.jumps}
-    d1, d2 = find_critical_prejudices(config, theta)
+    d1, d2 = find_critical_prejudices(config, report.theta)
     expected_tau = {"s1": d1, "s2": d2}
     height_size = payoffs.x_q if q == 1 else payoffs.x_u
     sign_of = {"s1": -1.0 if q == 1 else 1.0, "s2": 1.0 if q == 1 else -1.0}
@@ -179,14 +180,14 @@ def test_criterion_05_regret_jump_structure(baseline, random_table):
     """Each per-applicant regret curve jumps exactly once, at its own
     critical prejudice, by the relevant payoff."""
     taus = tau_grid_for(baseline)
-    for theta in baseline_theta_grid():
+    for report in threshold_report(baseline, baseline_theta_grid()):
         for q in (0, 1):
-            _check_jump_structure(baseline, float(theta), q, taus)
+            _check_jump_structure(baseline, report, q, taus)
     for record in random_table:
         taus = tau_grid_for(record.config)
-        for theta in record.theta_grid[4::6]:
+        for report in threshold_report(record.config, record.theta_grid[4::6]):
             for q in (0, 1):
-                _check_jump_structure(record.config, float(theta), q, taus)
+                _check_jump_structure(record.config, report, q, taus)
 
 
 def test_criterion_06_crossing_counts(baseline, random_table, engineered):

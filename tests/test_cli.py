@@ -19,7 +19,6 @@ from scipy.special import ndtr
 from screenlab import (
     ModelConfig,
     empirical_scores,
-    expected_regret,
     gamma1,
     marginal_posterior_phi,
     regret_curve,
@@ -27,12 +26,14 @@ from screenlab import (
     sample_population,
     score_s1,
     score_s2,
+    threshold_report,
 )
-from screenlab import cli
+from screenlab import cli, thresholds
 from screenlab.cli import main, render_csv
 from screenlab.regret import _regret_values
 from screenlab.scores import ALGOS
 from conftest import BASELINE_DOC, IRREGULAR_DOC, NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC
+from test_regret import oracle_expected_regret
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -326,6 +327,24 @@ class TestSweep:
         manifest = json.loads(open(os.path.join(out, "run_manifest.json")).read())
         assert len(manifest["outputs"]) == 5
 
+    def test_each_theta_rooted_once(self, config_path, tmp_path, monkeypatch):
+        """The thresholds, both crossing reports and all four regret-curve
+        jumps of a theta come from one root of its critical prejudices."""
+        rooted = []
+        real = thresholds.find_critical_prejudices
+
+        def spy(config, theta):
+            rooted.extend(np.atleast_1d(theta).tolist())
+            return real(config, theta)
+
+        monkeypatch.setattr(thresholds, "find_critical_prejudices", spy)
+        assert main([
+            "sweep", "--config", config_path, "--theta-grid=-2:2:21",
+            "--tau-grid=-0.8:0.8:5", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert len(rooted) == 21
+        np.testing.assert_allclose(sorted(rooted), np.linspace(-2.0, 2.0, 21), atol=1e-15)
+
     def test_irregular_tau_bar_null(self, tmp_path):
         path = tmp_path / "irr.json"
         path.write_text(json.dumps(IRREGULAR_DOC))
@@ -472,7 +491,7 @@ class TestCsvByteOracle:
                     (theta, tau, s1[j], s2[j], cut[j], phi, surv_q[j], surv_u[j])
                 )
             for q in (0, 1):
-                curves = regret_curve(config, theta, q, tau_grid)
+                curves = regret_curve(config, threshold_report(config, theta), q, tau_grid)
                 for algo in ALGOS:
                     for j, tau in enumerate(curves.tau):
                         regret_rows.append((
@@ -481,8 +500,8 @@ class TestCsvByteOracle:
                             curves.p_ex_post[algo][j], curves.u[algo][j],
                         ))
         average_rows = [
-            (tau, expected_regret(config, "s1", float(tau)),
-             expected_regret(config, "s2", float(tau)))
+            (tau, oracle_expected_regret(config, "s1", float(tau))[0],
+             oracle_expected_regret(config, "s2", float(tau))[0])
             for tau in tau_grid
         ]
         for name, rows in (("scores.csv", score_rows),

@@ -2,10 +2,13 @@
 average computed by adaptive quadrature."""
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from screenlab import (
@@ -24,6 +27,7 @@ from screenlab import (
     regret_curve,
     score_s1,
     score_s2,
+    threshold_report,
 )
 from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC
 
@@ -84,7 +88,7 @@ class TestIndividualRegret:
 class TestRegretCurves:
     def test_jump_annotations_match_critical_levels(self, baseline):
         lo, hi = clamped_tau_interval(baseline.payoffs)
-        curves = regret_curve(baseline, 0.0, 1, np.linspace(lo, hi, 101))
+        curves = regret_curve(baseline, threshold_report(baseline, 0.0), 1, np.linspace(lo, hi, 101))
         jumps = {j.algo: j for j in curves.jumps}
         d1, d2 = find_critical_prejudices(baseline, 0.0)
         np.testing.assert_allclose(jumps["s1"].tau_d, d1, atol=1e-12)
@@ -99,7 +103,7 @@ class TestRegretCurves:
         accepting and gain it when the acceptance-trained score stops;
         unqualified curves mirror with x_u."""
         lo, hi = clamped_tau_interval(baseline.payoffs)
-        curves = regret_curve(baseline, 0.0, q, np.linspace(lo, hi, 101))
+        curves = regret_curve(baseline, threshold_report(baseline, 0.0), q, np.linspace(lo, hi, 101))
         jumps = {j.algo: j for j in curves.jumps}
         assert jumps["s1"].height == s1_height
         assert jumps["s2"].height == s2_height
@@ -108,14 +112,14 @@ class TestRegretCurves:
         """theta far above the knife edge: the outcome-trained score never
         dips to beta, so its curve never jumps."""
         lo, hi = clamped_tau_interval(baseline.payoffs)
-        curves = regret_curve(baseline, 2.5, 1, np.linspace(lo, hi, 101))
+        curves = regret_curve(baseline, threshold_report(baseline, 2.5), 1, np.linspace(lo, hi, 101))
         algos = {j.algo for j in curves.jumps}
         assert algos == {"s2"}
 
     def test_measured_jump_matches_annotation(self, baseline):
         lo, hi = clamped_tau_interval(baseline.payoffs)
         grid = np.linspace(lo, hi, 2001)
-        curves = regret_curve(baseline, 0.0, 1, grid)
+        curves = regret_curve(baseline, threshold_report(baseline, 0.0), 1, grid)
         for jump in curves.jumps:
             u = np.asarray(curves.u[jump.algo])
             cell = int(np.argmax(np.abs(np.diff(u))))
@@ -124,7 +128,7 @@ class TestRegretCurves:
 
     def test_curve_values_recompose_from_scalars(self, baseline):
         taus = np.linspace(-0.8, 0.8, 9)
-        curves = regret_curve(baseline, 0.4, 1, taus)
+        curves = regret_curve(baseline, threshold_report(baseline, 0.4), 1, taus)
         for algo, score_fn in (("s1", score_s1), ("s2", score_s2)):
             for j, tau in enumerate(taus):
                 s = float(score_fn(baseline, 0.4, tau))
@@ -173,6 +177,106 @@ def scipy_expected_regret(config, algo, tau, accepted: set) -> float:
     return total
 
 
+# =====================================================================
+# Scalar oracle: expected_regret one tau at a time, with its own
+# bisection and panel heap, as the package computed it before batching
+# =====================================================================
+
+_GL_COARSE = np.polynomial.legendre.leggauss(20)
+_GL_FINE = np.polynomial.legendre.leggauss(40)
+_GL_BOTH = np.concatenate([_GL_COARSE[0], _GL_FINE[0]])
+
+# random_table[27]: the one frozen config and tau (of 50 configs x 41 taus)
+# where s2's eight initial panels miss the tolerance and get refined
+REFINING = (27, "s2", -1.5435046194315822)
+
+
+def scalar_bisect(f, lo: float, hi: float) -> float:
+    """Machine-resolution bisection of a monotone f; stops on an exact zero."""
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    assert np.sign(f_lo) != np.sign(f_hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    descending = f_lo > 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = float(f(mid))
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if (f_mid > 0.0) == descending:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_integral(f, a: float, b: float, tol: float, max_panels: int):
+    """(integral, panels): 20/40-node Gauss-Legendre on 8 panels of [a, b],
+    halving the worst panel until the error estimates sum below tol."""
+    def panel(left, right):
+        half = 0.5 * (right - left)
+        values = np.asarray(f(0.5 * (left + right) + half * _GL_BOTH), dtype=float)
+        coarse = half * float(np.dot(_GL_COARSE[1], values[:20]))
+        fine = half * float(np.dot(_GL_FINE[1], values[20:]))
+        return (-abs(fine - coarse), left, right, fine)
+
+    edges = np.linspace(a, b, 9).tolist()
+    heap = []
+    for left, right in zip(edges[:-1], edges[1:]):
+        heapq.heappush(heap, panel(left, right))
+    while -sum(item[0] for item in heap) >= tol:
+        if len(heap) >= max_panels:
+            raise QuadratureError(f"oracle stalled with {len(heap)} panels")
+        _, left, right, _ = heapq.heappop(heap)
+        mid = 0.5 * (left + right)
+        heapq.heappush(heap, panel(left, mid))
+        heapq.heappush(heap, panel(mid, right))
+    return sum(item[3] for item in heap), len(heap)
+
+
+def oracle_expected_regret(config, algo, tau: float, tol=1e-8, max_panels=200):
+    """(E[u], who is accepted, panels) at one tau: the integral of N(s) times
+    the mixture density, minus the closed-form accepted payoff above the
+    acceptance breakpoint."""
+    payoffs = config.payoffs
+    pi, beta = payoffs.pi, payoffs.beta
+    sd = config.signal.sigma_theta
+    mu_q, mu_u = config.signal.mu_q[0], config.signal.mu_u[0]
+    lo, hi = min(mu_q, mu_u) - 10.0 * sd, max(mu_q, mu_u) + 10.0 * sd
+    score_fn = score_s1 if algo == "s1" else score_s2
+
+    def pdf(x, mean):
+        z = (x - mean) / sd
+        return np.exp(-0.5 * z * z) * (1.0 / np.sqrt(2.0 * np.pi) / sd)
+
+    def integrand(theta):
+        s = score_fn(config, theta, tau)
+        n = s * payoffs.x_q - (1.0 - s) * payoffs.x_u
+        return n * (pi * pdf(theta, mu_q) + (1.0 - pi) * pdf(theta, mu_u))
+
+    def gap(theta):
+        return score_fn(config, theta, tau) - beta
+
+    if gap(lo) > 0.0:
+        breakpoint_theta, accepted = lo, "everyone"
+    elif gap(hi) <= 0.0:
+        breakpoint_theta, accepted = hi, "no one"
+    else:
+        breakpoint_theta, accepted = scalar_bisect(gap, lo, hi), "upper tail"
+
+    def mass(mean):
+        return float(ndtr((hi - mean) / sd) - ndtr((breakpoint_theta - mean) / sd))
+
+    integral, panels = _scalar_integral(integrand, lo, hi, tol, max_panels)
+    expected_p = payoffs.x_q * pi * mass(mu_q) - payoffs.x_u * (1.0 - pi) * mass(mu_u)
+    return integral - expected_p, accepted, panels
+
+
 class TestExpectedRegret:
     def test_reference_values(self, baseline):
         s1 = expected_regret(baseline, "s1", 0.0)
@@ -207,6 +311,47 @@ class TestExpectedRegret:
     def test_quadrature_error_when_budget_too_small(self, baseline):
         with pytest.raises(QuadratureError, match="panel"):
             expected_regret(baseline, "s1", 0.0, tol=0.0, max_panels=4)
+
+    def test_quadrature_error_inside_a_batch(self, baseline):
+        with pytest.raises(QuadratureError, match="panel"):
+            expected_regret(baseline, "s1", np.array([-0.5, 0.0, 0.5]), tol=0.0, max_panels=4)
+
+    def test_batch_equals_scalar_oracle_bit_for_bit(
+        self, baseline, irregular_config, random_table
+    ):
+        """One batched call per score against the oracle, one tau at a time.
+        Nine taus per config span the clamped interval, so their edges
+        accept everyone or no one, and REFINING adds the tau whose panels
+        need refining."""
+        configs = [baseline, irregular_config] + [record.config for record in random_table]
+        seen, refined = set(), 0
+        for index, config in enumerate(configs):
+            grid = np.linspace(*clamped_tau_interval(config.payoffs), 9)
+            for algo in ("s1", "s2"):
+                taus = grid
+                if (index - 2, algo) == REFINING[:2]:
+                    taus = np.append(grid, REFINING[2])
+                batch = expected_regret(config, algo, taus)
+                assert batch.shape == taus.shape
+                for tau, value in zip(taus.tolist(), batch.tolist()):
+                    exact, accepted, panels = oracle_expected_regret(config, algo, tau)
+                    assert value == exact, (index, algo, tau)
+                    seen.add(accepted)
+                    refined += panels > 8
+        assert seen == {"everyone", "no one", "upper tail"}
+        assert refined >= 1
+
+    def test_scalar_tau_gives_float(self, random_table):
+        index, algo, tau = REFINING
+        config = random_table[index].config
+        value = expected_regret(config, algo, tau)
+        assert type(value) is float
+        exact, _, panels = oracle_expected_regret(config, algo, tau)
+        assert value == exact and panels > 8
+
+    def test_rejects_two_dimensional_tau(self, baseline):
+        with pytest.raises(DomainError, match="1-D"):
+            expected_regret(baseline, "s1", np.zeros((2, 2)))
 
     def test_rejects_unknown_algo(self, baseline):
         with pytest.raises(DomainError):

@@ -102,7 +102,56 @@ class TestBatchBisection:
             return np.tanh(x - roots)
 
         batch = bisect_monotone_many(f, roots - 5.0, roots + 5.0)
-        np.testing.assert_allclose(batch, roots, atol=1e-14)
+        np.testing.assert_allclose(batch.root, roots, atol=1e-14)
+        for i, root in enumerate(roots):
+            lone = bisect_monotone(lambda x: np.tanh(x - root), root - 5.0, root + 5.0)
+            assert batch.root[i] == lone.root
+            assert batch.iterations[i] == lone.iterations
+            assert batch.residual[i] == lone.residual
+            assert batch.bracket_width[i] == lone.bracket_width
+
+    def test_exact_zero_freezes_a_member(self):
+        """A member whose midpoint value is exactly 0.0 stops there, as a lone
+        bisection does; the step function below is 0.0 on a whole interval."""
+        shifts = np.array([0.0, 0.3, -0.2, 0.125])
+
+        def f(x):
+            return np.round(x - shifts, 1)
+
+        batch = bisect_monotone_many(f, np.full(4, -1.0), np.full(4, 1.0))
+        for i, shift in enumerate(shifts):
+            lone = bisect_monotone(lambda x: np.round(x - shift, 1), -1.0, 1.0)
+            assert (batch.root[i], batch.iterations[i]) == (lone.root, lone.iterations)
+        assert batch.iterations[0] == 1 and batch.bracket_width[0] == 0.0
+
+    def test_residual_checked_per_member(self):
+        """A step has no zero: only the member bracketing it fails."""
+        def f(x):
+            return np.array([1.0 if x[0] > 0.3 else -1.0, x[1] - 0.5])
+
+        with pytest.raises(ScreeningError, match="converged .* member 0 .* residual"):
+            bisect_monotone_many(f, np.full(2, -1.0), np.full(2, 1.0))
+
+    def test_offending_member_is_recorded(self):
+        with pytest.raises(BracketError) as info:
+            bisect_monotone_many(lambda x: x - np.array([0.5, 0.5, 7.0]), np.zeros(3), np.ones(3))
+        assert info.value.member == 2
+
+    def test_lone_bracket_keeps_zero_dimensions(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            return x - 0.3
+
+        result = bisect_monotone_many(f, 0.0, 1.0)
+        assert set(shapes) == {()}
+        assert result.root.shape == () and result.root == bisect_monotone(f, 0.0, 1.0).root
+
+    def test_rejects_flat_bracket(self):
+        """The lone rule holds in a batch: f == 0 at both ends has no single root."""
+        with pytest.raises(BracketError, match="no sign change"):
+            bisect_monotone_many(lambda x: np.zeros_like(x), np.zeros(2), np.ones(2))
 
     def test_reports_offending_member(self):
         def f(x):
@@ -132,6 +181,6 @@ class TestBatchBisection:
         def f(x):
             return (x - roots) ** 3
 
-        batch = bisect_monotone_many(f, np.full_like(roots, -2.0), np.full_like(roots, 2.0))
+        batch = bisect_monotone_many(f, np.full_like(roots, -2.0), np.full_like(roots, 2.0)).root
         assert len(np.unique(batch)) == len(roots)
         np.testing.assert_allclose(batch, roots, atol=1e-9)

@@ -32,9 +32,14 @@ class TestAcceptanceThreshold:
         )
 
     def test_rejects_tau_outside_open_interval(self, baseline):
-        for tau in (-1.0, 1.0, -1.5, 2.0, float("nan"), np.array([0.0, 1.0])):
-            with pytest.raises(DomainError, match="outside the open prejudice interval"):
+        for tau, bad in ((-1.0, "-1.0"), (1.0, "1.0"), (-1.5, "-1.5"), (2.0, "2.0"),
+                         (float("nan"), "nan"), (np.array([0.0, 1.0]), "1.0"),
+                         (np.float64(5.0), "5.0")):
+            with pytest.raises(DomainError) as info:
                 acceptance_threshold_T(baseline.payoffs, tau)
+            assert str(info.value) == (
+                f"tau={bad} outside the open prejudice interval (-1.0, 1.0)"
+            )
 
     def test_strictly_increasing_in_tau(self, baseline):
         taus = np.linspace(-0.999, 0.999, 400)

@@ -21,6 +21,7 @@ from screenlab import (
     threshold_report,
 )
 from conftest import BASELINE_DOC, ENGINEERED_DOC, baseline_theta_grid
+from test_regret import scalar_bisect
 
 
 class TestEqualizingPrejudice:
@@ -182,6 +183,48 @@ class TestRegretCrossings:
     def test_boundary_flag_set_when_crossing_hugs_jump(self, engineered):
         reports = [find_regret_crossings(engineered, t, 1) for t in (0.0, 0.35)]
         assert all(not any(r.boundary_flags) for r in reports)
+
+
+class TestThetaBatch:
+    """Every per-theta root over a theta vector, one batch bisection per kind."""
+
+    def test_batch_matches_a_scalar_bisection(self, baseline, engineered):
+        """Dual route: tau_star and both critical prejudices of each theta by
+        the test suite's own scalar bisection, bit for bit."""
+        for config in (baseline, engineered):
+            lo, hi = clamped_tau_interval(config.payoffs)
+            beta = config.payoffs.beta
+            thetas = np.linspace(-2.0, 2.0, 9)
+            reports = threshold_report(config, thetas)
+            star = find_tau_star(config, thetas)
+            d1, d2 = find_critical_prejudices(config, thetas)
+            for i, theta in enumerate(thetas.tolist()):
+                assert reports[i].theta == theta
+                assert star[i] == reports[i].tau_star == scalar_bisect(
+                    lambda t: score_s1(config, theta, t) - score_s2(config, theta, t), lo, hi
+                )
+                assert d2[i] == reports[i].tau_d2 == scalar_bisect(
+                    lambda t: score_s2(config, theta, t) - beta, lo, hi
+                )
+                if float(marginal_posterior_phi(config, theta)) >= beta:
+                    assert d1[i] is None and reports[i].tau_d1 is None
+                else:
+                    assert d1[i] == reports[i].tau_d1 == scalar_bisect(
+                        lambda t: score_s1(config, theta, t) - beta, lo, hi
+                    )
+
+    def test_batch_reports_equal_lone_reports(self, engineered):
+        thetas = [-0.5, 0.0, 0.35, 1.2]
+        reports = threshold_report(engineered, np.array(thetas))
+        for theta, report in zip(thetas, reports):
+            assert report == threshold_report(engineered, theta)
+            assert report.crossings_q0 == find_regret_crossings(engineered, theta, 0)
+            assert report.crossings_q1 == find_regret_crossings(engineered, theta, 1)
+        assert [len(r.crossings_q1.crossings) for r in reports[1:3]] == [3, 2]
+
+    def test_error_names_the_offending_theta(self, baseline):
+        with pytest.raises(EndpointResolutionError, match="theta=50.0"):
+            find_tau_star(baseline, np.array([0.0, 0.5, 50.0]))
 
 
 class TestTauBar:
