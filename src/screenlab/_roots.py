@@ -36,6 +36,9 @@ class BracketError(ScreeningError):
 # package's brackets, which span a few units.
 MAX_ITER = 200
 
+# Largest |f(root)| accepted unless a caller asks for another bound.
+RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RootResult:
@@ -56,7 +59,7 @@ def bisect_monotone(
     lo: float,
     hi: float,
     *,
-    residual_tol: float = 1e-10,
+    residual_tol: float = RESIDUAL_TOL,
     xtol: float = 0.0,
 ) -> RootResult:
     """Find the root of a monotone ``f`` on [lo, hi].
@@ -74,22 +77,15 @@ def bisect_monotone(
                       float(lone.bracket_width), int(lone.iterations))
 
 
-def bisect_monotone_many(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    *,
-    residual_tol: float = 1e-10,
-    xtol: float = 0.0,
-) -> RootResult:
-    """``bisect_monotone`` for a batch of brackets, member by member.
+def bisect_monotone_many(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> RootResult:
+    """``bisect_monotone`` at its defaults, member by member of a batch.
 
     ``f`` maps an array of abscissas to an array of values, each member
     monotone on its own bracket.  Every member takes the steps, and
     reaches the bits, that ``bisect_monotone`` takes on its bracket alone;
     an error names the first offending member.
     """
-    return _bisect(f, lo, hi, residual_tol, xtol)
+    return _bisect(f, lo, hi, RESIDUAL_TOL, 0.0)
 
 
 def _bisect(f, lo, hi, residual_tol: float, xtol: float) -> RootResult:
@@ -127,10 +123,10 @@ def _bisect(f, lo, hi, residual_tol: float, xtol: float) -> RootResult:
     lo = np.where(f_hi == 0.0, hi, lo)[()]
     orient = np.where(f_lo > 0.0, -1.0, 1.0)[()]  # orient * f rises through the root
     done = lo == hi
-    steps = []  # which members had stopped before each step
+    iterations = np.zeros(shape, np.int64)[()]
     for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
-        steps.append(done)
+        iterations = iterations + ~done
         done = done | (mid == lo) | (mid == hi) | (hi - lo <= xtol)
         if done.all():
             break
@@ -141,7 +137,6 @@ def _bisect(f, lo, hi, residual_tol: float, xtol: float) -> RootResult:
         lo, hi = np.where([done | (g > 0.0), done | (g < 0.0)], [lo, hi], mid)
         done = done | (g == 0.0)
         nan = nan | ((g != g) & ~done)
-    iterations = len(steps) - np.sum(steps, axis=0, dtype=np.int64)
     root = 0.5 * (lo + hi)
     if nan.any():
         i = int(np.argmax(nan))

@@ -53,6 +53,7 @@ from .population import (
 from .regret import expected_regret, regret_curve
 from .scores import ALGOS, clamped_tau_interval, score_table
 from .thresholds import (
+    find_critical_prejudices,
     find_regret_crossings,
     find_tau_bar,
     threshold_report,
@@ -387,16 +388,16 @@ def cmd_scores(config, args, lap) -> dict[str, str]:
 
 
 def cmd_tau(config, args, lap) -> dict[str, str]:
-    thetas = _theta_values(args)
-    reports = threshold_report(config, np.array(thetas)) if args.q is None else [
-        find_regret_crossings(config, theta, args.q) for theta in thetas]
+    thetas = np.array(_theta_values(args))
+    reports = (threshold_report(config, thetas) if args.q is None
+               else find_regret_crossings(config, thetas, args.q))
     docs = [asdict(report) for report in reports]
     return {"thresholds.json": render_json(docs[0] if len(docs) == 1 else docs)}
 
 
-def _regret_outputs(config, report, q, tau_grid):
+def _regret_outputs(config, theta, q, tau_grid, critical):
     """regret.csv columns (rows by algo, then tau) and the jump doc."""
-    curves = regret_curve(config, report, q, tau_grid)
+    curves = regret_curve(config, theta, q, tau_grid, critical)
     k = len(curves.tau)
     columns = [
         np.full(2 * k, curves.theta), np.full(2 * k, q), np.tile(curves.tau, 2),
@@ -417,7 +418,8 @@ def _regret_outputs(config, report, q, tau_grid):
 def cmd_regret(config, args, lap) -> dict[str, str]:
     theta, q = _required(args, "theta"), _required(args, "q")
     tau_grid = _tau_grid(config, args.tau_grid)
-    columns, jumps = _regret_outputs(config, threshold_report(config, theta), q, tau_grid)
+    critical = find_critical_prejudices(config, theta)
+    columns, jumps = _regret_outputs(config, theta, q, tau_grid, critical)
     return {
         "regret.csv": _csv("regret.csv", columns),
         "regret_jumps.json": render_json(jumps),
@@ -433,7 +435,8 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
     # every theta's thresholds are rooted once, and its curves jump there
     reports = threshold_report(config, np.array(thetas))
     regret_parts, jump_docs = zip(*(
-        _regret_outputs(config, report, q, tau_grid) for report in reports for q in (0, 1)
+        _regret_outputs(config, report.theta, q, tau_grid, (report.tau_d1, report.tau_d2))
+        for report in reports for q in (0, 1)
     ))
 
     try:

@@ -166,18 +166,16 @@ class RegretCurves:
     jumps: tuple[JumpAnnotation, ...]
 
 
-def regret_curve(config: ModelConfig, report, q, tau_grid) -> RegretCurves:
+def regret_curve(config: ModelConfig, theta, q, tau_grid, critical) -> RegretCurves:
     """Evaluate u(s1(tau)) and u(s2(tau)) along a grid, annotating jumps.
 
-    ``report`` is the applicant's ThresholdReport: the curves are taken at
-    its theta and jump at its critical prejudices, rooted once for every
-    curve of that theta.  The grid must stay inside the open prejudice
-    interval.  The s1 jump is absent for phi(theta) >= beta, where that
-    curve is continuous throughout.
+    The grid must stay inside the open prejudice interval.  ``critical``
+    is theta's (tau_d1, tau_d2) from find_critical_prejudices, where the
+    curves jump; tau_d1 is None for phi(theta) >= beta, where the s1 curve
+    is continuous throughout.
     """
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
-    theta = report.theta
     tau = np.sort(np.asarray(tau_grid, dtype=float).ravel())
     payoffs = config.payoffs
     score, n_ex_ante, accepted, p_ex_post, u = {}, {}, {}, {}, {}
@@ -190,7 +188,7 @@ def regret_curve(config: ModelConfig, report, q, tau_grid) -> RegretCurves:
         p_ex_post[algo] = p
         u[algo] = loss
 
-    tau_d1, tau_d2 = report.tau_d1, report.tau_d2
+    tau_d1, tau_d2 = critical
     jumps = []
     if tau_d1 is not None:
         jumps.append(JumpAnnotation(
@@ -310,7 +308,8 @@ def expected_regret(
 
     # the rule accepts above one breakpoint: lo when it accepts everyone,
     # hi when no one, else the root of s - beta, all taus in one bisection;
-    # a lone tau stays 0-d, where numpy takes its fast scalar paths
+    # a lone tau stays 0-d, on numpy's scalar paths (as a (1,) batch it
+    # doubles the time of find_tau_bar's sequential bisection)
     gap_lo = _scores.score(config, algo, lo, taus) - beta
     gap_hi = _scores.score(config, algo, hi, taus) - beta
     breakpoints = np.where(gap_lo > 0.0, lo, hi)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scores as _scores
-from ._roots import BracketError, bisect_monotone, bisect_monotone_many
+from ._roots import RESIDUAL_TOL, BracketError, bisect_monotone, bisect_monotone_many
 from .model import (
     DomainError,
     ModelConfig,
@@ -35,13 +35,10 @@ from .model import (
 from .population import classify_environment, sample_population
 from .regret import _ex_ante, _regret_values, expected_regret_gap
 
-# Largest residual accepted at a per-theta root: tau_star, the critical
-# prejudices and the regret crossings.
-ROOT_TOL = 1e-10
-
-# Roots closer than this multiple of ROOT_TOL to a cell boundary are
-# flagged rather than trusted: a root sitting on a jump is a limit
-# statement about the discontinuity, not a crossing.
+# Roots closer to a cell boundary than this multiple of the residual bound
+# of the per-theta roots (tau_star, the critical prejudices, the regret
+# crossings) are flagged rather than trusted: a root sitting on a jump is a
+# limit statement about the discontinuity, not a crossing.
 BOUNDARY_FLAG_FACTOR = 10.0
 
 # Largest average-regret gap accepted at the analytic tau_bar: ten times
@@ -113,7 +110,7 @@ def _tau_roots(config: ModelConfig, gap, thetas: np.ndarray, what: str) -> np.nd
     lo, hi = _scores.clamped_tau_interval(config.payoffs)
     try:
         return bisect_monotone_many(
-            gap, np.full_like(thetas, lo), np.full_like(thetas, hi), residual_tol=ROOT_TOL
+            gap, np.full_like(thetas, lo), np.full_like(thetas, hi)
         ).root
     except BracketError as exc:
         theta = float(thetas.flat[exc.member])
@@ -210,7 +207,7 @@ def threshold_report(config: ModelConfig, theta):
 # Regret-curve crossings
 # =====================================================================
 
-def find_regret_crossings(config: ModelConfig, theta: float, q: int) -> CrossingReport:
+def find_regret_crossings(config: ModelConfig, theta, q: int):
     """All tau where both scores generate identical regret for (theta, q).
 
     The clamped interval is partitioned at the critical prejudices.  On
@@ -219,12 +216,16 @@ def find_regret_crossings(config: ModelConfig, theta: float, q: int) -> Crossing
     N(s1) - N(s2) minus a constant, and holds at most one root.  Roots
     landing within the boundary window of a critical prejudice are
     reported with a flag: the curves are discontinuous there, so equality
-    holds only as a one-sided limit.
+    holds only as a one-sided limit.  A 1-D theta array gives a list of
+    reports, the cells of every theta bisected in one batch.
     """
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
-    tau_d1, tau_d2 = find_critical_prejudices(config, theta)
-    return _crossings(config, np.array([theta], dtype=float), q, [tau_d1], [tau_d2])[0]
+    # a lone theta roots on numpy's scalar paths, in half the time of a (1,) batch
+    critical = find_critical_prejudices(config, theta)
+    if np.ndim(theta) == 0:
+        return _crossings(config, np.array([theta], dtype=float), q, *([t] for t in critical))[0]
+    return _crossings(config, np.asarray(theta, dtype=float), q, *critical)
 
 
 def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
@@ -233,7 +234,7 @@ def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
     payoffs = config.payoffs
     lo, hi = _scores.clamped_tau_interval(payoffs)
     drift = payoffs.x_q if q == 1 else -payoffs.x_u
-    window = BOUNDARY_FLAG_FACTOR * ROOT_TOL
+    window = BOUNDARY_FLAG_FACTOR * RESIDUAL_TOL
     boundaries, cells = [], []
     for i, (d1, d2) in enumerate(zip(tau_d1, tau_d2)):
         boundaries.append(sorted({t for t in (d1, d2) if t is not None and lo < t < hi}))
@@ -258,7 +259,7 @@ def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
     inside = ~found & (g_a < 0.0) & (0.0 < g_b)
     if inside.any():
         roots[inside] = bisect_monotone_many(
-            lambda tau: cell_gap(tau, inside), a[inside], b[inside], residual_tol=ROOT_TOL
+            lambda tau: cell_gap(tau, inside), a[inside], b[inside]
         ).root
     phi = marginal_posterior_phi(config, thetas)
     reports = []

@@ -153,7 +153,7 @@ def test_criterion_04_critical_prejudice_chain(random_table):
 def _check_jump_structure(config, report, q, taus):
     payoffs = config.payoffs
     step = taus[1] - taus[0]
-    curves = regret_curve(config, report, q, taus)
+    curves = regret_curve(config, report.theta, q, taus, (report.tau_d1, report.tau_d2))
     annotated = {jump.algo: jump for jump in curves.jumps}
     d1, d2 = find_critical_prejudices(config, report.theta)
     expected_tau = {"s1": d1, "s2": d2}

@@ -19,6 +19,7 @@ from scipy.special import ndtr
 from screenlab import (
     ModelConfig,
     empirical_scores,
+    find_critical_prejudices,
     gamma1,
     marginal_posterior_phi,
     regret_curve,
@@ -26,7 +27,6 @@ from screenlab import (
     sample_population,
     score_s1,
     score_s2,
-    threshold_report,
 )
 from screenlab import cli, thresholds
 from screenlab.cli import main, render_csv
@@ -491,7 +491,8 @@ class TestCsvByteOracle:
                     (theta, tau, s1[j], s2[j], cut[j], phi, surv_q[j], surv_u[j])
                 )
             for q in (0, 1):
-                curves = regret_curve(config, threshold_report(config, theta), q, tau_grid)
+                critical = find_critical_prejudices(config, theta)
+                curves = regret_curve(config, theta, q, tau_grid, critical)
                 for algo in ALGOS:
                     for j, tau in enumerate(curves.tau):
                         regret_rows.append((

@@ -27,7 +27,6 @@ from screenlab import (
     regret_curve,
     score_s1,
     score_s2,
-    threshold_report,
 )
 from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC
 
@@ -88,7 +87,8 @@ class TestIndividualRegret:
 class TestRegretCurves:
     def test_jump_annotations_match_critical_levels(self, baseline):
         lo, hi = clamped_tau_interval(baseline.payoffs)
-        curves = regret_curve(baseline, threshold_report(baseline, 0.0), 1, np.linspace(lo, hi, 101))
+        grid = np.linspace(lo, hi, 101)
+        curves = regret_curve(baseline, 0.0, 1, grid, find_critical_prejudices(baseline, 0.0))
         jumps = {j.algo: j for j in curves.jumps}
         d1, d2 = find_critical_prejudices(baseline, 0.0)
         np.testing.assert_allclose(jumps["s1"].tau_d, d1, atol=1e-12)
@@ -103,7 +103,8 @@ class TestRegretCurves:
         accepting and gain it when the acceptance-trained score stops;
         unqualified curves mirror with x_u."""
         lo, hi = clamped_tau_interval(baseline.payoffs)
-        curves = regret_curve(baseline, threshold_report(baseline, 0.0), q, np.linspace(lo, hi, 101))
+        grid = np.linspace(lo, hi, 101)
+        curves = regret_curve(baseline, 0.0, q, grid, find_critical_prejudices(baseline, 0.0))
         jumps = {j.algo: j for j in curves.jumps}
         assert jumps["s1"].height == s1_height
         assert jumps["s2"].height == s2_height
@@ -112,14 +113,15 @@ class TestRegretCurves:
         """theta far above the knife edge: the outcome-trained score never
         dips to beta, so its curve never jumps."""
         lo, hi = clamped_tau_interval(baseline.payoffs)
-        curves = regret_curve(baseline, threshold_report(baseline, 2.5), 1, np.linspace(lo, hi, 101))
+        grid = np.linspace(lo, hi, 101)
+        curves = regret_curve(baseline, 2.5, 1, grid, find_critical_prejudices(baseline, 2.5))
         algos = {j.algo for j in curves.jumps}
         assert algos == {"s2"}
 
     def test_measured_jump_matches_annotation(self, baseline):
         lo, hi = clamped_tau_interval(baseline.payoffs)
         grid = np.linspace(lo, hi, 2001)
-        curves = regret_curve(baseline, threshold_report(baseline, 0.0), 1, grid)
+        curves = regret_curve(baseline, 0.0, 1, grid, find_critical_prejudices(baseline, 0.0))
         for jump in curves.jumps:
             u = np.asarray(curves.u[jump.algo])
             cell = int(np.argmax(np.abs(np.diff(u))))
@@ -128,7 +130,7 @@ class TestRegretCurves:
 
     def test_curve_values_recompose_from_scalars(self, baseline):
         taus = np.linspace(-0.8, 0.8, 9)
-        curves = regret_curve(baseline, threshold_report(baseline, 0.4), 1, taus)
+        curves = regret_curve(baseline, 0.4, 1, taus, find_critical_prejudices(baseline, 0.4))
         for algo, score_fn in (("s1", score_s1), ("s2", score_s2)):
             for j, tau in enumerate(taus):
                 s = float(score_fn(baseline, 0.4, tau))

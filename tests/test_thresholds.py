@@ -221,6 +221,9 @@ class TestThetaBatch:
             assert report.crossings_q0 == find_regret_crossings(engineered, theta, 0)
             assert report.crossings_q1 == find_regret_crossings(engineered, theta, 1)
         assert [len(r.crossings_q1.crossings) for r in reports[1:3]] == [3, 2]
+        for q in (0, 1):
+            batch = find_regret_crossings(engineered, np.array(thetas), q)
+            assert batch == [getattr(r, f"crossings_q{q}") for r in reports]
 
     def test_error_names_the_offending_theta(self, baseline):
         with pytest.raises(EndpointResolutionError, match="theta=50.0"):
