@@ -1,0 +1,84 @@
+"""Print the sha256 of every artifact and stdout of a fixed set of CLI runs.
+
+Each run goes through ``screenlab.cli.main`` inside a temporary directory.
+A run that writes to ``--out`` contributes every file it writes except
+``run_manifest.json``, which holds timestamps; a run without ``--out``
+contributes what it printed.  Lines read ``sha256  run/artifact``, in run
+order and then by artifact name.
+
+Running this at two commits and diffing the output shows whether a change
+kept every CLI artifact byte-identical:
+
+    PYTHONPATH=src python3 scripts/artifact_digests.py > after.txt
+    diff before.txt after.txt
+
+The 1e6-row simulate takes most of the few seconds a run needs.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BASELINE = os.path.join(ROOT, "configs", "baseline.json")
+IRREGULAR = os.path.join(ROOT, "configs", "irregular.json")
+OUT = "{out}"  # replaced by the run's own output directory
+MANIFEST = "run_manifest.json"
+
+# run name -> argv; simulate-1m is the benchmark's simulate-1m input at seed 1
+RUNS = {
+    "sweep-baseline": ["sweep", "--config", BASELINE, "--theta-grid=-2:2:21", "--out", OUT],
+    "sweep-irregular": ["sweep", "--config", IRREGULAR, "--theta=-1,0,0.5,1.5", "--out", OUT],
+    "simulate-1m": ["simulate", "--config", BASELINE, "--m", "1000000", "--tau=0.0",
+                    "--seed", "1016164991", "--out", OUT],
+    "simulate-irregular": ["simulate", "--config", IRREGULAR, "--m", "20000", "--tau=0.3",
+                           "--seed", "5", "--bins", "20", "--out", OUT],
+    "scores": ["scores", "--config", BASELINE, "--theta=-1,0,1", "--out", OUT],
+    "regret": ["regret", "--config", BASELINE, "--theta", "0.3", "--q", "1",
+               "--tau-grid=-0.9:0.9:101", "--out", OUT],
+    "tau-theta0": ["tau", "--config", BASELINE, "--theta", "0.0"],
+    "tau-grid-q1": ["tau", "--config", BASELINE, "--theta-grid=-2:2:21", "--q", "1"],
+    "classify-irregular": ["classify", "--config", IRREGULAR],
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(work: str) -> list[str]:
+    """``sha256  run/artifact`` for every run, in run order."""
+    from screenlab import cli
+
+    lines = []
+    for name, template in RUNS.items():
+        out = os.path.join(work, name)
+        argv = [out if arg == OUT else arg for arg in template]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            status = cli.main(argv)
+        if status != 0:
+            raise SystemExit(f"{name}: screenlab {' '.join(argv)} exited {status}")
+        if OUT not in template:
+            lines.append(f"{_sha256(printed.getvalue().encode('utf-8'))}  {name}/stdout")
+            continue
+        for artifact in sorted(os.listdir(out)):
+            if artifact != MANIFEST:
+                with open(os.path.join(out, artifact), "rb") as fh:
+                    lines.append(f"{_sha256(fh.read())}  {name}/{artifact}")
+    return lines
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        for line in digests(work):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,11 +27,9 @@ from .model import (
     validate_mlrp,
 )
 from .scores import (
-    ScorePoint,
     acceptance_threshold_T,
     clamped_tau_interval,
     gamma1,
-    score_point,
     score_s1,
     score_s2,
 )
@@ -39,6 +37,7 @@ from .thresholds import (
     CrossingReport,
     EndpointResolutionError,
     InconclusiveResolutionError,
+    NonatomicReport,
     TauBarResult,
     ThresholdReport,
     find_critical_prejudices,
@@ -46,6 +45,7 @@ from .thresholds import (
     find_tau_bar,
     find_tau_star,
     threshold_report,
+    verify_nonatomic,
 )
 from .regret import (
     JumpAnnotation,
@@ -61,7 +61,6 @@ from .regret import (
 from .population import (
     EnvironmentReport,
     McRegretEstimate,
-    NonatomicReport,
     Population,
     ScoreBin,
     StageOneData,
@@ -71,65 +70,4 @@ from .population import (
     mc_average_regret,
     run_stage_one,
     sample_population,
-    verify_nonatomic,
 )
-
-__all__ = [
-    "BracketError",
-    "RootResult",
-    "bisect_monotone",
-    "bisect_monotone_many",
-    "__version__",
-    "DomainError",
-    "GaussianSignalModel",
-    "InvalidModelError",
-    "MlrpCertificate",
-    "ModelConfig",
-    "PayoffParams",
-    "ScreeningError",
-    "UnsupportedModelError",
-    "likelihood_ratio",
-    "marginal_posterior_phi",
-    "posterior_kappa",
-    "require_increasing_phi",
-    "validate_mlrp",
-    "ScorePoint",
-    "acceptance_threshold_T",
-    "clamped_tau_interval",
-    "gamma1",
-    "score_point",
-    "score_s1",
-    "score_s2",
-    "CrossingReport",
-    "EndpointResolutionError",
-    "InconclusiveResolutionError",
-    "TauBarResult",
-    "ThresholdReport",
-    "find_critical_prejudices",
-    "find_regret_crossings",
-    "find_tau_bar",
-    "find_tau_star",
-    "threshold_report",
-    "JumpAnnotation",
-    "QuadratureError",
-    "RegretCurves",
-    "RegretRecord",
-    "ex_ante_payoff",
-    "expected_regret",
-    "expected_regret_gap",
-    "individual_regret",
-    "regret_curve",
-    "EnvironmentReport",
-    "McRegretEstimate",
-    "NonatomicReport",
-    "Population",
-    "ScoreBin",
-    "StageOneData",
-    "StageOneRecord",
-    "classify_environment",
-    "empirical_scores",
-    "mc_average_regret",
-    "run_stage_one",
-    "sample_population",
-    "verify_nonatomic",
-]

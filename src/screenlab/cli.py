@@ -41,6 +41,7 @@ from .model import (
     ModelConfig,
     ScreeningError,
     UnsupportedModelError,
+    load_config,
     validate_mlrp,
 )
 from .population import (
@@ -252,30 +253,6 @@ class RunManifest:
 # =====================================================================
 # Argument plumbing
 # =====================================================================
-
-def _load_config(path: str) -> tuple[ModelConfig, str]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InvalidModelError(f"cannot read config {path!r}: {exc}") from exc
-
-    def reject_constant(name: str):
-        raise InvalidModelError(
-            f"config {path!r} contains {name}; every value must be finite"
-        )
-
-    try:
-        doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise InvalidModelError(
-            f"config parse error in {path!r} at line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise InvalidModelError("config document must be a JSON object")
-    return ModelConfig.from_dict(doc), hashlib.sha256(raw).hexdigest()
-
 
 def _parse_grid(spec: str, *, name: str) -> tuple[float, float, int]:
     parts = spec.split(":")
@@ -541,7 +518,7 @@ def run(args, argv: list[str]) -> int:
     out = getattr(args, "out", None)
     if command.artifacts and not (out or command.stdout):
         raise DomainError(f"--out is required for {args.command}")
-    config, digest = _load_config(_required(args, "config"))
+    config, digest = load_config(_required(args, "config"))
     manifest = RunManifest(config_path=args.config, config_sha256=digest,
                            seed=getattr(args, "seed", None), argv=argv)
     timings, clock = {}, [perf_counter()]

@@ -11,16 +11,18 @@ A second-stage screen later reuses scores fit on the first stage's
 selectively labeled data and accepts when the ex ante payoff clears the
 cutoff ``c``.
 
-This module owns the parameter containers, the monotone-likelihood-ratio
-certificate that every downstream computation relies on, and the two
-posteriors of interest: kappa(theta, gamma), the reviewer's full-information
-posterior, and phi(theta), the posterior given the coarse signal alone.
+This module owns the parameter containers and their JSON loader, the
+monotone-likelihood-ratio certificate that every downstream computation
+relies on, and the two posteriors of interest: kappa(theta, gamma), the
+reviewer's full-information posterior, and phi(theta), the posterior given
+the coarse signal alone.
 
 Everything here is pure and immutable; instances can be shared freely
 across threads.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -304,11 +306,36 @@ class ModelConfig:
 
     @classmethod
     def from_json_path(cls, path) -> "ModelConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise InvalidModelError("config document must be a JSON object")
-        return cls.from_dict(doc)
+        """The config in the JSON file at ``path``; see load_config."""
+        return load_config(path)[0]
+
+
+def load_config(path) -> tuple[ModelConfig, str]:
+    """The JSON config at ``path`` and the sha256 of the exact bytes parsed.
+
+    An unreadable file, malformed JSON, a NaN or Infinity literal and a
+    document that is not an object raise InvalidModelError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InvalidModelError(f"cannot read config {path!r}: {exc}") from exc
+
+    def reject_constant(name: str):
+        raise InvalidModelError(
+            f"config {path!r} contains {name}; every value must be finite"
+        )
+
+    try:
+        doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise InvalidModelError(
+            f"config parse error in {path!r} at line {exc.lineno} "
+            f"column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise InvalidModelError("config document must be a JSON object")
+    return ModelConfig.from_dict(doc), hashlib.sha256(raw).hexdigest()
 
 
 # =====================================================================

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import scores as _scores
-from ._roots import bisect_monotone, bisect_monotone_many
+from ._roots import bisect_monotone
 from .model import (
     DomainError,
     ModelConfig,
@@ -68,6 +68,11 @@ def sample_population(config: ModelConfig, m: int, seed: int) -> Population:
     theta = np.where(qualified, signal.mu_q[0], signal.mu_u[0]) + theta_noise
     gamma = np.where(qualified, signal.mu_q[1], signal.mu_u[1]) + gamma_noise
     return Population(q=q, theta=theta, gamma=gamma)
+
+
+def _require_mc_size(m: int) -> None:
+    if m < 2:  # the sample standard deviation of one applicant is NaN
+        raise DomainError(f"a Monte Carlo standard error needs m >= 2, got {m}")
 
 
 # =====================================================================
@@ -162,24 +167,20 @@ def empirical_scores(data: StageOneData, theta_bins: int = 50) -> list[ScoreBin]
     """
     if len(data) == 0:
         raise DomainError("cannot bin an empty dataset")
-    if isinstance(theta_bins, int):
-        if theta_bins < 1:
-            raise DomainError(f"need at least one bin, got {theta_bins}")
-        edges = np.unique(
-            np.quantile(data.theta, np.linspace(0.0, 1.0, theta_bins + 1))
-        )
-    else:
-        edges = np.unique(np.asarray(theta_bins, dtype=float))
-        if len(edges) < 2:
-            raise DomainError("explicit bin edges must contain at least two values")
+    if theta_bins < 1:
+        raise DomainError(f"need at least one bin, got {theta_bins}")
+    edges = np.unique(
+        np.quantile(data.theta, np.linspace(0.0, 1.0, theta_bins + 1))
+    )
+    if len(edges) < 2:  # a single distinct theta spans no bin
+        return []
     # One pass: bin k holds edges[k] <= theta < edges[k+1], the last bin
-    # also its upper edge; thetas outside the edges get index -1 or k_bins.
+    # also its upper edge; the edges run from the least theta to the largest.
     k_bins = len(edges) - 1
     index = np.searchsorted(edges, data.theta, side="right") - 1
     index[data.theta == edges[-1]] = k_bins - 1
-    inside = (index >= 0) & (index < k_bins)
-    hired = inside & data.accepted
-    counts = np.bincount(index[inside], minlength=k_bins).tolist()
+    hired = data.accepted
+    counts = np.bincount(index, minlength=k_bins).tolist()
     accepted_counts = np.bincount(index[hired], minlength=k_bins).tolist()
     qualified_sums = np.bincount(
         index[hired], weights=data.q_label.data[hired], minlength=k_bins
@@ -232,8 +233,9 @@ def mc_average_regret(
     The population is drawn independently of any first-stage dataset (a
     second-stage cohort) and shared by both scores, which are the analytic
     curves; the standard error is the sample standard deviation over
-    sqrt(m).  Returns one estimate per score, in ``ALGOS`` order.
+    sqrt(m), so m >= 2.  Returns one estimate per score, in ``ALGOS`` order.
     """
+    _require_mc_size(m)
     population = sample_population(config, m, seed)
 
     def estimate(algo: str) -> McRegretEstimate:
@@ -317,71 +319,4 @@ def classify_environment(config: ModelConfig) -> EnvironmentReport:
         lhs=lhs,
         classification="regular" if lhs > rhs else "irregular",
         theta_beta=theta_beta,
-    )
-
-
-# =====================================================================
-# Non-atomicity check
-# =====================================================================
-
-@dataclass(frozen=True)
-class NonatomicReport:
-    """Exact-duplicate counts for the per-applicant derived quantities.
-
-    ``duplicates`` maps each quantity to (number of values) minus (number
-    of distinct values); zero means no two applicants collided.
-    ``defined`` records how many applicants carry each quantity at all,
-    since the outcome-trained critical prejudice exists only where
-    phi(theta) < beta.
-    """
-
-    m: int
-    tau: float
-    defined: dict[str, int]
-    duplicates: dict[str, int]
-
-
-def verify_nonatomic(config: ModelConfig, tau: float, m: int, seed: int) -> NonatomicReport:
-    """Count exact floating-point collisions among per-applicant values.
-
-    Samples theta from the mixture marginal, evaluates both scores at the
-    given tau and both critical prejudices per applicant, and reports
-    duplicate counts.  For a continuous theta law every count is expected
-    to be zero.
-    """
-    thetas = sample_population(config, m, seed).theta
-    payoffs = config.payoffs
-    beta = config.beta
-    lo, hi = _scores.clamped_tau_interval(payoffs)
-
-    s1 = np.asarray(_scores.score_s1(config, thetas, tau))
-    s2 = np.asarray(_scores.score_s2(config, thetas, tau))
-
-    lo_vec = np.full(m, lo)
-    hi_vec = np.full(m, hi)
-    tau_d2 = bisect_monotone_many(
-        lambda t: np.asarray(_scores.score_s2(config, thetas, t)) - beta,
-        lo_vec, hi_vec,
-    ).root
-    phi = np.asarray(marginal_posterior_phi(config, thetas))
-    has_d1 = phi < beta
-    sub = thetas[has_d1]
-    tau_d1 = bisect_monotone_many(
-        lambda t: np.asarray(_scores.score_s1(config, sub, t)) - beta,
-        np.full(len(sub), lo), np.full(len(sub), hi),
-    ).root if len(sub) else np.empty(0)
-
-    def dup(values: np.ndarray) -> int:
-        return int(len(values) - len(np.unique(values)))
-
-    return NonatomicReport(
-        m=int(m),
-        tau=float(tau),
-        defined={
-            "s1": m, "s2": m, "tau_d1": int(has_d1.sum()), "tau_d2": m,
-        },
-        duplicates={
-            "s1": dup(s1), "s2": dup(s2),
-            "tau_d1": dup(tau_d1), "tau_d2": dup(tau_d2),
-        },
     )

@@ -45,7 +45,7 @@ from .scores import ALGOS
 
 
 class QuadratureError(ScreeningError):
-    """Adaptive integration failed to reach the requested tolerance."""
+    """Adaptive integration missed QUAD_TOL within MAX_PANELS panels."""
 
 
 # =====================================================================
@@ -54,11 +54,7 @@ class QuadratureError(ScreeningError):
 
 @dataclass(frozen=True)
 class RegretRecord:
-    """One applicant's regret bookkeeping under one score.
-
-    ``theta``, ``tau`` and ``algo`` are provenance fields; they are None
-    when the score value arrives without a curve context.
-    """
+    """One applicant's regret bookkeeping under one score."""
 
     q: int
     score: float
@@ -66,15 +62,12 @@ class RegretRecord:
     accepted: int
     p_ex_post: float
     u: float
-    theta: float | None = None
-    tau: float | None = None
-    algo: str | None = None
 
 
 def _require_unit_score(s: np.ndarray) -> None:
     inside = (s >= 0.0) & (s <= 1.0)
     if not np.all(inside):
-        raise DomainError(f"score {s[~inside].flat[0]!r} outside [0, 1]")
+        raise DomainError(f"score {float(s[~inside].flat[0])!r} outside [0, 1]")
 
 
 def _ex_ante(payoffs: PayoffParams, s):
@@ -103,15 +96,7 @@ def _regret_values(payoffs: PayoffParams, s, q):
     return n, accepted, p, n - p
 
 
-def individual_regret(
-    payoffs: PayoffParams,
-    s: float,
-    q: int,
-    *,
-    theta: float | None = None,
-    tau: float | None = None,
-    algo: str | None = None,
-) -> RegretRecord:
+def individual_regret(payoffs: PayoffParams, s: float, q: int) -> RegretRecord:
     """Full regret record for one applicant.
 
     The acceptance rule is strict: a score landing exactly on beta is
@@ -120,8 +105,6 @@ def individual_regret(
     """
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
-    if algo is not None and algo not in ALGOS:
-        raise DomainError(f"algo must be one of {ALGOS}, got {algo!r}")
     s = np.asarray(s, dtype=float)
     _require_unit_score(s)
     n, accepted, p, u = _regret_values(payoffs, s, q)
@@ -132,9 +115,6 @@ def individual_regret(
         accepted=int(accepted),
         p_ex_post=float(p),
         u=float(u),
-        theta=theta,
-        tau=tau,
-        algo=algo,
     )
 
 
@@ -224,6 +204,11 @@ _NODES_BOTH = np.concatenate([_NODES_COARSE[0], _NODES_FINE[0]])
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# Largest summed panel error estimate expected_regret accepts per tau, and
+# the most panels one tau may split its theta range into before it raises.
+QUAD_TOL = 1e-8
+MAX_PANELS = 200
+
 
 def _normal_pdf(x, mean: float, sd: float) -> np.ndarray:
     z = (np.asarray(x, dtype=float) - mean) / sd
@@ -243,21 +228,21 @@ def _panel_values(values: np.ndarray, a: float, b: float) -> tuple[float, float]
     return fine, abs(fine - coarse)
 
 
-def _refine(f, heap: list, tol: float, max_panels: int) -> float:
+def _refine(f, heap: list) -> float:
     """Adaptive Gauss-Legendre integral of a smooth vectorized f.
 
     ``heap`` holds (-error, left, right, value) panels covering the range;
-    the worst panel is halved until the error estimates sum below tol.
+    the worst panel is halved until the error estimates sum below QUAD_TOL.
     """
     while True:
         total_err = -sum(item[0] for item in heap)
-        if total_err < tol:
+        if total_err < QUAD_TOL:
             return sum(item[3] for item in heap)
-        if len(heap) >= max_panels:
+        if len(heap) >= MAX_PANELS:
             neg_err, left, right, _ = heap[0]
             raise QuadratureError(
                 f"integration stalled at estimated error {total_err:.3e} "
-                f"(tolerance {tol:.3e}) with {len(heap)} panels; "
+                f"(tolerance {QUAD_TOL:.3e}) with {len(heap)} panels; "
                 f"worst panel [{left!r}, {right!r}] contributes {-neg_err:.3e}"
             )
         _, left, right, _ = heapq.heappop(heap)
@@ -274,14 +259,7 @@ def _theta_range(config: ModelConfig) -> tuple[float, float]:
     return min(means) - 10.0 * sd, max(means) + 10.0 * sd
 
 
-def expected_regret(
-    config: ModelConfig,
-    algo: str,
-    tau,
-    *,
-    tol: float = 1e-8,
-    max_panels: int = 200,
-):
+def expected_regret(config: ModelConfig, algo: str, tau):
     """Population mean of the regret loss u(s(Theta, tau)), at each tau.
 
     ``tau`` is a scalar, giving a float, or a 1-D array, giving an array.
@@ -333,7 +311,7 @@ def expected_regret(
         for (a, b), row in zip(panels, rows):
             value, err = _panel_values(row, a, b)
             heapq.heappush(heap, (-err, a, b, value))
-        integrals.append(_refine(lambda theta, t=t: integrand(theta, t), heap, tol, max_panels))
+        integrals.append(_refine(lambda theta, t=t: integrand(theta, t), heap))
 
     def accepted_mass(mean: float) -> np.ndarray:
         return ndtr((hi - mean) / sd) - ndtr((breakpoints - mean) / sd)

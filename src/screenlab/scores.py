@@ -29,7 +29,6 @@ the ratio stays finite and tends to 1 as it should.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
@@ -48,25 +47,6 @@ S1_MAX_Z = math.sqrt(2.0 * S1_LOG_ODDS_TOL / np.finfo(float).eps)  # ~3e6
 
 # The two scores, by the name every curve, table and estimate carries.
 ALGOS = ("s1", "s2")
-
-
-@dataclass(frozen=True)
-class ScorePoint:
-    """Both scores at one (theta, tau) cell, with their building blocks.
-
-    ``surv_q`` and ``surv_u`` are the class-conditional probabilities that
-    the fine signal clears the acceptance cutoff gamma1; ``phi`` is the
-    qualification posterior given theta alone.
-    """
-
-    theta: float
-    tau: float
-    s1: float
-    s2: float
-    gamma1: float
-    phi: float
-    surv_q: float
-    surv_u: float
 
 
 def clamped_tau_interval(payoffs: PayoffParams) -> tuple[float, float]:
@@ -186,7 +166,9 @@ def score(config: ModelConfig, algo: str, theta, tau) -> np.ndarray:
 
 
 def score_table(config: ModelConfig, theta: float, tau) -> list[np.ndarray]:
-    """Every ScorePoint field along a tau array at one theta, in field order.
+    """The scores.csv columns along a tau array at one theta: theta, tau,
+    s1, s2, gamma1, phi, surv_q and surv_u (the class-conditional
+    probabilities that gamma clears gamma1).
 
     theta and phi do not depend on tau and are repeated down their columns.
     """
@@ -204,9 +186,3 @@ def score_table(config: ModelConfig, theta: float, tau) -> list[np.ndarray]:
         ndtr(-z_q),
         ndtr(-z_u),
     ]
-
-
-def score_point(config: ModelConfig, theta: float, tau: float) -> ScorePoint:
-    """Evaluate everything at a single (theta, tau) cell."""
-    columns = score_table(config, float(theta), [float(tau)])
-    return ScorePoint(*(float(column[0]) for column in columns))

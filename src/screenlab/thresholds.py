@@ -32,7 +32,7 @@ from .model import (
     ScreeningError,
     marginal_posterior_phi,
 )
-from .population import classify_environment, sample_population
+from .population import _require_mc_size, classify_environment, sample_population
 from .regret import _ex_ante, _regret_values, expected_regret_gap
 
 # Roots closer to a cell boundary than this multiple of the residual bound
@@ -42,7 +42,7 @@ from .regret import _ex_ante, _regret_values, expected_regret_gap
 BOUNDARY_FLAG_FACTOR = 10.0
 
 # Largest average-regret gap accepted at the analytic tau_bar: ten times
-# expected_regret's default quadrature tolerance of 1e-8.
+# regret.QUAD_TOL, the quadrature tolerance of each expected_regret.
 TAU_BAR_RESIDUAL_TOL = 1e-7
 
 # Taus at which an irregular environment's gap is confirmed to hold its sign.
@@ -154,6 +154,19 @@ def find_critical_prejudices(config: ModelConfig, theta):
     one entry per theta, each score's roots from one batch bisection.
     """
     thetas = np.asarray(theta, dtype=float)
+    has_d1, tau_d1, tau_d2 = _critical_roots(config, thetas)
+    if thetas.ndim == 0:
+        return (float(tau_d1) if has_d1 else None), float(tau_d2)
+    listed = [None] * len(thetas)
+    for i, root in zip(np.flatnonzero(has_d1), tau_d1.tolist()):
+        listed[i] = root
+    return listed, tau_d2.tolist()
+
+
+def _critical_roots(config: ModelConfig, thetas: np.ndarray):
+    """(has_d1, tau_d1, tau_d2): whether phi(theta) < beta, the s1 roots of
+    the thetas where it holds, and every theta's s2 root, one batch per
+    score; a 0-d theta stays 0-d, on numpy's scalar paths, twice as fast."""
     beta = config.beta
 
     def roots(algo: str, members: np.ndarray) -> np.ndarray:
@@ -164,13 +177,55 @@ def find_critical_prejudices(config: ModelConfig, theta):
 
     tau_d2 = roots("s2", thetas)
     has_d1 = marginal_posterior_phi(config, thetas) < beta
-    if thetas.ndim == 0:
-        return (float(roots("s1", thetas)) if has_d1 else None), float(tau_d2)
-    tau_d1 = [None] * len(thetas)
-    if has_d1.any():
-        for i, root in zip(np.flatnonzero(has_d1), roots("s1", thetas[has_d1]).tolist()):
-            tau_d1[i] = root
-    return tau_d1, tau_d2.tolist()
+    members = thetas if thetas.ndim == 0 else thetas[has_d1]
+    tau_d1 = roots("s1", members) if has_d1.any() else np.empty(0)
+    return has_d1, tau_d1, tau_d2
+
+
+@dataclass(frozen=True)
+class NonatomicReport:
+    """Exact-duplicate counts for the per-applicant derived quantities.
+
+    ``duplicates`` maps each quantity to (number of values) minus (number
+    of distinct values); zero means no two applicants collided.
+    ``defined`` records how many applicants carry each quantity at all,
+    since the outcome-trained critical prejudice exists only where
+    phi(theta) < beta.
+    """
+
+    m: int
+    tau: float
+    defined: dict[str, int]
+    duplicates: dict[str, int]
+
+
+def verify_nonatomic(config: ModelConfig, tau: float, m: int, seed: int) -> NonatomicReport:
+    """Count exact floating-point collisions among per-applicant values.
+
+    Samples theta from the mixture marginal, evaluates both scores at the
+    given tau and both critical prejudices per applicant, and reports
+    duplicate counts.  For a continuous theta law every count is expected
+    to be zero.
+    """
+    thetas = sample_population(config, m, seed).theta
+    s1 = _scores.score_s1(config, thetas, tau)
+    s2 = _scores.score_s2(config, thetas, tau)
+    has_d1, tau_d1, tau_d2 = _critical_roots(config, thetas)
+
+    def dup(values: np.ndarray) -> int:
+        return int(len(values) - len(np.unique(values)))
+
+    return NonatomicReport(
+        m=int(m),
+        tau=float(tau),
+        defined={
+            "s1": m, "s2": m, "tau_d1": int(has_d1.sum()), "tau_d2": m,
+        },
+        duplicates={
+            "s1": dup(s1), "s2": dup(s2),
+            "tau_d1": dup(tau_d1), "tau_d2": dup(tau_d2),
+        },
+    )
 
 
 def threshold_report(config: ModelConfig, theta):
@@ -329,6 +384,7 @@ def find_tau_bar(
             ) from exc
         return TauBarResult(value=root, mode=mode)
 
+    _require_mc_size(m)
     population = sample_population(config, m, seed)
     theta = population.theta
     q = population.q

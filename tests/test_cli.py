@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -392,6 +393,16 @@ class TestSimulate:
             "simulate", "--config", config_path, "--out", str(tmp_path / "x"),
         ]) == 1
 
+    def test_one_applicant_exits_1(self, config_path, tmp_path, capsys):
+        """--m 1 exited 0 and wrote nan standard errors to regret_mc.csv."""
+        out = tmp_path / "out"
+        assert main([
+            "simulate", "--config", config_path, "--tau", "0.0",
+            "--m", "1", "--out", str(out),
+        ]) == 1
+        assert "needs m >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_records_stage_timings(self, config_path, tmp_path):
         out = str(tmp_path / "out")
         assert main([
@@ -596,3 +607,17 @@ def test_readme_python_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
     assert "np.float64" not in capsys.readouterr().out
+
+
+def test_artifact_digest_runs_parse(tmp_path):
+    """Every run of scripts/artifact_digests.py is a valid invocation with
+    an existing config, so the byte-identity check cannot rot."""
+    path = os.path.join(ROOT, "scripts", "artifact_digests.py")
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    parser = cli.build_parser()
+    for name, template in digests.RUNS.items():
+        args = parser.parse_args([str(tmp_path) if a == digests.OUT else a for a in template])
+        assert os.path.isfile(args.config), name
+        assert (digests.OUT in template) != cli.COMMANDS[args.command].stdout, name

@@ -1,6 +1,8 @@
 """Config validation, the likelihood-ratio certificate, and posteriors."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,21 @@ class TestConfigRoundTrip:
         """NaN passes every ordering check and inf passes most of them."""
         with pytest.raises(InvalidModelError, match="finite"):
             ModelConfig.from_dict({**BASELINE_DOC, field: value})
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "cannot read config"),
+        ("{not json", "config parse error"),
+        (json.dumps({**BASELINE_DOC, "rho": float("nan")}), "contains NaN"),
+        ("[1, 2]", "must be a JSON object"),
+    ], ids=["missing", "malformed", "nan-literal", "not-an-object"])
+    def test_from_json_path_raises_invalid_model(self, tmp_path, text, message):
+        """A missing file raised FileNotFoundError and malformed JSON
+        json.JSONDecodeError, neither of them a ScreeningError."""
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InvalidModelError, match=message):
+            ModelConfig.from_json_path(path)
 
 
 class TestPosteriors:

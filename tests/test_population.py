@@ -161,16 +161,12 @@ class TestEmpiricalScoresOracle:
         assert any(b.s1_hat is None for b in got)
         assert got == _masked_loop_scores(data, edges)
 
-    def test_explicit_edges_leave_thetas_out(self, baseline):
-        pop = sample_population(baseline, 20_000, seed=21)
-        edges = np.array([-1.0, -0.25, 0.5, 0.5, 1.5])
-        theta = pop.theta.copy()
-        theta[:3] = [1.5, -0.25, -1.0]  # on the last, an inner and the first edge
+    def test_one_distinct_theta_spans_no_bin(self, baseline):
+        """A single distinct theta gives one quantile edge and no bin."""
+        pop = sample_population(baseline, 50, seed=21)
+        theta = np.full(len(pop), 0.25)
         data = run_stage_one(baseline, Population(q=pop.q, theta=theta, gamma=pop.gamma), 0.0)
-        got = empirical_scores(data, theta_bins=edges)
-        assert sum(b.n for b in got) < len(theta)
-        assert got[-1].theta_hi == 1.5
-        assert got == _masked_loop_scores(data, np.unique(edges))
+        assert empirical_scores(data, theta_bins=10) == []
 
 
 class TestMcAverageRegret:
@@ -185,6 +181,18 @@ class TestMcAverageRegret:
         assert [(est.algo, est.tau, est.m, est.seed) for est in estimates] == [
             ("s1", 0.1, 1000, 3), ("s2", 0.1, 1000, 3),
         ]
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_needs_two_applicants_for_a_standard_error(self, baseline, m, monkeypatch):
+        """m = 1 gave a NaN standard error; the check comes before sampling."""
+        from screenlab import population
+
+        def no_draw(*args):
+            raise AssertionError("sampled before checking m")
+
+        monkeypatch.setattr(population, "sample_population", no_draw)
+        with pytest.raises(DomainError, match=f"needs m >= 2, got {m}"):
+            mc_average_regret(baseline, 0.0, m=m, seed=3)
 
     def test_both_scores_share_one_cohort(self, baseline, monkeypatch):
         from screenlab import population

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from screenlab import regret
 from screenlab import (
     DomainError,
     ModelConfig,
@@ -60,6 +61,17 @@ class TestIndividualRegret:
         for s in (-0.01, 1.01):
             with pytest.raises(DomainError):
                 individual_regret(baseline.payoffs, s, 1)
+
+    @pytest.mark.parametrize("s,shown", [(1.5, "1.5"), (-0.25, "-0.25"), (float("nan"), "nan")])
+    def test_out_of_range_score_message_is_a_plain_float(self, baseline, s, shown):
+        """The message printed np.float64(1.5) for a score of 1.5."""
+        message = f"score {shown} outside [0, 1]"
+        with pytest.raises(DomainError) as individual:
+            individual_regret(baseline.payoffs, s, 1)
+        assert str(individual.value) == message
+        with pytest.raises(DomainError) as payoff:
+            ex_ante_payoff(baseline.payoffs, np.array([0.5, s]))
+        assert str(payoff.value) == message
 
     @given(s=st.floats(0.0, 1.0), q=st.integers(0, 1))
     @settings(deadline=None, max_examples=200)
@@ -310,13 +322,17 @@ class TestExpectedRegret:
         )
         np.testing.assert_allclose(gap, direct, atol=5e-8)
 
-    def test_quadrature_error_when_budget_too_small(self, baseline):
+    def test_quadrature_error_when_budget_too_small(self, baseline, monkeypatch):
+        monkeypatch.setattr(regret, "QUAD_TOL", 0.0)
+        monkeypatch.setattr(regret, "MAX_PANELS", 4)
         with pytest.raises(QuadratureError, match="panel"):
-            expected_regret(baseline, "s1", 0.0, tol=0.0, max_panels=4)
+            expected_regret(baseline, "s1", 0.0)
 
-    def test_quadrature_error_inside_a_batch(self, baseline):
+    def test_quadrature_error_inside_a_batch(self, baseline, monkeypatch):
+        monkeypatch.setattr(regret, "QUAD_TOL", 0.0)
+        monkeypatch.setattr(regret, "MAX_PANELS", 4)
         with pytest.raises(QuadratureError, match="panel"):
-            expected_regret(baseline, "s1", np.array([-0.5, 0.0, 0.5]), tol=0.0, max_panels=4)
+            expected_regret(baseline, "s1", np.array([-0.5, 0.0, 0.5]))
 
     def test_batch_equals_scalar_oracle_bit_for_bit(
         self, baseline, irregular_config, random_table

@@ -17,11 +17,10 @@ from screenlab import (
     clamped_tau_interval,
     gamma1,
     marginal_posterior_phi,
-    score_point,
     score_s1,
     score_s2,
 )
-from screenlab.scores import score
+from screenlab.scores import score, score_table
 from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid
 
 
@@ -84,31 +83,38 @@ class TestGamma1:
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
 
+def score_cell(config, theta: float, tau: float) -> dict[str, float]:
+    """score_table's columns at the single cell (theta, tau), by name."""
+    names = ("theta", "tau", "s1", "s2", "gamma1", "phi", "surv_q", "surv_u")
+    columns = score_table(config, theta, [tau])
+    return {name: float(column[0]) for name, column in zip(names, columns)}
+
+
 class TestScoreValues:
     def test_reference_point(self, baseline):
-        point = score_point(baseline, 0.0, 0.0)
-        np.testing.assert_allclose(point.s1, 0.6340681545868624, rtol=1e-12)
-        np.testing.assert_allclose(point.s2, 0.15555916743512083, rtol=1e-12)
-        np.testing.assert_allclose(point.phi, 0.28792871203468484, rtol=1e-12)
-        np.testing.assert_allclose(point.surv_q, 0.34256783051484596, rtol=1e-12)
-        np.testing.assert_allclose(point.surv_u, 0.0799415089086386, rtol=1e-12)
+        point = score_cell(baseline, 0.0, 0.0)
+        np.testing.assert_allclose(point["s1"], 0.6340681545868624, rtol=1e-12)
+        np.testing.assert_allclose(point["s2"], 0.15555916743512083, rtol=1e-12)
+        np.testing.assert_allclose(point["phi"], 0.28792871203468484, rtol=1e-12)
+        np.testing.assert_allclose(point["surv_q"], 0.34256783051484596, rtol=1e-12)
+        np.testing.assert_allclose(point["surv_u"], 0.0799415089086386, rtol=1e-12)
 
     def test_s2_is_mixture_of_survivals(self, baseline):
         """s2 = phi P(accept | q=1) + (1-phi) P(accept | q=0)."""
-        point = score_point(baseline, 0.7, -0.2)
+        point = score_cell(baseline, 0.7, -0.2)
         np.testing.assert_allclose(
-            point.s2,
-            point.phi * point.surv_q + (1 - point.phi) * point.surv_u,
+            point["s2"],
+            point["phi"] * point["surv_q"] + (1 - point["phi"]) * point["surv_u"],
             rtol=1e-14,
         )
 
     def test_s1_from_bayes_on_survivals(self, baseline):
         """s1 = phi surv_q / (phi surv_q + (1-phi) surv_u)."""
-        point = score_point(baseline, 0.7, -0.2)
-        expected = (point.phi * point.surv_q) / (
-            point.phi * point.surv_q + (1 - point.phi) * point.surv_u
+        point = score_cell(baseline, 0.7, -0.2)
+        expected = (point["phi"] * point["surv_q"]) / (
+            point["phi"] * point["surv_q"] + (1 - point["phi"]) * point["surv_u"]
         )
-        np.testing.assert_allclose(point.s1, expected, rtol=1e-13)
+        np.testing.assert_allclose(point["s1"], expected, rtol=1e-13)
 
     def test_s1_against_posterior_quadrature(self, baseline):
         """Dual route: integrate the joint posterior over accepted gammas."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from screenlab import (
+    DomainError,
     EndpointResolutionError,
     InconclusiveResolutionError,
     ModelConfig,
@@ -20,7 +21,7 @@ from screenlab import (
     score_s2,
     threshold_report,
 )
-from conftest import BASELINE_DOC, ENGINEERED_DOC, baseline_theta_grid
+from conftest import BASELINE_DOC, ENGINEERED_DOC, IRREGULAR_DOC, baseline_theta_grid
 from test_regret import scalar_bisect
 
 
@@ -258,6 +259,19 @@ class TestTauBar:
         result = find_tau_bar(irregular_config, "mc", m=200_000, seed=5)
         assert result.value is None
         assert result.reason == "irregular"
+
+    @pytest.mark.parametrize("doc", [BASELINE_DOC, IRREGULAR_DOC], ids=["regular", "irregular"])
+    def test_mc_mode_needs_two_applicants(self, doc, monkeypatch):
+        """m = 1 has a NaN standard error: the regular search failed with
+        '3*SE=nan' and the irregular confirmation passed every NaN check."""
+        from screenlab import thresholds
+
+        def no_draw(*args):
+            raise AssertionError("sampled before checking m")
+
+        monkeypatch.setattr(thresholds, "sample_population", no_draw)
+        with pytest.raises(DomainError, match="needs m >= 2, got 1"):
+            find_tau_bar(ModelConfig.from_dict(doc), "mc", m=1, seed=5)
 
     def test_mc_mode_too_small_sample_is_inconclusive(self, baseline):
         with pytest.raises(InconclusiveResolutionError):
