@@ -313,8 +313,9 @@ class ModelConfig:
 def load_config(path) -> tuple[ModelConfig, str]:
     """The JSON config at ``path`` and the sha256 of the exact bytes parsed.
 
-    An unreadable file, malformed JSON, a NaN or Infinity literal and a
-    document that is not an object raise InvalidModelError."""
+    An unreadable file, bytes that are not UTF-8, malformed JSON, a NaN or
+    Infinity literal and a document that is not an object raise
+    InvalidModelError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -328,6 +329,8 @@ def load_config(path) -> tuple[ModelConfig, str]:
 
     try:
         doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
+    except UnicodeDecodeError as exc:
+        raise InvalidModelError(f"config {path!r} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidModelError(
             f"config parse error in {path!r} at line {exc.lineno} "

@@ -89,11 +89,27 @@ def ex_ante_payoff(payoffs: PayoffParams, s) -> np.ndarray:
 def _regret_values(payoffs: PayoffParams, s, q):
     """Vectorized (n, accepted, p, u) without domain checks."""
     s = np.asarray(s, dtype=float)
-    q = np.asarray(q)
     n = _ex_ante(payoffs, s)
     accepted = n > payoffs.c
-    p = np.where(accepted, np.where(q == 1, payoffs.x_q, -payoffs.x_u), 0.0)
+    p = np.where(accepted, _accepted_payoff(payoffs, q), 0.0)
     return n, accepted, p, n - p
+
+
+def _accepted_payoff(payoffs: PayoffParams, q) -> np.ndarray:
+    """The ex post payoff of accepting each applicant: x_q, or -x_u if unqualified."""
+    return np.where(np.asarray(q) == 1, payoffs.x_q, -payoffs.x_u)
+
+
+def _losses(payoffs: PayoffParams, s: np.ndarray, pay: np.ndarray) -> np.ndarray:
+    """The u of ``_regret_values`` over a score array, given ``_accepted_payoff``.
+
+    A product with the acceptance mask stands in for the second ``np.where``,
+    which costs ten times as much on a population's random mask; its -0.0
+    for a rejected unqualified applicant leaves u alone, as N(s) of a score
+    in [0, 1] is never -0.0."""
+    n = _ex_ante(payoffs, s)
+    n -= (n > payoffs.c) * pay
+    return n
 
 
 def individual_regret(payoffs: PayoffParams, s: float, q: int) -> RegretRecord:

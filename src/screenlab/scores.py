@@ -98,24 +98,103 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
     in tau and strictly decreasing in theta.  A NaN or infinite theta, or a
     finite one so extreme that the cutoff overflows, raises DomainError.
     """
-    theta = np.asarray(theta, dtype=float)
-    w_theta, w_gamma = config.signal.log_ratio_weights
-    log_t = log_acceptance_threshold(config.payoffs, tau)
-    cutoff = (log_t - config.signal.log_ratio_intercept - w_theta * theta) / w_gamma
-    # the bisections call this with scalars, where math.isfinite costs a
-    # fraction of an array reduction
-    if not (math.isfinite(cutoff) if cutoff.ndim == 0 else np.isfinite(cutoff).all()):
-        bad = float(np.broadcast_to(theta, cutoff.shape)[~np.isfinite(cutoff)].flat[0])
-        raise DomainError(f"theta={bad!r} is NaN, infinite or too extreme: cutoff not finite")
-    return cutoff
+    return _Scores(config, theta, ()).cutoff(tau)
 
 
-def _standardized_cutoffs(config: ModelConfig, theta, cutoff):
-    """z-scores of the gamma cutoff under each class's conditional law."""
-    sd = config.signal.conditional_gamma_sd
-    z_q = (cutoff - config.signal.conditional_gamma_mean(theta, qualified=True)) / sd
-    z_u = (cutoff - config.signal.conditional_gamma_mean(theta, qualified=False)) / sd
-    return z_q, z_u
+class _Scores:
+    """The scores at fixed thetas; every score formula lives here.
+
+    ``score_s1``, ``score_s2``, ``gamma1`` and ``score_table`` evaluate
+    their thetas at one tau (or tau array), computing each term that does
+    not depend on tau where it is used, and only for the scores in
+    ``algos``, so a population-sized call holds no more arrays than it
+    needs.  ``_BoundScores`` computes those terms once instead.
+    """
+
+    __slots__ = ("config", "theta", "algos")
+
+    def __init__(self, config: ModelConfig, theta, algos=ALGOS):
+        self.config = config
+        self.theta = np.asarray(theta, dtype=float)
+        self.algos = algos
+
+    def w_theta_theta(self, w_theta: float) -> np.ndarray:
+        return w_theta * self.theta
+
+    def mean(self, qualified: bool) -> np.ndarray:
+        return self.config.signal.conditional_gamma_mean(self.theta, qualified)
+
+    def log_odds(self) -> np.ndarray:
+        """The theta log odds of qualification, logit phi(theta)."""
+        return self.config.payoffs.log_odds_prior + self.config.signal.theta_log_ratio(self.theta)
+
+    def phi(self) -> np.ndarray:
+        return marginal_posterior_phi(self.config, self.theta)
+
+    def cutoff(self, tau) -> np.ndarray:
+        """gamma1 at tau, checked finite."""
+        signal = self.config.signal
+        w_theta, w_gamma = signal.log_ratio_weights
+        log_t = log_acceptance_threshold(self.config.payoffs, tau)
+        cutoff = (log_t - signal.log_ratio_intercept - self.w_theta_theta(w_theta)) / w_gamma
+        # the bisections call this with scalars, where math.isfinite costs a
+        # fraction of an array reduction
+        if not (math.isfinite(cutoff) if cutoff.ndim == 0 else np.isfinite(cutoff).all()):
+            bad = float(np.broadcast_to(self.theta, cutoff.shape)[~np.isfinite(cutoff)].flat[0])
+            raise DomainError(f"theta={bad!r} is NaN, infinite or too extreme: cutoff not finite")
+        return cutoff
+
+    def z_scores(self, cutoff):
+        """z-scores of the gamma cutoff under each class's conditional law."""
+        sd = self.config.signal.conditional_gamma_sd
+        return (cutoff - self.mean(True)) / sd, (cutoff - self.mean(False)) / sd
+
+    def __call__(self, tau) -> tuple:
+        """(s1, s2) at tau, None for a score not in ``algos``; both share
+        one cutoff and one pair of z-scores."""
+        z_q, z_u = self.z_scores(self.cutoff(tau))
+        s1 = s2 = None
+        if "s2" in self.algos:
+            phi = self.phi()
+            s2 = phi * ndtr(-z_q) + (1.0 - phi) * ndtr(-z_u)
+        if "s1" in self.algos:
+            beyond = (z_q > S1_MAX_Z) & (z_u > S1_MAX_Z)
+            # a scalar bool is tested directly: ndarray.any costs ~2 us per call
+            if beyond if beyond.ndim == 0 else beyond.any():
+                bad = float(np.broadcast_to(self.theta, beyond.shape)[beyond].flat[0])
+                raise DomainError(
+                    f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:.3g} sds above "
+                    f"both classes' means, where s1's log odds round off by over "
+                    f"{S1_LOG_ODDS_TOL:g}"
+                )
+            s1 = expit(self.log_odds() + log_ndtr(-z_q) - log_ndtr(-z_u))
+        return s1, s2
+
+
+class _BoundScores(_Scores):
+    """Both scores of a sampled population, evaluated at many taus: the
+    terms that do not depend on tau are computed once, so each tau costs
+    one cutoff, one pair of z-scores and five special-function calls."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, config: ModelConfig, theta):
+        super().__init__(config, theta)
+        w_theta = config.signal.log_ratio_weights[0]
+        self.terms = (super().w_theta_theta(w_theta), super().mean(True), super().mean(False),
+                      super().log_odds(), super().phi())
+
+    def w_theta_theta(self, w_theta: float) -> np.ndarray:
+        return self.terms[0]
+
+    def mean(self, qualified: bool) -> np.ndarray:
+        return self.terms[1] if qualified else self.terms[2]
+
+    def log_odds(self) -> np.ndarray:
+        return self.terms[3]
+
+    def phi(self) -> np.ndarray:
+        return self.terms[4]
 
 
 def score_s2(config: ModelConfig, theta, tau) -> np.ndarray:
@@ -124,11 +203,7 @@ def score_s2(config: ModelConfig, theta, tau) -> np.ndarray:
     Mixture of the two class-conditional survival probabilities weighted
     by the qualification posterior phi(theta).
     """
-    theta = np.asarray(theta, dtype=float)
-    cutoff = gamma1(config, theta, tau)
-    z_q, z_u = _standardized_cutoffs(config, theta, cutoff)
-    phi = marginal_posterior_phi(config, theta)
-    return phi * ndtr(-z_q) + (1.0 - phi) * ndtr(-z_u)
+    return _Scores(config, theta, ("s2",))(tau)[1]
 
 
 def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
@@ -139,21 +214,7 @@ def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
     remains finite when both survivals underflow.  A cutoff past S1_MAX_Z
     sds in both classes, where it has lost its digits, raises DomainError.
     """
-    theta = np.asarray(theta, dtype=float)
-    cutoff = gamma1(config, theta, tau)
-    z_q, z_u = _standardized_cutoffs(config, theta, cutoff)
-    beyond = (z_q > S1_MAX_Z) & (z_u > S1_MAX_Z)
-    # a scalar bool is tested directly: ndarray.any costs ~2 us per call
-    if beyond if beyond.ndim == 0 else beyond.any():
-        bad = float(np.broadcast_to(theta, beyond.shape)[beyond].flat[0])
-        raise DomainError(
-            f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:.3g} sds above "
-            f"both classes' means, where s1's log odds round off by over {S1_LOG_ODDS_TOL:g}"
-        )
-    log_odds_theta = (
-        config.payoffs.log_odds_prior + config.signal.theta_log_ratio(theta)
-    )
-    return expit(log_odds_theta + log_ndtr(-z_q) - log_ndtr(-z_u))
+    return _Scores(config, theta, ("s1",))(tau)[0]
 
 
 def score(config: ModelConfig, algo: str, theta, tau) -> np.ndarray:
@@ -175,7 +236,7 @@ def score_table(config: ModelConfig, theta: float, tau) -> list[np.ndarray]:
     tau = np.asarray(tau, dtype=float)
     k = len(tau)
     cutoff = gamma1(config, theta, tau)
-    z_q, z_u = _standardized_cutoffs(config, theta, cutoff)
+    z_q, z_u = _Scores(config, theta, ()).z_scores(cutoff)
     return [
         np.full(k, theta),
         tau,

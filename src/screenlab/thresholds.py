@@ -15,8 +15,10 @@ curve that is strictly monotone in tau on the clamped interval:
 * ``tau_bar``: where the population-average regrets of the two scores
   meet, which exists exactly in regular environments.
 
-All roots come from bracketed bisection run to floating-point resolution
-(see _roots); residual tolerances are checked afterwards.
+The analytic roots come from bracketed bisection run to floating-point
+resolution (see _roots), with residual tolerances checked afterwards; the
+Monte Carlo tau_bar comes from Brent's method on a sampled population
+bound once to the terms of its scores that do not depend on tau.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scores as _scores
-from ._roots import RESIDUAL_TOL, BracketError, bisect_monotone, bisect_monotone_many
+from ._roots import RESIDUAL_TOL, BracketError, bisect_monotone, bisect_monotone_many, brent_root
 from .model import (
     DomainError,
     ModelConfig,
@@ -33,7 +35,7 @@ from .model import (
     marginal_posterior_phi,
 )
 from .population import _require_mc_size, classify_environment, sample_population
-from .regret import _ex_ante, _regret_values, expected_regret_gap
+from .regret import _accepted_payoff, _ex_ante, _losses, expected_regret_gap
 
 # Roots closer to a cell boundary than this multiple of the residual bound
 # of the per-theta roots (tau_star, the critical prejudices, the regret
@@ -102,6 +104,8 @@ class TauBarResult:
     standard_error: float | None = None
     m: int | None = None
     seed: int | None = None
+    # population gap evaluations of a Monte Carlo search
+    passes: int | None = None
 
 
 def _tau_roots(config: ModelConfig, gap, thetas: np.ndarray, what: str) -> np.ndarray:
@@ -338,6 +342,24 @@ def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
 # Population indifference prejudice
 # =====================================================================
 
+def _sampled_losses(config: ModelConfig, m: int, seed: int):
+    """u(s2) - u(s1) as a function of tau, applicant by applicant, over m
+    applicants sampled with ``seed``, bound once to the terms of their
+    scores and payoffs that do not depend on tau."""
+    population = sample_population(config, m, seed)
+    bound = _scores._BoundScores(config, population.theta)
+    pay = _accepted_payoff(config.payoffs, population.q)
+    del population  # gamma is not needed, and theta lives on in the binding
+
+    def losses(tau: float) -> np.ndarray:
+        s1, s2 = bound(tau)
+        u2 = _losses(config.payoffs, s2, pay)
+        u2 -= _losses(config.payoffs, s1, pay)
+        return u2
+
+    return losses
+
+
 def find_tau_bar(
     config: ModelConfig,
     mode: str = "analytic",
@@ -352,8 +374,9 @@ def find_tau_bar(
     unique; in an irregular environment D stays negative and the
     none-variant is returned after a grid confirmation.  The analytic mode
     evaluates D by quadrature; the Monte Carlo mode replays a sampled
-    population and propagates the sample standard error through the local
-    slope of D.
+    population, roots its mean gap with Brent's method, propagates the
+    sample standard error through the local slope of D, and reports in
+    ``passes`` how many times it evaluated the population's gap.
     """
     if mode not in ("analytic", "mc"):
         raise DomainError(f"mode must be 'analytic' or 'mc', got {mode!r}")
@@ -385,15 +408,13 @@ def find_tau_bar(
         return TauBarResult(value=root, mode=mode)
 
     _require_mc_size(m)
-    population = sample_population(config, m, seed)
-    theta = population.theta
-    q = population.q
-    payoffs = config.payoffs
+    sampled = _sampled_losses(config, m, seed)
+    passes = 0
 
     def losses(tau: float) -> np.ndarray:
-        """u(s2) - u(s1), applicant by applicant."""
-        u2 = _regret_values(payoffs, _scores.score_s2(config, theta, tau), q)[3]
-        return u2 - _regret_values(payoffs, _scores.score_s1(config, theta, tau), q)[3]
+        nonlocal passes
+        passes += 1
+        return sampled(tau)
 
     def estimate(tau: float) -> tuple[float, float]:
         diff = losses(tau)
@@ -408,16 +429,14 @@ def find_tau_bar(
                     f"irregular environment but the sampled average-regret gap "
                     f"is {value!r} (3*SE={3*se!r}) at tau={t!r}; increase m"
                 )
-        return TauBarResult(value=None, mode=mode, reason="irregular", m=m, seed=seed)
+        return TauBarResult(value=None, mode=mode, reason="irregular", m=m, seed=seed,
+                            passes=passes)
 
     scale = config.payoffs.x_q + config.payoffs.x_u
     try:
         # resolving the root beyond 1e-8*scale buys nothing: the location is
         # only known to its propagated standard error anyway
-        root = bisect_monotone(
-            lambda t: estimate(t)[0], lo, hi,
-            residual_tol=np.inf, xtol=1e-8 * scale,
-        ).root
+        root = brent_root(lambda t: float(losses(t).mean()), lo, hi, xtol=1e-8 * scale).root
     except BracketError as exc:
         raise InconclusiveResolutionError(
             f"sampled average-regret gap holds one sign on the clamped "
@@ -446,5 +465,6 @@ def find_tau_bar(
                 "resolved, increase m"
             )
     return TauBarResult(
-        value=root, mode=mode, standard_error=standard_error, m=m, seed=seed
+        value=root, mode=mode, standard_error=standard_error, m=m, seed=seed,
+        passes=passes,
     )

@@ -91,6 +91,13 @@ class TestValidate:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "gone.json")]) == 1
 
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not UTF-8" in err
+
     @pytest.mark.parametrize("field,value,literal", [
         ("sigma_theta", float("nan"), "NaN"),
         ("x_q", float("inf"), "Infinity"),

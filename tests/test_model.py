@@ -196,12 +196,16 @@ class TestConfigRoundTrip:
         ("{not json", "config parse error"),
         (json.dumps({**BASELINE_DOC, "rho": float("nan")}), "contains NaN"),
         ("[1, 2]", "must be a JSON object"),
-    ], ids=["missing", "malformed", "nan-literal", "not-an-object"])
+        (b"\xff\xfe{}", "is not UTF-8"),
+    ], ids=["missing", "malformed", "nan-literal", "not-an-object", "not-utf-8"])
     def test_from_json_path_raises_invalid_model(self, tmp_path, text, message):
-        """A missing file raised FileNotFoundError and malformed JSON
-        json.JSONDecodeError, neither of them a ScreeningError."""
+        """A missing file raised FileNotFoundError, malformed JSON
+        json.JSONDecodeError and other bytes than UTF-8 UnicodeDecodeError,
+        none of them a ScreeningError."""
         path = tmp_path / "config.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         with pytest.raises(InvalidModelError, match=message):
             ModelConfig.from_json_path(path)

@@ -1,4 +1,4 @@
-"""Bracketed bisection on monotone curves."""
+"""Bracketed roots: bisection on monotone curves and Brent's method."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from screenlab import BracketError, ScreeningError
 from screenlab import find_tau_star
-from screenlab._roots import bisect_monotone, bisect_monotone_many
+from screenlab._roots import bisect_monotone, bisect_monotone_many, brent_root
 
 
 class TestScalarBisection:
@@ -184,3 +184,66 @@ class TestBatchBisection:
         batch = bisect_monotone_many(f, np.full_like(roots, -2.0), np.full_like(roots, 2.0)).root
         assert len(np.unique(batch)) == len(roots)
         np.testing.assert_allclose(batch, roots, atol=1e-9)
+
+
+NAN = float("nan")
+
+
+class TestBrentRoot:
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda x: x, 2.0, 1.0),
+        (lambda x: NAN if x == 0.0 else x - 0.5, 0.0, 1.0),
+        (lambda x: NAN if x == 1.0 else x - 0.5, 0.0, 1.0),
+        (lambda x: x + 10.0, 0.0, 1.0),
+        (lambda x: 0.0, 0.0, 1.0),
+    ], ids=["empty", "nan-at-lo", "nan-at-hi", "same-sign", "zero-at-both-ends"])
+    def test_bracket_rules_raise_as_bisection_does(self, f, lo, hi):
+        with pytest.raises(ScreeningError) as bisected:
+            bisect_monotone(f, lo, hi)
+        with pytest.raises(ScreeningError) as brent:
+            brent_root(f, lo, hi, xtol=1e-12)
+        assert type(brent.value) is type(bisected.value)
+        assert str(brent.value) == str(bisected.value)
+        if isinstance(bisected.value, BracketError):
+            assert brent.value.member == bisected.value.member
+
+    def test_nan_inside_raises(self):
+        """Both searches first look at 0.5, the secant point of this bracket."""
+        def f(x):
+            return NAN if 0.4 < x < 0.6 else x - 0.5
+
+        for search in (lambda: bisect_monotone(f, 0.0, 1.0),
+                       lambda: brent_root(f, 0.0, 1.0, xtol=1e-12)):
+            with pytest.raises(ScreeningError, match=r"^f is NaN at 0\.5 on bracket"):
+                search()
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_exact_zero_at_an_end_is_the_root(self, lo, hi):
+        result = brent_root(lambda x: x - 1.0, lo, hi, xtol=1e-12)
+        assert result.root == 1.0 == bisect_monotone(lambda x: x - 1.0, lo, hi).root
+        assert (result.residual, result.iterations) == (0.0, 0)
+
+    def test_evaluates_each_end_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.tanh(x - 0.3)
+
+        result = brent_root(f, -2.0, 5.0, xtol=1e-10)
+        assert calls.count(-2.0) == 1 and calls.count(5.0) == 1
+        assert len(calls) == result.iterations + 2
+
+    @given(root=st.floats(-100.0, 100.0), scale=st.floats(0.01, 50.0),
+           shape=st.sampled_from(["affine", "cubic", "tanh", "descending"]))
+    @settings(deadline=None, max_examples=200)
+    def test_root_within_xtol_of_bisection(self, root, scale, shape):
+        def f(x):
+            d = scale * (x - root)
+            return {"affine": d, "cubic": d**3 + d, "tanh": np.tanh(d), "descending": -d}[shape]
+
+        lo, hi, xtol = root - 7.3, root + 11.1, 1e-8
+        brent = brent_root(f, lo, hi, xtol=xtol)
+        bisected = bisect_monotone(f, lo, hi, residual_tol=np.inf)
+        assert abs(brent.root - bisected.root) <= xtol
+        assert brent.iterations < bisected.iterations

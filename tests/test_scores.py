@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import expit, log_ndtr, ndtr
 from scipy.stats import norm
 
 from screenlab import (
@@ -20,7 +20,10 @@ from screenlab import (
     score_s1,
     score_s2,
 )
-from screenlab.scores import score, score_table
+from screenlab.population import sample_population
+from screenlab.regret import _regret_values
+from screenlab.scores import _BoundScores, log_acceptance_threshold, score, score_table
+from screenlab.thresholds import _sampled_losses
 from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid
 
 
@@ -276,3 +279,56 @@ class TestDomain:
         np.testing.assert_array_equal(score(baseline, "s2", 0.3, taus), score_s2(baseline, 0.3, taus))
         with pytest.raises(DomainError, match="algo"):
             score(baseline, "s3", 0.3, taus)
+
+
+def reference_scores(config, theta, tau):
+    """(s1, s2) written out term by term from the model's closed forms: the
+    reference the score evaluator must equal bit for bit."""
+    signal = config.signal
+    w_theta, w_gamma = signal.log_ratio_weights
+    log_t = log_acceptance_threshold(config.payoffs, tau)
+    cutoff = (log_t - signal.log_ratio_intercept - w_theta * theta) / w_gamma
+    sd = signal.conditional_gamma_sd
+    z_q = (cutoff - signal.conditional_gamma_mean(theta, qualified=True)) / sd
+    z_u = (cutoff - signal.conditional_gamma_mean(theta, qualified=False)) / sd
+    phi = marginal_posterior_phi(config, theta)
+    log_odds = config.payoffs.log_odds_prior + signal.theta_log_ratio(theta)
+    return (expit(log_odds + log_ndtr(-z_q) - log_ndtr(-z_u)),
+            phi * ndtr(-z_q) + (1.0 - phi) * ndtr(-z_u))
+
+
+class TestBoundScores:
+    """A population bound once gives, bit for bit, what each score call gives."""
+
+    M = 4_000
+
+    def test_bound_pair_equals_score_calls(self, baseline, irregular_config, random_table):
+        configs = [baseline, irregular_config] + [record.config for record in random_table]
+        for k, config in enumerate(configs):
+            population = sample_population(config, self.M, seed=k)
+            bound = _BoundScores(config, population.theta)
+            losses = _sampled_losses(config, self.M, seed=k)
+            lo, hi = clamped_tau_interval(config.payoffs)
+            for tau in np.linspace(lo, hi, 9):  # both clamped ends included
+                s1, s2 = bound(tau)
+                assert np.array_equal(s1, score_s1(config, population.theta, tau))
+                assert np.array_equal(s2, score_s2(config, population.theta, tau))
+                ref1, ref2 = reference_scores(config, population.theta, tau)
+                assert np.array_equal(s1, ref1) and np.array_equal(s2, ref2)
+                u2 = _regret_values(config.payoffs, ref2, population.q)[3]
+                u1 = _regret_values(config.payoffs, ref1, population.q)[3]
+                assert np.array_equal(losses(tau), u2 - u1)
+
+    @pytest.mark.parametrize("theta,raising", [
+        (np.inf, (score_s1, score_s2)),
+        (np.nan, (score_s1, score_s2)),
+        (-1e200, (score_s1,)),
+    ], ids=["inf", "nan", "beyond-s1-max-z"])
+    def test_bound_pair_raises_as_score_calls_do(self, baseline, theta, raising):
+        thetas = np.array([0.0, theta, 1.0])
+        with pytest.raises(DomainError) as bound:
+            _BoundScores(baseline, thetas)(0.2)
+        for fn in raising:
+            with pytest.raises(DomainError) as called:
+                fn(baseline, thetas, 0.2)
+            assert str(bound.value) == str(called.value)

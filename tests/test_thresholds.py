@@ -10,6 +10,7 @@ from screenlab import (
     EndpointResolutionError,
     InconclusiveResolutionError,
     ModelConfig,
+    bisect_monotone,
     clamped_tau_interval,
     expected_regret_gap,
     find_critical_prejudices,
@@ -21,6 +22,7 @@ from screenlab import (
     score_s2,
     threshold_report,
 )
+from screenlab.thresholds import CONFIRM_GRID, _sampled_losses
 from conftest import BASELINE_DOC, ENGINEERED_DOC, IRREGULAR_DOC, baseline_theta_grid
 from test_regret import scalar_bisect
 
@@ -235,6 +237,7 @@ class TestTauBar:
     def test_analytic_reference_value(self, baseline):
         result = find_tau_bar(baseline, "analytic")
         assert result.mode == "analytic"
+        assert result.passes is None
         np.testing.assert_allclose(result.value, -0.4086591074919251, atol=1e-7)
 
     def test_gap_changes_sign_across_value(self, baseline):
@@ -254,11 +257,27 @@ class TestTauBar:
         assert type(result.value) is float
         assert type(result.standard_error) is float
         assert abs(result.value - analytic) < 4 * result.standard_error
+        # Brent's ~10-15 values plus the SE at the root and two probes;
+        # bisection to the same width took ~28 plus three
+        assert result.passes <= 20
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mc_brent_root_matches_bisection(self, baseline, seed):
+        """Second route: bisection on the same sampled gap finds the same
+        sign change, to far inside the root's standard error."""
+        result = find_tau_bar(baseline, "mc", m=100_000, seed=seed)
+        losses = _sampled_losses(baseline, 100_000, seed)
+        lo, hi = clamped_tau_interval(baseline.payoffs)
+        scale = baseline.payoffs.x_q + baseline.payoffs.x_u
+        bisected = bisect_monotone(lambda t: float(losses(t).mean()), lo, hi,
+                                   residual_tol=np.inf, xtol=1e-8 * scale).root
+        assert abs(result.value - bisected) <= 1e-3 * result.standard_error
 
     def test_mc_mode_irregular_detected(self, irregular_config):
         result = find_tau_bar(irregular_config, "mc", m=200_000, seed=5)
         assert result.value is None
         assert result.reason == "irregular"
+        assert result.passes == CONFIRM_GRID
 
     @pytest.mark.parametrize("doc", [BASELINE_DOC, IRREGULAR_DOC], ids=["regular", "irregular"])
     def test_mc_mode_needs_two_applicants(self, doc, monkeypatch):
