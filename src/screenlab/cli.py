@@ -331,11 +331,6 @@ def _field_columns(name: str, records) -> list[list]:
     return [[getattr(r, column) for r in records] for column, _ in SCHEMAS[name]]
 
 
-def _concat(parts) -> list[np.ndarray]:
-    """Join per-block column lists into one list of columns."""
-    return [np.concatenate(blocks) for blocks in zip(*parts)]
-
-
 # =====================================================================
 # Subcommands: each maps (config, args, lap) to {artifact name: text}.
 # lap(stage) records the seconds since the previous lap; a command that
@@ -360,8 +355,7 @@ def cmd_validate(config, args, lap) -> dict[str, str]:
 def cmd_scores(config, args, lap) -> dict[str, str]:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
-    columns = _concat(score_table(config, theta, tau_grid) for theta in thetas)
-    return {"scores.csv": _csv("scores.csv", columns)}
+    return {"scores.csv": _csv("scores.csv", score_table(config, thetas, tau_grid))}
 
 
 def cmd_tau(config, args, lap) -> dict[str, str]:
@@ -406,8 +400,7 @@ def cmd_regret(config, args, lap) -> dict[str, str]:
 def cmd_sweep(config, args, lap) -> dict[str, str]:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
-
-    score_columns = _concat(score_table(config, theta, tau_grid) for theta in thetas)
+    score_columns = score_table(config, thetas, tau_grid)
 
     # every theta's thresholds are rooted once, and its curves jump there
     reports = threshold_report(config, np.array(thetas))
@@ -428,7 +421,7 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
 
     return {
         "scores.csv": _csv("scores.csv", score_columns),
-        "regret.csv": _csv("regret.csv", _concat(regret_parts)),
+        "regret.csv": _csv("regret.csv", map(np.concatenate, zip(*regret_parts))),
         "regret_jumps.json": render_json(jump_docs),
         "thresholds.json": render_json({
             "per_theta": [asdict(report) for report in reports],
@@ -447,6 +440,9 @@ def cmd_simulate(config, args, lap) -> dict[str, str]:
     population = sample_population(config, args.m, args.seed)
     lap("sample_s")
     data = run_stage_one(config, population, tau)
+    # the MC regret stage below is the run's memory peak, and it samples
+    # its own cohort: the first one is not needed past stage one
+    del population
     lap("stage_one_s")
     bins = empirical_scores(data, args.bins)
     lap("binning_s")

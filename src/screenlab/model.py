@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -261,6 +263,7 @@ class ModelConfig:
 
     # -- serialization (flat JSON document) -----------------------------
 
+    # PayoffParams' fields, then GaussianSignalModel's, each in field order
     _FIELDS = (
         "pi", "x_q", "x_u", "c",
         "mu_q", "mu_u", "sigma_theta", "sigma_gamma", "rho",
@@ -278,18 +281,19 @@ class ModelConfig:
             value = doc[key]
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise InvalidModelError(f"{key} must be a [theta, gamma] pair")
-        payoffs = PayoffParams(
-            pi=float(doc["pi"]), x_q=float(doc["x_q"]),
-            x_u=float(doc["x_u"]), c=float(doc["c"]),
-        )
-        signal = GaussianSignalModel(
-            mu_q=(float(doc["mu_q"][0]), float(doc["mu_q"][1])),
-            mu_u=(float(doc["mu_u"][0]), float(doc["mu_u"][1])),
-            sigma_theta=float(doc["sigma_theta"]),
-            sigma_gamma=float(doc["sigma_gamma"]),
-            rho=float(doc["rho"]),
-        )
-        return cls(payoffs=payoffs, signal=signal)
+
+        def number(key: str, value) -> float:
+            # float() would also take a bool or a numeric string
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidModelError(f"{key} must be a number, got {value!r}")
+            try:
+                return float(value)
+            except OverflowError:  # an int past float's range fails the finite check
+                return math.inf if value > 0 else -math.inf
+
+        fields = [tuple(number(key, v) for v in doc[key]) if key in ("mu_q", "mu_u")
+                  else number(key, doc[key]) for key in cls._FIELDS]
+        return cls(payoffs=PayoffParams(*fields[:4]), signal=GaussianSignalModel(*fields[4:]))
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -56,6 +56,8 @@ def sample_population(config: ModelConfig, m: int, seed: int) -> Population:
     """
     if m < 1:
         raise DomainError(f"population size must be at least 1, got {m}")
+    if not 0 <= seed < 2**128:  # the range of a Philox key
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     signal = config.signal
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     q = (rng.random(m) < config.payoffs.pi).astype(np.int8)
@@ -237,10 +239,9 @@ def mc_average_regret(
     """
     _require_mc_size(m)
     population = sample_population(config, m, seed)
+    pair = _scores.score_pair(config, population.theta, tau)
 
-    def estimate(algo: str) -> McRegretEstimate:
-        # one score's population-sized arrays are freed before the next's
-        s = _scores.score(config, algo, population.theta, tau)
+    def estimate(algo: str, s: np.ndarray) -> McRegretEstimate:
         u = _regret_values(config.payoffs, s, population.q)[3]
         return McRegretEstimate(
             value=float(u.mean()),
@@ -251,7 +252,7 @@ def mc_average_regret(
             seed=int(seed),
         )
 
-    return [estimate(algo) for algo in _scores.ALGOS]
+    return [estimate(algo, s) for algo, s in zip(_scores.ALGOS, pair)]
 
 
 # =====================================================================

@@ -175,8 +175,7 @@ def regret_curve(config: ModelConfig, theta, q, tau_grid, critical) -> RegretCur
     tau = np.sort(np.asarray(tau_grid, dtype=float).ravel())
     payoffs = config.payoffs
     score, n_ex_ante, accepted, p_ex_post, u = {}, {}, {}, {}, {}
-    for algo in ALGOS:
-        s = _scores.score(config, algo, theta, tau)
+    for algo, s in zip(ALGOS, _scores.score_pair(config, theta, tau)):
         n, acc, p, loss = _regret_values(payoffs, s, q)
         score[algo] = s
         n_ex_ante[algo] = n

@@ -104,11 +104,12 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
 class _Scores:
     """The scores at fixed thetas; every score formula lives here.
 
-    ``score_s1``, ``score_s2``, ``gamma1`` and ``score_table`` evaluate
-    their thetas at one tau (or tau array), computing each term that does
-    not depend on tau where it is used, and only for the scores in
-    ``algos``, so a population-sized call holds no more arrays than it
-    needs.  ``_BoundScores`` computes those terms once instead.
+    ``score_s1``, ``score_s2``, ``score_pair``, ``gamma1`` and
+    ``score_table`` evaluate their thetas at one tau (or tau array),
+    computing each term that does not depend on tau where it is used, and
+    only for the scores in ``algos``, so a population-sized call holds no
+    more arrays than it needs.  ``_BoundScores`` computes those terms once
+    instead.
     """
 
     __slots__ = ("config", "theta", "algos")
@@ -152,7 +153,10 @@ class _Scores:
     def __call__(self, tau) -> tuple:
         """(s1, s2) at tau, None for a score not in ``algos``; both share
         one cutoff and one pair of z-scores."""
-        z_q, z_u = self.z_scores(self.cutoff(tau))
+        return self.at_z(*self.z_scores(self.cutoff(tau)))
+
+    def at_z(self, z_q, z_u) -> tuple:
+        """(s1, s2) from the z-scores of a cutoff, None for a score not in ``algos``."""
         s1 = s2 = None
         if "s2" in self.algos:
             phi = self.phi()
@@ -226,24 +230,24 @@ def score(config: ModelConfig, algo: str, theta, tau) -> np.ndarray:
     return fn(config, theta, tau)
 
 
-def score_table(config: ModelConfig, theta: float, tau) -> list[np.ndarray]:
-    """The scores.csv columns along a tau array at one theta: theta, tau,
-    s1, s2, gamma1, phi, surv_q and surv_u (the class-conditional
-    probabilities that gamma clears gamma1).
+def score_pair(config: ModelConfig, theta, tau) -> tuple[np.ndarray, np.ndarray]:
+    """(s1, s2) at (theta, tau) from one cutoff and one pair of z-scores,
+    each equal bit for bit to its own ``score_s1`` / ``score_s2`` call."""
+    return _Scores(config, theta)(tau)
 
-    theta and phi do not depend on tau and are repeated down their columns.
+
+def score_table(config: ModelConfig, theta, tau) -> list[np.ndarray]:
+    """The scores.csv columns of the (theta x tau) table, theta by theta
+    and along tau within each: theta, tau, s1, s2, gamma1, phi, surv_q and
+    surv_u (the class-conditional probabilities that gamma clears gamma1).
+
+    theta is a scalar or a 1-D array; every column comes from one cutoff
+    and one pair of z-scores.
     """
-    tau = np.asarray(tau, dtype=float)
-    k = len(tau)
-    cutoff = gamma1(config, theta, tau)
-    z_q, z_u = _Scores(config, theta, ()).z_scores(cutoff)
-    return [
-        np.full(k, theta),
-        tau,
-        score_s1(config, theta, tau),
-        score_s2(config, theta, tau),
-        cutoff,
-        np.full(k, float(marginal_posterior_phi(config, theta))),
-        ndtr(-z_q),
-        ndtr(-z_u),
-    ]
+    scores = _Scores(config, np.reshape(theta, (-1, 1)))
+    cutoff = scores.cutoff(tau)
+    z_q, z_u = scores.z_scores(cutoff)
+    table = np.broadcast_arrays(scores.theta, np.asarray(tau, dtype=float),
+                                *scores.at_z(z_q, z_u), cutoff, scores.phi(),
+                                ndtr(-z_q), ndtr(-z_u))
+    return [column.ravel() for column in table]

@@ -58,8 +58,9 @@ ORDERING_ATOL_SCALE = 1e-9
 class EndpointResolutionError(ScreeningError):
     """A root lies too close to the prejudice interval's endpoints.
 
-    The clamped interval trimmed off the region containing the sign
-    change; re-evaluating with a smaller clamp scale would recover it.
+    The sign change sits in the margin that the clamped interval trims off
+    each end, scores.TAU_CLAMP_SCALE of the interval's length, where no
+    score is evaluated.
     """
 
 
@@ -136,10 +137,10 @@ def find_tau_star(config: ModelConfig, theta):
     thetas = np.asarray(theta, dtype=float)
     roots = _tau_roots(
         config,
-        lambda tau: _scores.score_s1(config, thetas, tau) - _scores.score_s2(config, thetas, tau),
+        lambda tau: np.subtract(*_scores.score_pair(config, thetas, tau)),
         thetas,
         "score curves do not cross on the clamped interval (the crossing sits "
-        "within the clamp margin; re-evaluate with a smaller clamp scale)",
+        "within the clamp margin, where no score is evaluated)",
     )
     return float(roots) if thetas.ndim == 0 else roots
 
@@ -212,8 +213,7 @@ def verify_nonatomic(config: ModelConfig, tau: float, m: int, seed: int) -> Nona
     to be zero.
     """
     thetas = sample_population(config, m, seed).theta
-    s1 = _scores.score_s1(config, thetas, tau)
-    s2 = _scores.score_s2(config, thetas, tau)
+    s1, s2 = _scores.score_pair(config, thetas, tau)
     has_d1, tau_d1, tau_d2 = _critical_roots(config, thetas)
 
     def dup(values: np.ndarray) -> int:
@@ -242,8 +242,7 @@ def threshold_report(config: ModelConfig, theta):
     flat = np.asarray(theta, dtype=float).reshape(-1)
     tau_star = find_tau_star(config, flat)
     tau_d1, tau_d2 = find_critical_prejudices(config, flat)
-    equalized = 0.5 * (_scores.score_s1(config, flat, tau_star)
-                       + _scores.score_s2(config, flat, tau_star))
+    equalized = 0.5 * np.add(*_scores.score_pair(config, flat, tau_star))
     phi = marginal_posterior_phi(config, flat)
     crossings = [_crossings(config, flat, q, tau_d1, tau_d2) for q in (0, 1)]
     scale = config.payoffs.x_q + config.payoffs.x_u
@@ -307,8 +306,7 @@ def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
     theta = thetas[owner]
 
     def cell_gap(tau, members=slice(None)):
-        s1 = _scores.score_s1(config, theta[members], tau)
-        s2 = _scores.score_s2(config, theta[members], tau)
+        s1, s2 = _scores.score_pair(config, theta[members], tau)
         return _ex_ante(payoffs, s1) - _ex_ante(payoffs, s2) - offset[members]
 
     g_a = cell_gap(a)

@@ -111,6 +111,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert literal in err and "finite" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("pi", None), ("pi", [0.4]), ("pi", {}), ("mu_q", [1.0, "a"]),
+    ], ids=["null", "list", "object", "bad-mu-entry"])
+    def test_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, field, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({**BASELINE_DOC, field: value}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert f"error: {field} must be a number" in capsys.readouterr().err
+
     def test_invalid_model_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**BASELINE_DOC, "pi": 1.5}))
@@ -409,6 +418,15 @@ class TestSimulate:
         ]) == 1
         assert "needs m >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
+    def test_seed_outside_philox_keys_exits_1(self, config_path, tmp_path, capsys, seed):
+        """numpy's Philox printed a ValueError traceback for these seeds."""
+        assert main([
+            "simulate", "--config", config_path, "--tau", "0", "--m", "100",
+            f"--seed={seed}", "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert "error: seed must lie in [0, 2**128)" in capsys.readouterr().err
 
     def test_manifest_records_stage_timings(self, config_path, tmp_path):
         out = str(tmp_path / "out")

@@ -191,13 +191,28 @@ class TestConfigRoundTrip:
         with pytest.raises(InvalidModelError, match="finite"):
             ModelConfig.from_dict({**BASELINE_DOC, field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("pi", None), ("pi", [0.4]), ("sigma_theta", {"value": 1.0}), ("pi", "0.4"),
+        ("x_q", True), ("mu_q", [1.0, "a"]), ("mu_u", [False, 0.0]),
+    ], ids=["null", "list", "object", "numeric-string", "bool", "bad-mu-entry", "bool-mu-entry"])
+    def test_rejects_a_value_that_is_not_a_number(self, field, value):
+        """None, lists and objects escaped as TypeError or ValueError, while
+        a numeric string or a bool passed as a number."""
+        with pytest.raises(InvalidModelError, match=f"{field} must be a number"):
+            ModelConfig.from_dict({**BASELINE_DOC, field: value})
+
+    def test_int_past_float_range_is_not_finite(self):
+        with pytest.raises(InvalidModelError, match="finite, got rho=inf"):
+            ModelConfig.from_dict({**BASELINE_DOC, "rho": 10**400})
+
     @pytest.mark.parametrize("text,message", [
         (None, "cannot read config"),
         ("{not json", "config parse error"),
         (json.dumps({**BASELINE_DOC, "rho": float("nan")}), "contains NaN"),
         ("[1, 2]", "must be a JSON object"),
         (b"\xff\xfe{}", "is not UTF-8"),
-    ], ids=["missing", "malformed", "nan-literal", "not-an-object", "not-utf-8"])
+        (json.dumps({**BASELINE_DOC, "pi": None}), "pi must be a number"),
+    ], ids=["missing", "malformed", "nan-literal", "not-an-object", "not-utf-8", "null-value"])
     def test_from_json_path_raises_invalid_model(self, tmp_path, text, message):
         """A missing file raised FileNotFoundError, malformed JSON
         json.JSONDecodeError and other bytes than UTF-8 UnicodeDecodeError,

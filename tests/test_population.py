@@ -63,6 +63,18 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_population(baseline, 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**130],
+                             ids=["negative", "2**128", "2**130"])
+    def test_rejects_a_seed_outside_philox_keys(self, baseline, seed):
+        """numpy's Philox raised an untyped ValueError for these keys."""
+        for draw in (lambda: sample_population(baseline, 10, seed=seed),
+                     lambda: mc_average_regret(baseline, 0.0, m=10, seed=seed)):
+            with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\*\*128\)"):
+                draw()
+
+    def test_largest_philox_key_samples(self, baseline):
+        assert len(sample_population(baseline, 10, seed=2**128 - 1)) == 10
+
 
 class TestStageOne:
     def test_acceptance_matches_ratio_rule(self, baseline):

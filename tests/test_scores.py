@@ -2,6 +2,8 @@
 dual-route check for the fine-signal cutoff."""
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,9 @@ from screenlab import (
 )
 from screenlab.population import sample_population
 from screenlab.regret import _regret_values
-from screenlab.scores import _BoundScores, log_acceptance_threshold, score, score_table
+from screenlab.scores import (
+    _BoundScores, log_acceptance_threshold, score, score_pair, score_table,
+)
 from screenlab.thresholds import _sampled_losses
 from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid
 
@@ -153,6 +157,36 @@ class TestScoreValues:
             s1 = np.asarray(score_s1(baseline, theta, np.array([lo, hi])))
             assert np.all(np.isfinite(s1))
             assert 0.0 <= s1[0] <= s1[1] <= 1.0
+
+
+def per_theta_table(config, theta: float, tau: np.ndarray) -> list[np.ndarray]:
+    """One theta's scores.csv columns from separate score, cutoff and phi calls."""
+    cutoff = gamma1(config, theta, tau)
+    signal, sd = config.signal, config.signal.conditional_gamma_sd
+    z_q = (cutoff - signal.conditional_gamma_mean(theta, qualified=True)) / sd
+    z_u = (cutoff - signal.conditional_gamma_mean(theta, qualified=False)) / sd
+    return [
+        np.full(len(tau), theta), tau, score_s1(config, theta, tau), score_s2(config, theta, tau),
+        cutoff, np.full(len(tau), float(marginal_posterior_phi(config, theta))),
+        ndtr(-z_q), ndtr(-z_u),
+    ]
+
+
+class TestScoreTable:
+    def test_theta_vector_stacks_per_theta_tables(self, baseline, irregular_config, random_table):
+        """A theta vector gives, bit for bit, its per-theta tables one after another."""
+        cases = [(baseline, baseline_theta_grid()), (irregular_config, baseline_theta_grid())]
+        cases += [(record.config, record.theta_grid) for record in random_table]
+        for config, thetas in cases:
+            lo, hi = clamped_tau_interval(config.payoffs)
+            taus = np.linspace(lo, hi, 40)  # both clamped ends included
+            stacked = [np.concatenate(blocks) for blocks in
+                       zip(*(per_theta_table(config, float(t), taus) for t in thetas))]
+            table = score_table(config, thetas, taus)
+            assert len(table) == len(stacked) == 8
+            for column, expected in zip(table, stacked):
+                assert column.shape == (len(thetas) * len(taus),)
+                assert np.array_equal(column, expected)
 
 
 class TestLimits:
@@ -298,7 +332,8 @@ def reference_scores(config, theta, tau):
 
 
 class TestBoundScores:
-    """A population bound once gives, bit for bit, what each score call gives."""
+    """A population bound once, and ``score_pair``, give bit for bit what
+    each score call gives."""
 
     M = 4_000
 
@@ -306,15 +341,26 @@ class TestBoundScores:
         configs = [baseline, irregular_config] + [record.config for record in random_table]
         for k, config in enumerate(configs):
             population = sample_population(config, self.M, seed=k)
-            bound = _BoundScores(config, population.theta)
             losses = _sampled_losses(config, self.M, seed=k)
             lo, hi = clamped_tau_interval(config.payoffs)
-            for tau in np.linspace(lo, hi, 9):  # both clamped ends included
-                s1, s2 = bound(tau)
-                assert np.array_equal(s1, score_s1(config, population.theta, tau))
-                assert np.array_equal(s2, score_s2(config, population.theta, tau))
-                ref1, ref2 = reference_scores(config, population.theta, tau)
+            taus = np.linspace(lo, hi, 9)  # both clamped ends included
+            # (pair of tau, theta, tau): the population bound once and
+            # score_pair over it tau by tau, score_pair at one applicant, and
+            # score_pair over the (theta x tau) grid in one call
+            lone, grid = float(population.theta[0]), population.theta[:, None]
+            cases = [(_BoundScores(config, population.theta), population.theta, tau)
+                     for tau in taus]
+            cases += [(partial(score_pair, config, theta), theta, tau)
+                      for theta in (population.theta, lone) for tau in taus]
+            cases.append((partial(score_pair, config, grid), grid, taus))
+            for pair, theta, tau in cases:
+                s1, s2 = pair(tau)
+                assert np.array_equal(s1, score_s1(config, theta, tau))
+                assert np.array_equal(s2, score_s2(config, theta, tau))
+                ref1, ref2 = reference_scores(config, theta, tau)
                 assert np.array_equal(s1, ref1) and np.array_equal(s2, ref2)
+            for tau in taus:
+                ref1, ref2 = reference_scores(config, population.theta, tau)
                 u2 = _regret_values(config.payoffs, ref2, population.q)[3]
                 u1 = _regret_values(config.payoffs, ref1, population.q)[3]
                 assert np.array_equal(losses(tau), u2 - u1)
@@ -326,9 +372,16 @@ class TestBoundScores:
     ], ids=["inf", "nan", "beyond-s1-max-z"])
     def test_bound_pair_raises_as_score_calls_do(self, baseline, theta, raising):
         thetas = np.array([0.0, theta, 1.0])
-        with pytest.raises(DomainError) as bound:
-            _BoundScores(baseline, thetas)(0.2)
-        for fn in raising:
-            with pytest.raises(DomainError) as called:
-                fn(baseline, thetas, 0.2)
-            assert str(bound.value) == str(called.value)
+        pairs = (
+            lambda: _BoundScores(baseline, thetas)(0.2),
+            lambda: score_pair(baseline, thetas, 0.2),
+            lambda: score_pair(baseline, theta, 0.2),
+            lambda: score_pair(baseline, thetas[:, None], np.array([-0.5, 0.2])),
+        )
+        for pair in pairs:
+            with pytest.raises(DomainError) as paired:
+                pair()
+            for fn in raising:
+                with pytest.raises(DomainError) as called:
+                    fn(baseline, thetas, 0.2)
+                assert str(paired.value) == str(called.value)

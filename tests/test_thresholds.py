@@ -22,7 +22,8 @@ from screenlab import (
     score_s2,
     threshold_report,
 )
-from screenlab.thresholds import CONFIRM_GRID, _sampled_losses
+from screenlab import scores, thresholds
+from screenlab.thresholds import CONFIRM_GRID, _crossings, _sampled_losses
 from conftest import BASELINE_DOC, ENGINEERED_DOC, IRREGULAR_DOC, baseline_theta_grid
 from test_regret import scalar_bisect
 
@@ -233,6 +234,45 @@ class TestThetaBatch:
             find_tau_star(baseline, np.array([0.0, 0.5, 50.0]))
 
 
+class TestOneCutoffPerGap:
+    """Each value of the score gap and of the regret-crossing gap scores
+    both algorithms from one cutoff, so one log T(tau) per value."""
+
+    @staticmethod
+    def spy(monkeypatch) -> dict:
+        calls = {"log_t": 0, "gap": 0}
+        log_t, bisect_many = scores.log_acceptance_threshold, thresholds.bisect_monotone_many
+
+        def counted_log_t(*args):
+            calls["log_t"] += 1
+            return log_t(*args)
+
+        def counted_bisect(f, lo, hi):
+            def gap(tau):
+                calls["gap"] += 1
+                return f(tau)
+            return bisect_many(gap, lo, hi)
+
+        monkeypatch.setattr(scores, "log_acceptance_threshold", counted_log_t)
+        monkeypatch.setattr(thresholds, "bisect_monotone_many", counted_bisect)
+        return calls
+
+    def test_find_tau_star(self, engineered, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for theta in (0.3, np.linspace(-2.0, 2.0, 5)):
+            calls.update(log_t=0, gap=0)
+            find_tau_star(engineered, theta)
+            assert calls["gap"] > 0 and calls["log_t"] == calls["gap"]
+
+    def test_regret_crossings(self, engineered, monkeypatch):
+        thetas = np.array([0.0, 0.35, 1.0])  # three, two and one crossings
+        critical = find_critical_prejudices(engineered, thetas)
+        calls = self.spy(monkeypatch)
+        _crossings(engineered, thetas, 1, *critical)
+        # the gap at the ends of every cell takes two values before the bisection
+        assert calls["gap"] > 0 and calls["log_t"] == 2 + calls["gap"]
+
+
 class TestTauBar:
     def test_analytic_reference_value(self, baseline):
         result = find_tau_bar(baseline, "analytic")
@@ -291,6 +331,12 @@ class TestTauBar:
         monkeypatch.setattr(thresholds, "sample_population", no_draw)
         with pytest.raises(DomainError, match="needs m >= 2, got 1"):
             find_tau_bar(ModelConfig.from_dict(doc), "mc", m=1, seed=5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**130],
+                             ids=["negative", "2**128", "2**130"])
+    def test_mc_mode_rejects_a_seed_outside_philox_keys(self, baseline, seed):
+        with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            find_tau_bar(baseline, "mc", m=1000, seed=seed)
 
     def test_mc_mode_too_small_sample_is_inconclusive(self, baseline):
         with pytest.raises(InconclusiveResolutionError):
