@@ -1,7 +1,7 @@
-"""Bracketed roots: bisection on monotone curves, Brent on sampled ones.
+"""Bracketed roots: bisection on monotone curves, Brent for tau_bar.
 
 Every distinguished threshold in this package is the root of a strictly
-monotone function of one variable.  The analytic roots bisect: bisection
+monotone function of one variable.  The per-theta roots bisect: bisection
 cannot be fooled by the flat tails the score curves develop near the ends
 of the prejudice interval, and it terminates at floating-point
 resolution, which keeps distinct inputs from collapsing onto a shared
@@ -10,14 +10,14 @@ root value (and each root's bits, and so the artifacts, fixed).
 One loop bisects a batch of brackets at once; a single bracket is a batch
 of one.  Each member runs until its midpoint stops moving (the bracket
 spans at most one representable gap) or lands on an exact zero, then its
-residual is checked against a tolerance.  A NaN value raises, since every
-comparison with NaN is False: at an end at once, inside the bracket once
-the loop ends, the member having stopped where it met it.
+residual is checked against RESIDUAL_TOL.  A NaN value raises, since
+every comparison with NaN is False: at an end at once, inside the bracket
+once the loop ends, the member having stopped where it met it.
 
-The Monte Carlo tau_bar is known only to its standard error, and each
-value of its gap is a pass over a whole sampled population, so it roots
-with Brent's method to a set width instead: ~10-15 values where bisection
-to the same width takes ~28.  Both searches share the bracket rules.
+Each value of the tau_bar gap is a quadrature or a pass over a sampled
+population, so tau_bar roots with Brent's method to a set width, in both
+modes: ~7-15 values where bisection to the same width takes ~28-34.  Both
+searches share the bracket rules; Brent's caller checks the residual.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ class BracketError(ScreeningError):
 # package's brackets, which span a few units.
 MAX_ITER = 200
 
-# Largest |f(root)| accepted unless a caller asks for another bound.
+# Largest |f(root)| a bisection accepts.
 RESIDUAL_TOL = 1e-10
 
 EPS = float(np.finfo(float).eps)
@@ -62,38 +62,28 @@ class RootResult:
     iterations: int | np.ndarray
 
 
-def bisect_monotone(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    xtol: float = 0.0,
-) -> RootResult:
-    """Find the root of a monotone ``f`` on [lo, hi].
+def bisect_monotone(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
+    """Find the root of a monotone ``f`` on [lo, hi] to machine resolution.
 
-    Runs to machine resolution by default; a positive ``xtol`` stops once
-    the bracket is that narrow (useful when each evaluation is itself a
-    quadrature).  Raises BracketError when f(lo) and f(hi) share a sign or
-    are both zero, and ScreeningError when ``f`` returns NaN or the
-    converged root's residual exceeds ``residual_tol`` (which for a
-    genuinely monotone continuous curve indicates the tolerance was set
-    below what float64 can deliver).
+    Raises BracketError when f(lo) and f(hi) share a sign or are both
+    zero, and ScreeningError when ``f`` returns NaN or the converged root's
+    residual exceeds RESIDUAL_TOL (which for a genuinely monotone
+    continuous curve means ``f`` has a jump, not a zero, there).
     """
-    lone = _bisect(lambda x: f(float(x)), float(lo), float(hi), residual_tol, xtol)
+    lone = _bisect(lambda x: f(float(x)), float(lo), float(hi))
     return RootResult(float(lone.root), float(lone.residual),
                       float(lone.bracket_width), int(lone.iterations))
 
 
 def bisect_monotone_many(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> RootResult:
-    """``bisect_monotone`` at its defaults, member by member of a batch.
+    """``bisect_monotone``, member by member of a batch.
 
     ``f`` maps an array of abscissas to an array of values, each member
     monotone on its own bracket.  Every member takes the steps, and
     reaches the bits, that ``bisect_monotone`` takes on its bracket alone;
     an error names the first offending member.
     """
-    return _bisect(f, lo, hi, RESIDUAL_TOL, 0.0)
+    return _bisect(f, lo, hi)
 
 
 def _member(shape: tuple, lo, hi, i: int) -> str:
@@ -128,7 +118,7 @@ def _ends(values, lo: np.ndarray, hi: np.ndarray):
     return f_lo, f_hi
 
 
-def _bisect(f, lo, hi, residual_tol: float, xtol: float) -> RootResult:
+def _bisect(f, lo, hi) -> RootResult:
     """The one bisection loop; 0-d brackets, a batch of one, keep their
     shape, so ``f`` runs on numpy's scalar paths."""
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
@@ -152,7 +142,7 @@ def _bisect(f, lo, hi, residual_tol: float, xtol: float) -> RootResult:
     for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
         iterations = iterations + ~done
-        done = done | (mid == lo) | (mid == hi) | (hi - lo <= xtol)
+        done = done | (mid == lo) | (mid == hi)
         if done.all():
             break
         g = orient * values(mid)
@@ -166,12 +156,12 @@ def _bisect(f, lo, hi, residual_tol: float, xtol: float) -> RootResult:
         i = int(np.argmax(nan))
         raise ScreeningError(f"f is NaN at {float(root.flat[i])!r}{member(i)}")
     residual = np.abs(values(root))
-    bad = ~(residual <= residual_tol)
+    bad = ~(residual <= RESIDUAL_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         raise ScreeningError(
             f"bisection converged to {float(root.flat[i])!r}{member(i)} but the "
-            f"residual {float(residual.flat[i]):.3e} exceeds the tolerance {residual_tol:.3e}"
+            f"residual {float(residual.flat[i]):.3e} exceeds the tolerance {RESIDUAL_TOL:.3e}"
         )
     return RootResult(root, residual, hi - lo, iterations)
 

@@ -317,9 +317,9 @@ class ModelConfig:
 def load_config(path) -> tuple[ModelConfig, str]:
     """The JSON config at ``path`` and the sha256 of the exact bytes parsed.
 
-    An unreadable file, bytes that are not UTF-8, malformed JSON, a NaN or
-    Infinity literal and a document that is not an object raise
-    InvalidModelError."""
+    An unreadable file, bytes that are not UTF-8, malformed JSON (an int
+    past the digit limit too), a NaN or Infinity literal and a document
+    that is not an object raise InvalidModelError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -340,6 +340,8 @@ def load_config(path) -> tuple[ModelConfig, str]:
             f"config parse error in {path!r} at line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer past int's digit limit
+        raise InvalidModelError(f"config parse error in {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidModelError("config document must be a JSON object")
     return ModelConfig.from_dict(doc), hashlib.sha256(raw).hexdigest()

@@ -302,7 +302,7 @@ def expected_regret(config: ModelConfig, algo: str, tau):
     # the rule accepts above one breakpoint: lo when it accepts everyone,
     # hi when no one, else the root of s - beta, all taus in one bisection;
     # a lone tau stays 0-d, on numpy's scalar paths (as a (1,) batch it
-    # doubles the time of find_tau_bar's sequential bisection)
+    # doubles the time of each gap value in find_tau_bar's Brent search)
     gap_lo = _scores.score(config, algo, lo, taus) - beta
     gap_hi = _scores.score(config, algo, hi, taus) - beta
     breakpoints = np.where(gap_lo > 0.0, lo, hi)

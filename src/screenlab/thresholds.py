@@ -15,10 +15,10 @@ curve that is strictly monotone in tau on the clamped interval:
 * ``tau_bar``: where the population-average regrets of the two scores
   meet, which exists exactly in regular environments.
 
-The analytic roots come from bracketed bisection run to floating-point
-resolution (see _roots), with residual tolerances checked afterwards; the
-Monte Carlo tau_bar comes from Brent's method on a sampled population
-bound once to the terms of its scores that do not depend on tau.
+The per-theta roots come from bisection to floating-point resolution
+(see _roots), with residual tolerances checked afterwards; tau_bar, in
+both modes, from Brent's method, on the quadrature gap or on a sampled
+population bound once to the terms of its scores that do not depend on tau.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scores as _scores
-from ._roots import RESIDUAL_TOL, BracketError, bisect_monotone, bisect_monotone_many, brent_root
+from ._roots import RESIDUAL_TOL, BracketError, bisect_monotone_many, brent_root
 from .model import (
     DomainError,
     ModelConfig,
@@ -43,8 +43,8 @@ from .regret import _accepted_payoff, _ex_ante, _losses, expected_regret_gap
 # limit statement about the discontinuity, not a crossing.
 BOUNDARY_FLAG_FACTOR = 10.0
 
-# Largest average-regret gap accepted at the analytic tau_bar: ten times
-# regret.QUAD_TOL, the quadrature tolerance of each expected_regret.
+# Largest |average-regret gap| accepted at the analytic tau_bar, checked
+# here: ten times regret.QUAD_TOL, the tolerance of each expected_regret.
 TAU_BAR_RESIDUAL_TOL = 1e-7
 
 # Taus at which an irregular environment's gap is confirmed to hold its sign.
@@ -105,7 +105,8 @@ class TauBarResult:
     standard_error: float | None = None
     m: int | None = None
     seed: int | None = None
-    # population gap evaluations of a Monte Carlo search
+    # taus the gap was evaluated at: Brent's values with both ends (plus, by
+    # Monte Carlo, the SE and two probes) or an irregular CONFIRM_GRID
     passes: int | None = None
 
 
@@ -370,11 +371,11 @@ def find_tau_bar(
     In a regular environment the average-regret gap D(tau) falls strictly
     from a positive left limit to a negative right limit, so its root is
     unique; in an irregular environment D stays negative and the
-    none-variant is returned after a grid confirmation.  The analytic mode
-    evaluates D by quadrature; the Monte Carlo mode replays a sampled
-    population, roots its mean gap with Brent's method, propagates the
-    sample standard error through the local slope of D, and reports in
-    ``passes`` how many times it evaluated the population's gap.
+    none-variant is returned after a grid confirmation.  Both modes root D
+    with Brent's method and report in ``passes`` how many taus they
+    evaluated it at.  The analytic mode evaluates D by quadrature; the Monte
+    Carlo mode replays a sampled population and propagates the sample
+    standard error through the local slope of D.
     """
     if mode not in ("analytic", "mc"):
         raise DomainError(f"mode must be 'analytic' or 'mc', got {mode!r}")
@@ -391,19 +392,21 @@ def find_tau_bar(
                     "environment classified irregular but the average-regret "
                     f"gap is {values[worst]!r} >= 0 at tau={grid[worst]!r}"
                 )
-            return TauBarResult(value=None, mode=mode, reason="irregular")
+            return TauBarResult(value=None, mode=mode, reason="irregular",
+                                passes=CONFIRM_GRID)
         scale = config.payoffs.x_q + config.payoffs.x_u
         try:
-            root = bisect_monotone(
-                lambda tau: expected_regret_gap(config, tau), lo, hi,
-                residual_tol=TAU_BAR_RESIDUAL_TOL, xtol=1e-10 * scale,
-            ).root
+            root = brent_root(lambda tau: expected_regret_gap(config, tau), lo, hi,
+                              xtol=1e-10 * scale)
         except BracketError as exc:
             raise EndpointResolutionError(
                 f"average-regret gap holds one sign on the clamped interval "
                 f"despite a regular classification: {exc}"
             ) from exc
-        return TauBarResult(value=root, mode=mode)
+        if not root.residual <= TAU_BAR_RESIDUAL_TOL:
+            raise ScreeningError(f"average-regret gap at tau={root.root!r} has residual "
+                                 f"{root.residual:.3e}, which exceeds {TAU_BAR_RESIDUAL_TOL:.3e}")
+        return TauBarResult(value=root.root, mode=mode, passes=root.iterations + 2)
 
     _require_mc_size(m)
     sampled = _sampled_losses(config, m, seed)

@@ -1,5 +1,6 @@
-"""Shared fixtures: reference configs, the frozen random-config table, and
-a terminal summary that prints one line per acceptance criterion."""
+"""Shared fixtures: reference configs, the frozen random-config table, a
+reference bisection, and a terminal summary that prints one line per
+acceptance criterion."""
 from __future__ import annotations
 
 import json
@@ -34,6 +35,11 @@ ENGINEERED_DOC = {
     "mu_q": [1.0, 1.0], "mu_u": [0.0, 0.0],
     "sigma_theta": 1.0, "sigma_gamma": 1.0, "rho": 0.0,
 }
+
+# The baseline with rho a 5,000-digit integer literal, past the 4,300
+# digits Python converts from a string by default (json.dumps cannot
+# write it either).
+HUGE_INT_TEXT = json.dumps({**BASELINE_DOC, "rho": "HUGE"}).replace('"HUGE"', "9" * 5000)
 
 # A gamma shift of 0.001 sd: the fine signal barely separates the classes,
 # so near the clamped upper tau the acceptance cutoff sits ~1.5e4 sds out.
@@ -81,6 +87,32 @@ def random_table() -> list[RandomRecord]:
     records = [RandomRecord(entry, doc["grid_points"]) for entry in doc["configs"]]
     assert len(records) == 50
     return records
+
+
+def scalar_bisect(f, lo: float, hi: float, width: float = 0.0) -> float:
+    """Reference bisection of a monotone f, one float at a time: runs to
+    machine resolution, or until the bracket is at most ``width`` wide, and
+    stops on an exact zero."""
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    assert np.sign(f_lo) != np.sign(f_hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    descending = f_lo > 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi or hi - lo <= width:
+            break
+        f_mid = float(f(mid))
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if (f_mid > 0.0) == descending:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def baseline_theta_grid(points: int = 20) -> np.ndarray:

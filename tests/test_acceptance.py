@@ -323,8 +323,7 @@ def test_criterion_10_oracle_equivalence(baseline):
             def excess(g):
                 return baseline.signal.log_likelihood_ratio(theta, g) - bar
 
-            root = bisect_monotone(excess, closed - 5.0, closed + 5.0,
-                                   residual_tol=1e-8)
+            root = bisect_monotone(excess, closed - 5.0, closed + 5.0)
             assert abs(closed - root.root) < GAMMA1_DUAL_TOL
 
 

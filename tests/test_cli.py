@@ -33,7 +33,9 @@ from screenlab import cli, thresholds
 from screenlab.cli import main, render_csv
 from screenlab.regret import _regret_values
 from screenlab.scores import ALGOS
-from conftest import BASELINE_DOC, IRREGULAR_DOC, NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC
+from conftest import (
+    BASELINE_DOC, HUGE_INT_TEXT, IRREGULAR_DOC, NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC,
+)
 from test_regret import oracle_expected_regret
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -119,6 +121,13 @@ class TestValidate:
         path.write_text(json.dumps({**BASELINE_DOC, field: value}))
         assert main(["validate", "--config", str(path)]) == 1
         assert f"error: {field} must be a number" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        """json.loads raised a bare ValueError, printed as a traceback."""
+        path = tmp_path / "huge.json"
+        path.write_text(HUGE_INT_TEXT)
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "error: config parse error" in capsys.readouterr().err
 
     def test_invalid_model_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

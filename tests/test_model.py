@@ -20,7 +20,7 @@ from screenlab import (
     require_increasing_phi,
     validate_mlrp,
 )
-from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC
+from conftest import BASELINE_DOC, HUGE_INT_TEXT, NONMONOTONE_PHI_DOC
 
 
 class TestPayoffParams:
@@ -212,10 +212,13 @@ class TestConfigRoundTrip:
         ("[1, 2]", "must be a JSON object"),
         (b"\xff\xfe{}", "is not UTF-8"),
         (json.dumps({**BASELINE_DOC, "pi": None}), "pi must be a number"),
-    ], ids=["missing", "malformed", "nan-literal", "not-an-object", "not-utf-8", "null-value"])
+        (HUGE_INT_TEXT, "config parse error .* Exceeds the limit"),
+    ], ids=["missing", "malformed", "nan-literal", "not-an-object", "not-utf-8", "null-value",
+            "huge-int"])
     def test_from_json_path_raises_invalid_model(self, tmp_path, text, message):
         """A missing file raised FileNotFoundError, malformed JSON
-        json.JSONDecodeError and other bytes than UTF-8 UnicodeDecodeError,
+        json.JSONDecodeError, other bytes than UTF-8 UnicodeDecodeError and
+        an integer past Python's 4,300-digit conversion limit ValueError,
         none of them a ScreeningError."""
         path = tmp_path / "config.json"
         if isinstance(text, bytes):

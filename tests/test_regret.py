@@ -29,7 +29,7 @@ from screenlab import (
     score_s1,
     score_s2,
 )
-from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC
+from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC, scalar_bisect
 
 
 class TestIndividualRegret:
@@ -181,7 +181,7 @@ def scipy_expected_regret(config, algo, tau, accepted: set) -> float:
         edges = [lo, hi]
         accepted.add("everyone" if excess(lo) > 0 else "no one")
     else:
-        edges = [lo, bisect_monotone(excess, lo, hi, residual_tol=1e-9).root, hi]
+        edges = [lo, bisect_monotone(excess, lo, hi).root, hi]
         accepted.add("upper tail")
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -192,8 +192,9 @@ def scipy_expected_regret(config, algo, tau, accepted: set) -> float:
 
 
 # =====================================================================
-# Scalar oracle: expected_regret one tau at a time, with its own
-# bisection and panel heap, as the package computed it before batching
+# Scalar oracle: expected_regret one tau at a time, with the reference
+# bisection and its own panel heap, as the package computed it before
+# batching
 # =====================================================================
 
 _GL_COARSE = np.polynomial.legendre.leggauss(20)
@@ -203,30 +204,6 @@ _GL_BOTH = np.concatenate([_GL_COARSE[0], _GL_FINE[0]])
 # random_table[27]: the one frozen config and tau (of 50 configs x 41 taus)
 # where s2's eight initial panels miss the tolerance and get refined
 REFINING = (27, "s2", -1.5435046194315822)
-
-
-def scalar_bisect(f, lo: float, hi: float) -> float:
-    """Machine-resolution bisection of a monotone f; stops on an exact zero."""
-    f_lo, f_hi = float(f(lo)), float(f(hi))
-    assert np.sign(f_lo) != np.sign(f_hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    descending = f_lo > 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = float(f(mid))
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0.0) == descending:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _scalar_integral(f, a: float, b: float, tol: float, max_panels: int):

@@ -78,7 +78,7 @@ class TestGamma1:
                 def excess(g):
                     return signal.log_likelihood_ratio(theta, g) - np.log(bar)
 
-                root = bisect_monotone(excess, -60.0, 60.0, residual_tol=1e-9)
+                root = bisect_monotone(excess, -60.0, 60.0)
                 np.testing.assert_allclose(
                     gamma1(baseline, theta, tau), root.root, atol=1e-10
                 )

@@ -10,7 +10,7 @@ from screenlab import (
     EndpointResolutionError,
     InconclusiveResolutionError,
     ModelConfig,
-    bisect_monotone,
+    ScreeningError,
     clamped_tau_interval,
     expected_regret_gap,
     find_critical_prejudices,
@@ -24,8 +24,9 @@ from screenlab import (
 )
 from screenlab import scores, thresholds
 from screenlab.thresholds import CONFIRM_GRID, _crossings, _sampled_losses
-from conftest import BASELINE_DOC, ENGINEERED_DOC, IRREGULAR_DOC, baseline_theta_grid
-from test_regret import scalar_bisect
+from conftest import (
+    BASELINE_DOC, ENGINEERED_DOC, IRREGULAR_DOC, baseline_theta_grid, scalar_bisect,
+)
 
 
 class TestEqualizingPrejudice:
@@ -277,8 +278,24 @@ class TestTauBar:
     def test_analytic_reference_value(self, baseline):
         result = find_tau_bar(baseline, "analytic")
         assert result.mode == "analytic"
-        assert result.passes is None
+        # Brent's gap values, both ends included; bisection took ~34
+        assert result.passes <= 15
         np.testing.assert_allclose(result.value, -0.4086591074919251, atol=1e-7)
+
+    def test_analytic_root_within_xtol_of_the_sign_change(self, baseline, random_table):
+        """Second route, without Brent's code: D falls strictly, so a sign
+        change across root -/+ xtol puts the root within xtol of it."""
+        for config in [baseline] + [r.config for r in random_table
+                                    if r.classification == "regular"]:
+            root = find_tau_bar(config, "analytic").value
+            xtol = 1e-10 * (config.payoffs.x_q + config.payoffs.x_u)
+            left, right = expected_regret_gap(config, np.array([root - xtol, root + xtol]))
+            assert left > 0.0 > right
+
+    def test_analytic_residual_checked(self, baseline, monkeypatch):
+        monkeypatch.setattr(thresholds, "TAU_BAR_RESIDUAL_TOL", 0.0)
+        with pytest.raises(ScreeningError, match="residual .* exceeds 0.000e"):
+            find_tau_bar(baseline, "analytic")
 
     def test_gap_changes_sign_across_value(self, baseline):
         result = find_tau_bar(baseline, "analytic")
@@ -289,6 +306,7 @@ class TestTauBar:
         result = find_tau_bar(irregular_config, "analytic")
         assert result.value is None
         assert result.reason == "irregular"
+        assert result.passes == CONFIRM_GRID
 
     def test_mc_mode_brackets_analytic_value(self, baseline):
         analytic = find_tau_bar(baseline, "analytic").value
@@ -309,8 +327,7 @@ class TestTauBar:
         losses = _sampled_losses(baseline, 100_000, seed)
         lo, hi = clamped_tau_interval(baseline.payoffs)
         scale = baseline.payoffs.x_q + baseline.payoffs.x_u
-        bisected = bisect_monotone(lambda t: float(losses(t).mean()), lo, hi,
-                                   residual_tol=np.inf, xtol=1e-8 * scale).root
+        bisected = scalar_bisect(lambda t: losses(t).mean(), lo, hi, width=1e-8 * scale)
         assert abs(result.value - bisected) <= 1e-3 * result.standard_error
 
     def test_mc_mode_irregular_detected(self, irregular_config):
