@@ -159,17 +159,32 @@ def write_atomic(path: str, data: str) -> None:
 CSV_CHUNK_ROWS = 65_536
 
 
+def _all_distinct(keys: np.ndarray) -> bool:
+    """Whether no key repeats: one sort and a neighbour compare."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] != ordered[:-1]).all())
+
+
 def _cells(column: np.ndarray) -> list[str]:
-    """Text of each cell of one column; masked cells are empty."""
+    """Text of each cell of one column chunk; masked cells are empty.
+
+    Each distinct value is formatted once and its text gathered by the
+    inverse index.  Floats are told apart by their bits, not their value,
+    so ``-0.0`` keeps its sign.  A float chunk in which no bits repeat is
+    formatted in row order: there a gather would only slow the row join.
+    """
     values = np.ma.getdata(column)
-    if values.dtype.kind == "f":
+    if values.dtype.kind == "b":
+        values = values.astype(np.int8)
+    floats = values.dtype.kind == "f"
+    keys = values.view(np.int64) if floats else values
+    if floats and _all_distinct(keys):
         cells = np.fromiter(map(repr, values.tolist()), dtype=object, count=len(values))
     else:
-        # flags, labels and names repeat: format each distinct value once
-        if values.dtype.kind == "b":
-            values = values.astype(np.int8)
-        distinct, inverse = np.unique(values, return_inverse=True)
-        cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[inverse]
+        fmt = repr if floats else str
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        text = [fmt(v) for v in distinct.view(values.dtype).tolist()]
+        cells = np.array(text, dtype=object)[inverse]
     cells[np.ma.getmaskarray(column)] = ""
     return cells.tolist()
 
@@ -190,7 +205,9 @@ def render_csv(header: list[str], columns) -> str:
     Floats are written in shortest round-trip form (``repr``), integers
     and bools as integers, strings as given; masked cells and None are
     empty.  No cell needs quoting: the package writes no commas, quotes
-    or newlines inside a cell.
+    or newlines inside a cell.  Rows go out ``CSV_CHUNK_ROWS`` at a time,
+    and each distinct value of a chunk's column is formatted once; floats
+    are told apart by their bits, so ``0.0`` and ``-0.0`` keep their text.
     """
     columns = [_as_column(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
@@ -590,6 +607,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(args, argv)
     except (InvalidModelError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: input too large to allocate: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ScreeningError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy.special import ndtr
 
@@ -56,6 +57,13 @@ def read_csv(path):
 def read_text(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return fh.read()
+
+
+NEG_NAN = float(np.copysign(np.nan, -1.0))
+PAYLOAD_NAN = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
+# floats that repeat often, including pairs equal by value but not by bits
+FLOATS = st.sampled_from([0.0, -0.0, np.nan, NEG_NAN, PAYLOAD_NAN, np.inf, -np.inf,
+                          5e-324, -5e-324, 0.1]) | st.floats()
 
 
 def reference_csv(header, rows) -> str:
@@ -475,6 +483,65 @@ class TestCsvByteOracle:
         got = render_csv(header, [floats, ints, flags, labels, optional, names])
         assert got == reference_csv(header, rows)
 
+    def test_repeated_floats_across_chunks(self, monkeypatch):
+        """Repeats within a chunk: signed zeros, NaNs of other sign and
+        payload, infinities, the smallest subnormal and masked cells that
+        hide repeated values keep the text of their own bits."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+        zeros = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0, -0.0])
+        odd = np.array([np.nan, NEG_NAN, np.inf, PAYLOAD_NAN, np.nan, -np.inf,
+                        5e-324, -np.inf, 5e-324, np.inf, NEG_NAN])
+        hidden = np.ma.MaskedArray(
+            [0.25, 0.25, -0.0, 0.25, 0.0, 0.0, 0.25, -0.0, -0.0, 0.25, 0.25],
+            mask=[False, True, False, True, False, True, True, False, True, False, True],
+        )
+        distinct = np.linspace(-1.0, 1.0, len(zeros))
+        header = ["zeros", "odd", "hidden", "distinct"]
+        rows = zip(zeros, odd, [None if gone else v for v, gone in
+                                zip(hidden.data, hidden.mask)], distinct)
+        got = render_csv(header, [zeros, odd, hidden, distinct])
+        assert got == reference_csv(header, rows)
+        assert "\n-0.0,nan,,-0.8\n" in got
+
+    @given(cells=st.lists(st.tuples(FLOATS, FLOATS, st.booleans()), min_size=1, max_size=200),
+           chunk=st.integers(1, 8))
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    def test_float_columns_match_the_row_writer(self, cells, chunk):
+        plain, hidden, mask = (list(column) for column in zip(*cells))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+            got = render_csv(["a", "b"], [np.array(plain),
+                                          np.ma.MaskedArray(hidden, mask=mask)])
+        rows = zip(plain, [None if gone else v for v, gone in zip(hidden, mask)])
+        assert got == reference_csv(["a", "b"], rows)
+
+    @pytest.fixture()
+    def repr_calls(self, monkeypatch):
+        """Every value the CSV writer passes to ``repr``, in call order."""
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(cli, "repr", counting, raising=False)
+        return calls
+
+    def test_repeated_bits_formatted_once_per_chunk(self, monkeypatch, repr_calls):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4096)
+        column = np.tile([0.0, -0.0, 0.5, np.nan, np.inf], 2_000)
+        got = render_csv(["f"], [column])
+        chunks = -(-len(column) // cli.CSV_CHUNK_ROWS)
+        assert len(repr_calls) <= 5 * chunks
+        # compared line by line: pytest's text diff of 10,000 lines takes minutes
+        assert got.splitlines() == reference_csv(["f"], ([v] for v in column)).splitlines()
+
+    def test_distinct_floats_formatted_in_row_order(self, monkeypatch, repr_calls):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4096)
+        column = np.linspace(-1.0, 1.0, 10_000) ** 3
+        render_csv(["f"], [column])
+        assert repr_calls == column.tolist()
+
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
             render_csv(["a", "b"], [np.zeros(3), np.zeros(2)])
@@ -605,6 +672,20 @@ class TestEntryPoint:
         assert main(argv) == 1
         assert "--config is required" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["scores", "--theta-grid=-1:1:1000000000000000"],
+        ["scores", "--theta", "0", "--tau-grid=-0.5:0.5:1000000000000000"],
+        ["simulate", "--tau", "0", "--m", "1000000000000000"],
+        ["simulate", "--tau", "0", "--bins", "1000000000000000"],
+    ])
+    def test_size_too_large_to_allocate_exits_1(self, config_path, tmp_path, capsys, argv):
+        """10**15 float64 elements (7 PiB) are refused before any allocation."""
+        out = str(tmp_path / "out")
+        assert main(argv + ["--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error: ") and "too large to allocate" in err[-1]
+        assert not os.path.exists(out)
 
     def test_global_schema_dump(self, capsys):
         assert main(["--schema"]) == 0
