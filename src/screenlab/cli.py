@@ -42,6 +42,7 @@ from .model import (
     ScreeningError,
     UnsupportedModelError,
     load_config,
+    require_size,
     validate_mlrp,
 )
 from .population import (
@@ -282,8 +283,7 @@ def _parse_grid(spec: str, *, name: str) -> tuple[float, float, int]:
         raise DomainError(f"cannot parse {name} {spec!r}: {exc}") from exc
     if not lo < hi:
         raise DomainError(f"{name} needs min < max, got {spec!r}")
-    if count <= 1:
-        raise DomainError(f"{name} needs more than one point, got {spec!r}")
+    require_size(f"{name} point count", count, 2)
     return lo, hi, count
 
 

@@ -60,6 +60,20 @@ class UnsupportedModelError(ScreeningError):
     """
 
 
+# Largest size accepted for an array length given from outside: a
+# population's (m, 2) normals take 16 bytes an applicant, and past
+# intp's maximum in bytes numpy raises a plain ValueError, not MemoryError.
+MAX_SIZE = np.iinfo(np.intp).max // 16
+
+
+def require_size(what: str, n: int, least: int) -> None:
+    """DomainError unless least <= n <= MAX_SIZE."""
+    if n < least:
+        raise DomainError(f"{what} must be at least {least}, got {n}")
+    if n > MAX_SIZE:
+        raise DomainError(f"{what} {n} is too large to allocate (at most {MAX_SIZE})")
+
+
 # =====================================================================
 # Parameter containers
 # =====================================================================

@@ -21,14 +21,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import scores as _scores
-from ._roots import bisect_monotone
-from .model import (
-    DomainError,
-    ModelConfig,
-    marginal_posterior_phi,
-    require_increasing_phi,
-)
-from .regret import _regret_values
+from .model import DomainError, ModelConfig, require_increasing_phi, require_size
+from .regret import _accepted_payoff, _losses
 
 
 # =====================================================================
@@ -54,8 +48,7 @@ def sample_population(config: ModelConfig, m: int, seed: int) -> Population:
     is the class-conditional bivariate normal, generated from standard
     normals through the shared Cholesky factor.
     """
-    if m < 1:
-        raise DomainError(f"population size must be at least 1, got {m}")
+    require_size("population size", m, 1)
     if not 0 <= seed < 2**128:  # the range of a Philox key
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     signal = config.signal
@@ -169,8 +162,7 @@ def empirical_scores(data: StageOneData, theta_bins: int = 50) -> list[ScoreBin]
     """
     if len(data) == 0:
         raise DomainError("cannot bin an empty dataset")
-    if theta_bins < 1:
-        raise DomainError(f"need at least one bin, got {theta_bins}")
+    require_size("theta bin count", theta_bins, 1)
     edges = np.unique(
         np.quantile(data.theta, np.linspace(0.0, 1.0, theta_bins + 1))
     )
@@ -240,9 +232,10 @@ def mc_average_regret(
     _require_mc_size(m)
     population = sample_population(config, m, seed)
     pair = _scores.score_pair(config, population.theta, tau)
+    pay = _accepted_payoff(config.payoffs, population.q)
 
     def estimate(algo: str, s: np.ndarray) -> McRegretEstimate:
-        u = _regret_values(config.payoffs, s, population.q)[3]
+        u = _losses(config.payoffs, s, pay)
         return McRegretEstimate(
             value=float(u.mean()),
             standard_error=float(u.std(ddof=1) / np.sqrt(m)),
@@ -280,34 +273,28 @@ def classify_environment(config: ModelConfig) -> EnvironmentReport:
     """Classify the environment as regular or irregular.
 
     phi is strictly increasing in theta (enforced), so the event
-    phi(Theta) <= beta is a lower tail in theta with breakpoint theta_beta
-    found by bisection on phi - beta.  Both alpha values then follow from
-    the class-conditional normal CDFs, and the verdict is the strict
-    inequality x_u/x_q > (pi/(1-pi) * alpha_q - 1) / (alpha_u + 1).
+    phi(Theta) <= beta is a lower tail in theta.  phi's log odds are affine
+    in theta, so its breakpoint theta_beta, where phi meets beta, is the
+    closed form theta_midpoint + (logit(beta) - logit(pi)) / theta_slope.
+    Both alpha values then follow from the class-conditional normal CDFs,
+    and the verdict is the strict inequality
+    x_u/x_q > (pi/(1-pi) * alpha_q - 1) / (alpha_u + 1).
     """
     require_increasing_phi(config, "classify_environment")
     payoffs = config.payoffs
     signal = config.signal
     beta = config.beta
-
-    def gap(theta: float) -> float:
-        return float(marginal_posterior_phi(config, theta)) - beta
-
-    # The affine log odds give a starting guess; the bracket is widened
-    # geometrically from there until it straddles the sign change.
     log_odds_beta = float(np.log(beta) - np.log1p(-beta))
-    center = signal.theta_midpoint + (
+    theta_beta = signal.theta_midpoint + (
         (log_odds_beta - payoffs.log_odds_prior) / signal.theta_slope
     )
-    half = max(1.0, signal.sigma_theta)
-    while gap(center - half) >= 0.0 or gap(center + half) <= 0.0:
-        half *= 2.0
-        if half > 1e6 * signal.sigma_theta:
-            raise DomainError(
-                "could not bracket the phi = beta breakpoint; the posterior "
-                "is numerically flat at this beta"
-            )
-    theta_beta = bisect_monotone(gap, center - half, center + half).root
+    if not np.isfinite(theta_beta):
+        # a subnormal theta_slope (a near-zero theta mean shift) overflows it
+        raise DomainError(
+            f"the phi = beta breakpoint is not finite ({theta_beta!r}): the theta "
+            f"mean shift ({signal.theta_slope:.6g} per unit variance) is too "
+            "small to locate it"
+        )
     alpha_q = float(ndtr((theta_beta - signal.mu_q[0]) / signal.sigma_theta))
     alpha_u = float(ndtr((theta_beta - signal.mu_u[0]) / signal.sigma_theta))
     prior_odds = payoffs.pi / (1.0 - payoffs.pi)

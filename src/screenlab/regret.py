@@ -184,18 +184,11 @@ def regret_curve(config: ModelConfig, theta, q, tau_grid, critical) -> RegretCur
         u[algo] = loss
 
     tau_d1, tau_d2 = critical
+    pay = float(_accepted_payoff(payoffs, q))
     jumps = []
     if tau_d1 is not None:
-        jumps.append(JumpAnnotation(
-            algo="s1",
-            tau_d=tau_d1,
-            height=-payoffs.x_q if q == 1 else payoffs.x_u,
-        ))
-    jumps.append(JumpAnnotation(
-        algo="s2",
-        tau_d=tau_d2,
-        height=payoffs.x_q if q == 1 else -payoffs.x_u,
-    ))
+        jumps.append(JumpAnnotation(algo="s1", tau_d=tau_d1, height=-pay))
+    jumps.append(JumpAnnotation(algo="s2", tau_d=tau_d2, height=pay))
     return RegretCurves(
         theta=float(theta),
         q=int(q),

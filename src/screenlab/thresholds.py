@@ -292,7 +292,7 @@ def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
     the cells of every theta are bisected in one batch."""
     payoffs = config.payoffs
     lo, hi = _scores.clamped_tau_interval(payoffs)
-    drift = payoffs.x_q if q == 1 else -payoffs.x_u
+    drift = float(_accepted_payoff(payoffs, q))
     window = BOUNDARY_FLAG_FACTOR * RESIDUAL_TOL
     boundaries, cells = [], []
     for i, (d1, d2) in enumerate(zip(tau_d1, tau_d2)):

@@ -45,6 +45,10 @@ HUGE_INT_TEXT = json.dumps({**BASELINE_DOC, "rho": "HUGE"}).replace('"HUGE"', "9
 # so near the clamped upper tau the acceptance cutoff sits ~1.5e4 sds out.
 WEAK_GAMMA_DOC = dict(BASELINE_DOC, mu_q=[1.0, 0.001])
 
+# A theta mean shift of 1e-300: phi is flat to double precision, and the
+# phi = beta breakpoint lies ~4e299 out, so every alpha is 1.0.
+FLAT_THETA_DOC = dict(BASELINE_DOC, mu_q=[1e-300, 1.0])
+
 # Certified jointly, yet the theta marginals order the wrong way: the
 # negative correlation lets the gamma shift carry the whole certificate.
 NONMONOTONE_PHI_DOC = {

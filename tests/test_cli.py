@@ -35,7 +35,8 @@ from screenlab.cli import main, render_csv
 from screenlab.regret import _regret_values
 from screenlab.scores import ALGOS
 from conftest import (
-    BASELINE_DOC, HUGE_INT_TEXT, IRREGULAR_DOC, NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC,
+    BASELINE_DOC, FLAT_THETA_DOC, HUGE_INT_TEXT, IRREGULAR_DOC, NONMONOTONE_PHI_DOC,
+    WEAK_GAMMA_DOC,
 )
 from test_regret import oracle_expected_regret
 
@@ -136,6 +137,13 @@ class TestValidate:
         path.write_text(HUGE_INT_TEXT)
         assert main(["validate", "--config", str(path)]) == 1
         assert "error: config parse error" in capsys.readouterr().err
+
+    def test_flat_theta_posterior_exits_0(self, tmp_path, capsys):
+        """The phi = beta breakpoint was searched for, and not found."""
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(FLAT_THETA_DOC))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "environment: regular" in capsys.readouterr().out
 
     def test_invalid_model_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -460,6 +468,13 @@ class TestSimulate:
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, compared as lists of lines with their endings: equal
+    exactly when the texts are, but a failure names the first differing
+    line, where pytest's diff of two long texts runs for minutes."""
+    assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
 class TestCsvByteOracle:
     """Column-wise rendering writes the bytes the row-wise writer wrote."""
 
@@ -481,7 +496,7 @@ class TestCsvByteOracle:
             optional, names,
         )
         got = render_csv(header, [floats, ints, flags, labels, optional, names])
-        assert got == reference_csv(header, rows)
+        assert_same_text(got, reference_csv(header, rows))
 
     def test_repeated_floats_across_chunks(self, monkeypatch):
         """Repeats within a chunk: signed zeros, NaNs of other sign and
@@ -500,7 +515,7 @@ class TestCsvByteOracle:
         rows = zip(zeros, odd, [None if gone else v for v, gone in
                                 zip(hidden.data, hidden.mask)], distinct)
         got = render_csv(header, [zeros, odd, hidden, distinct])
-        assert got == reference_csv(header, rows)
+        assert_same_text(got, reference_csv(header, rows))
         assert "\n-0.0,nan,,-0.8\n" in got
 
     @given(cells=st.lists(st.tuples(FLOATS, FLOATS, st.booleans()), min_size=1, max_size=200),
@@ -513,7 +528,7 @@ class TestCsvByteOracle:
             got = render_csv(["a", "b"], [np.array(plain),
                                           np.ma.MaskedArray(hidden, mask=mask)])
         rows = zip(plain, [None if gone else v for v, gone in zip(hidden, mask)])
-        assert got == reference_csv(["a", "b"], rows)
+        assert_same_text(got, reference_csv(["a", "b"], rows))
 
     @pytest.fixture()
     def repr_calls(self, monkeypatch):
@@ -533,8 +548,7 @@ class TestCsvByteOracle:
         got = render_csv(["f"], [column])
         chunks = -(-len(column) // cli.CSV_CHUNK_ROWS)
         assert len(repr_calls) <= 5 * chunks
-        # compared line by line: pytest's text diff of 10,000 lines takes minutes
-        assert got.splitlines() == reference_csv(["f"], ([v] for v in column)).splitlines()
+        assert_same_text(got, reference_csv(["f"], ([v] for v in column)))
 
     def test_distinct_floats_formatted_in_row_order(self, monkeypatch, repr_calls):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4096)
@@ -577,7 +591,7 @@ class TestCsvByteOracle:
                            ("scores_empirical.csv", bin_rows),
                            ("regret_mc.csv", mc_rows)):
             header = [column for column, _ in cli.SCHEMAS[name]]
-            assert read_text(os.path.join(out, name)) == reference_csv(header, rows)
+            assert_same_text(read_text(os.path.join(out, name)), reference_csv(header, rows))
 
     def test_sweep_artifacts(self, config_path, tmp_path):
         thetas = [-0.5, 0.5]
@@ -621,7 +635,7 @@ class TestCsvByteOracle:
                            ("regret.csv", regret_rows),
                            ("average_regret.csv", average_rows)):
             header = [column for column, _ in cli.SCHEMAS[name]]
-            assert read_text(os.path.join(out, name)) == reference_csv(header, rows)
+            assert_same_text(read_text(os.path.join(out, name)), reference_csv(header, rows))
 
 
 class TestEntryPoint:
@@ -678,9 +692,17 @@ class TestEntryPoint:
         ["scores", "--theta", "0", "--tau-grid=-0.5:0.5:1000000000000000"],
         ["simulate", "--tau", "0", "--m", "1000000000000000"],
         ["simulate", "--tau", "0", "--bins", "1000000000000000"],
+        *[argv for n in (10**22, 2**60) for argv in (
+            ["scores", f"--theta-grid=-1:1:{n}"],
+            ["scores", "--theta", "0", f"--tau-grid=-0.5:0.5:{n}"],
+            ["simulate", "--tau", "0", "--m", str(n)],
+            ["simulate", "--tau", "0", "--m", "100", "--bins", str(n)],
+        )],
     ])
     def test_size_too_large_to_allocate_exits_1(self, config_path, tmp_path, capsys, argv):
-        """10**15 float64 elements (7 PiB) are refused before any allocation."""
+        """10**15 float64 elements (7 PiB) are refused before any allocation.
+        numpy raised a plain ValueError past intp in elements (10**22) or in
+        bytes (2**60 float64s), which escaped as a traceback."""
         out = str(tmp_path / "out")
         assert main(argv + ["--config", config_path, "--out", out]) == 1
         err = capsys.readouterr().err.strip().splitlines()

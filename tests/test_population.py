@@ -27,8 +27,9 @@ from screenlab.population import (
     ScoreBin,
     empirical_scores,
 )
+from screenlab.regret import _regret_values
 from screenlab.scores import log_acceptance_threshold
-from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC
+from conftest import BASELINE_DOC, FLAT_THETA_DOC, NONMONOTONE_PHI_DOC
 
 
 class TestSampling:
@@ -71,6 +72,11 @@ class TestSampling:
                      lambda: mc_average_regret(baseline, 0.0, m=10, seed=seed)):
             with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\*\*128\)"):
                 draw()
+
+    def test_rejects_a_size_numpy_cannot_index(self, baseline):
+        """numpy raised an untyped ValueError for this size."""
+        with pytest.raises(DomainError, match="population size .* too large to allocate"):
+            sample_population(baseline, 10**22, seed=1)
 
     def test_largest_philox_key_samples(self, baseline):
         assert len(sample_population(baseline, 10, seed=2**128 - 1)) == 10
@@ -127,6 +133,11 @@ class TestEmpiricalScores:
                 assert abs(b.s2_hat - float(score_s2(baseline, mid, 0.0))) < 0.05
             if b.n_accepted >= 200:
                 assert abs(b.s1_hat - float(score_s1(baseline, mid, 0.0))) < 0.08
+
+    def test_rejects_a_bin_count_numpy_cannot_index(self, baseline):
+        data = run_stage_one(baseline, sample_population(baseline, 100, seed=7), tau=0.0)
+        with pytest.raises(DomainError, match="bin count .* too large to allocate"):
+            empirical_scores(data, theta_bins=10**22)
 
     def test_empty_s1_when_no_acceptances(self, baseline):
         pop = sample_population(baseline, 50_000, seed=9)
@@ -206,6 +217,15 @@ class TestMcAverageRegret:
         with pytest.raises(DomainError, match=f"needs m >= 2, got {m}"):
             mc_average_regret(baseline, 0.0, m=m, seed=3)
 
+    def test_equals_the_mean_of_the_regret_record(self, baseline):
+        """The estimate and its SE are those of _regret_values' u, bit for bit."""
+        population = sample_population(baseline, 20_000, seed=3)
+        pair = score_s1(baseline, population.theta, 0.2), score_s2(baseline, population.theta, 0.2)
+        for est, s in zip(mc_average_regret(baseline, 0.2, m=20_000, seed=3), pair):
+            u = _regret_values(baseline.payoffs, s, population.q)[3]
+            assert est.value == float(u.mean())
+            assert est.standard_error == float(u.std(ddof=1) / np.sqrt(20_000))
+
     def test_both_scores_share_one_cohort(self, baseline, monkeypatch):
         from screenlab import population
 
@@ -239,10 +259,30 @@ class TestClassifyEnvironment:
         np.testing.assert_allclose(report.rhs, 3.5928111642055582, atol=1e-11)
         assert report.classification == "irregular"
 
-    def test_theta_beta_is_the_phi_root(self, baseline):
-        report = classify_environment(baseline)
-        phi = float(marginal_posterior_phi(baseline, report.theta_beta))
-        assert abs(phi - baseline.beta) < 1e-12
+    def test_theta_beta_is_the_phi_root(self, baseline, irregular_config, random_table):
+        """The closed form against phi itself: within 2 spacings of beta, and
+        phi crosses beta within 8 ulps of theta_beta either side."""
+        for config in [baseline, irregular_config, *(r.config for r in random_table)]:
+            theta_beta = classify_environment(config).theta_beta
+            beta = config.beta
+            ulp = np.spacing(abs(theta_beta))
+            phi = [float(marginal_posterior_phi(config, theta_beta + k * ulp)) for k in (-8, 0, 8)]
+            assert abs(phi[1] - beta) <= 2 * np.spacing(beta)
+            assert phi[0] <= beta <= phi[2]
+
+    def test_flat_theta_posterior_classifies(self):
+        """A 1e-300 theta mean shift put the breakpoint past any bracket,
+        which raised DomainError; it lies ~4e299 out, so every alpha is 1."""
+        report = classify_environment(ModelConfig.from_dict(FLAT_THETA_DOC))
+        assert np.isfinite(report.theta_beta) and report.theta_beta > 1e299
+        assert (report.alpha_q, report.alpha_u) == (1.0, 1.0)
+        assert report.classification == "regular"
+
+    def test_non_finite_breakpoint_raises(self):
+        """A subnormal theta slope overflows the closed form."""
+        config = ModelConfig.from_dict(dict(BASELINE_DOC, mu_q=[1e-310, 1.0]))
+        with pytest.raises(DomainError, match="phi = beta breakpoint is not finite"):
+            classify_environment(config)
 
     def test_alphas_against_simulation(self, baseline):
         report = classify_environment(baseline)
