@@ -10,6 +10,10 @@ Conventions shared by all subcommands:
 
 * numbers are serialized in shortest round-trip decimal form, so reruns
   with identical inputs produce byte-identical CSV bodies;
+* a CSV of more than one ``CSV_CHUNK_ROWS`` chunk is rendered in one
+  contiguous chunk range per available CPU, all but the last by children
+  forked on POSIX systems; the bytes do not depend on the split, and no
+  option selects it;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
   recording the config digest, seeds, command line, and output hashes;
@@ -200,6 +204,66 @@ def _as_column(values) -> np.ndarray:
     )
 
 
+def _render_rows(columns, start: int, stop: int) -> str:
+    """CSV lines of rows [start, stop), formatted ``CSV_CHUNK_ROWS`` at a time."""
+    chunks = []
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        cells = [_cells(column[lo:min(lo + CSV_CHUNK_ROWS, stop)]) for column in columns]
+        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(chunks)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or ask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader] | None:
+    """Fork a child that writes rows [start, stop) to a pipe as UTF-8.
+
+    Returns the child's pid and the pipe's read end, or None when the fork
+    fails.  The child leaves by ``os._exit``, never returning into the
+    caller or flushing its stdio: status 0 once the text is written, 1 on
+    any exception.  A fork copies only the calling thread, which is safe
+    here because the child calls no BLAS (whose threads it would lack),
+    only ``repr``, sorts and ``tolist``; a spawned child would instead pay
+    a fresh import and a copy of the columns.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_render_rows(columns, start, stop).encode("utf-8"))
+            status = 0
+        finally:
+            os._exit(status)
+    # closed before the next fork, so only this child holds the write end
+    # and the parent sees EOF when it exits
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _child_text(pid: int, pipe: io.BufferedReader) -> str | None:
+    """The text a forked child sent, read to EOF, or None when it failed.
+
+    Reaps the child.  Its bytes are dropped on return, so they are not held
+    while the caller joins the texts.
+    """
+    with pipe:
+        data = pipe.read()
+    return data.decode("utf-8") if os.waitpid(pid, 0)[1] == 0 else None
+
+
 def render_csv(header: list[str], columns) -> str:
     """CSV text of equal-length columns under one header line.
 
@@ -209,16 +273,44 @@ def render_csv(header: list[str], columns) -> str:
     or newlines inside a cell.  Rows go out ``CSV_CHUNK_ROWS`` at a time,
     and each distinct value of a chunk's column is formatted once; floats
     are told apart by their bits, so ``0.0`` and ``-0.0`` keep their text.
+
+    A table of more than one chunk is split into one contiguous range of
+    chunks per available CPU.  Forked children render all but the last
+    range, which this process renders; a range whose fork or child fails
+    is rendered here.  No child outlives the call.
     """
     columns = [_as_column(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError("CSV columns must have equal lengths")
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        cells = [_cells(column[start:start + CSV_CHUNK_ROWS]) for column in columns]
-        buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    return buf.getvalue()
+    rows = len(columns[0])
+    chunks = -(-rows // CSV_CHUNK_ROWS)
+    parts = max(1, min(_available_cpus(), chunks))
+    bounds = [CSV_CHUNK_ROWS * (chunks * i // parts) for i in range(parts)] + [rows]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    texts: list[str | None] = [None] * parts
+    children: dict[int, tuple[int, io.BufferedReader]] = {}
+    try:
+        for i, (start, stop) in enumerate(ranges[:-1]):
+            child = _fork_render(columns, start, stop)
+            if child is not None:
+                children[i] = child
+        texts[-1] = _render_rows(columns, *ranges[-1])
+        for i in sorted(children):
+            texts[i] = _child_text(*children[i])
+            del children[i]
+    finally:
+        # only a raise leaves children here: stop and reap each one
+        if children:
+            from signal import SIGKILL
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    for i, text in enumerate(texts):
+        if text is None:
+            texts[i] = _render_rows(columns, *ranges[i])
+    # one join: prefixing the header afterwards would copy the text again
+    return "".join([",".join(header) + "\n", *texts])
 
 
 def render_json(doc) -> str:

@@ -98,7 +98,8 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
     in tau and strictly decreasing in theta.  A NaN or infinite theta, or a
     finite one so extreme that the cutoff overflows, raises DomainError.
     """
-    return _Scores(config, theta, ()).cutoff(tau)
+    with np.errstate(over="ignore"):
+        return _Scores(config, theta, ()).cutoff(tau)
 
 
 class _Scores:
@@ -110,6 +111,11 @@ class _Scores:
     only for the scores in ``algos``, so a population-sized call holds no
     more arrays than it needs.  ``_BoundScores`` computes those terms once
     instead.
+
+    Each evaluation runs under ``np.errstate(over="ignore")``: an extreme
+    theta may overflow on the way, which either ends in the cutoff's
+    DomainError or gives an infinite z-score or log odds, whose ndtr and
+    expit limits are exact.
     """
 
     __slots__ = ("config", "theta", "algos")
@@ -153,7 +159,8 @@ class _Scores:
     def __call__(self, tau) -> tuple:
         """(s1, s2) at tau, None for a score not in ``algos``; both share
         one cutoff and one pair of z-scores."""
-        return self.at_z(*self.z_scores(self.cutoff(tau)))
+        with np.errstate(over="ignore"):
+            return self.at_z(*self.z_scores(self.cutoff(tau)))
 
     def at_z(self, z_q, z_u) -> tuple:
         """(s1, s2) from the z-scores of a cutoff, None for a score not in ``algos``."""
@@ -245,9 +252,10 @@ def score_table(config: ModelConfig, theta, tau) -> list[np.ndarray]:
     and one pair of z-scores.
     """
     scores = _Scores(config, np.reshape(theta, (-1, 1)))
-    cutoff = scores.cutoff(tau)
-    z_q, z_u = scores.z_scores(cutoff)
-    table = np.broadcast_arrays(scores.theta, np.asarray(tau, dtype=float),
-                                *scores.at_z(z_q, z_u), cutoff, scores.phi(),
-                                ndtr(-z_q), ndtr(-z_u))
+    with np.errstate(over="ignore"):
+        cutoff = scores.cutoff(tau)
+        z_q, z_u = scores.z_scores(cutoff)
+        table = np.broadcast_arrays(scores.theta, np.asarray(tau, dtype=float),
+                                    *scores.at_z(z_q, z_u), cutoff, scores.phi(),
+                                    ndtr(-z_q), ndtr(-z_u))
     return [column.ravel() for column in table]

@@ -22,6 +22,7 @@ population bound once to the terms of its scores that do not depend on tau.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,8 +375,9 @@ def find_tau_bar(
     none-variant is returned after a grid confirmation.  Both modes root D
     with Brent's method and report in ``passes`` how many taus they
     evaluated it at.  The analytic mode evaluates D by quadrature; the Monte
-    Carlo mode replays a sampled population and propagates the sample
-    standard error through the local slope of D.
+    Carlo mode replays a sampled population, propagates the sample standard
+    error through the local slope of D and adds the width of Brent's final
+    bracket in quadrature.
     """
     if mode not in ("analytic", "mc"):
         raise DomainError(f"mode must be 'analytic' or 'mc', got {mode!r}")
@@ -437,12 +439,13 @@ def find_tau_bar(
     try:
         # resolving the root beyond 1e-8*scale buys nothing: the location is
         # only known to its propagated standard error anyway
-        root = brent_root(lambda t: float(losses(t).mean()), lo, hi, xtol=1e-8 * scale).root
+        located = brent_root(lambda t: float(losses(t).mean()), lo, hi, xtol=1e-8 * scale)
     except BracketError as exc:
         raise InconclusiveResolutionError(
             f"sampled average-regret gap holds one sign on the clamped "
             f"interval; increase m ({exc})"
         ) from exc
+    root = located.root
     _, se_root = estimate(root)
     delta = 0.01 * scale
     right, left = min(root + delta, hi), max(root - delta, lo)
@@ -453,7 +456,10 @@ def find_tau_bar(
             f"average-regret gap slope {slope!r} is not negative near the "
             f"candidate root {root!r}; increase m"
         )
-    standard_error = se_root / abs(slope)
+    # the sampling error, propagated through the slope, and the width of
+    # Brent's final bracket: a cohort whose gap has no spread still has a
+    # root located only to the bracket
+    standard_error = math.hypot(se_root / abs(slope), located.bracket_width)
     probe = 0.02 * scale
     for side, want_positive in ((max(root - probe, lo), True),
                                 (min(root + probe, hi), False)):

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -475,6 +476,37 @@ def assert_same_text(got: str, want: str) -> None:
     assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
+def mixed_table():
+    """(header, columns, reference text) of an 11-row table of every cell
+    kind: signed zeros, NaNs of other sign and payload, infinities, the
+    smallest subnormal, integers, bools, masked labels, None and strings."""
+    floats = np.array([0.1, -0.0, 5e-324, np.inf, np.nan, NEG_NAN, -np.inf,
+                       PAYLOAD_NAN, 0.0, -0.0, -1 / 3])
+    ints = np.array([0, -7, 2**40, 3, 3, 1, 0, 5, 5, -7, 9])
+    flags = floats > 0
+    labels = np.ma.MaskedArray(
+        np.array([1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0], dtype=np.int8),
+        mask=[False, True, True, False, False, True, False, False, True, False, True],
+    )
+    optional = [0.5, None, 1.0, None, 0.25, 0.125, None, 0.5, 0.5, None, -0.0]
+    names = ["s1", "s2", "s1", "s2", "s1", "s2", "s1", "s1", "s2", "s2", "s1"]
+    header = ["f", "i", "b", "label", "opt", "name"]
+    rows = zip(
+        floats, ints, flags,
+        [None if gone else int(v) for v, gone in zip(labels.data, labels.mask)],
+        optional, names,
+    )
+    return header, [floats, ints, flags, labels, optional, names], reference_csv(header, rows)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="render_csv forks only on POSIX")
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestCsvByteOracle:
     """Column-wise rendering writes the bytes the row-wise writer wrote."""
 
@@ -540,6 +572,8 @@ class TestCsvByteOracle:
             return repr(value)
 
         monkeypatch.setattr(cli, "repr", counting, raising=False)
+        # a forked child's calls never reach this list: render in one process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         return calls
 
     def test_repeated_bits_formatted_once_per_chunk(self, monkeypatch, repr_calls):
@@ -555,6 +589,84 @@ class TestCsvByteOracle:
         column = np.linspace(-1.0, 1.0, 10_000) ** 3
         render_csv(["f"], [column])
         assert repr_calls == column.tolist()
+
+    @pytest.fixture()
+    def forked(self, monkeypatch):
+        """Four 3-row chunks of ``mixed_table``; takes the CPU count render_csv
+        sees and returns the list of forks it makes, one entry per call."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+        forks = []
+        fork = os.fork
+
+        def counting():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+
+        def with_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+            return forks
+
+        return with_cpus
+
+    @needs_fork
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_chunk_ranges_rendered_by_children(self, forked, cpus):
+        forks = forked(cpus)
+        header, columns, want = mixed_table()
+        assert_same_text(render_csv(header, columns), want)
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+    @needs_fork
+    def test_failed_fork_renders_in_process(self, forked, monkeypatch):
+        forked(3)
+
+        def failing():
+            raise OSError("no process left")
+
+        monkeypatch.setattr(os, "fork", failing)
+        header, columns, want = mixed_table()
+        assert_same_text(render_csv(header, columns), want)
+        assert_no_child_left()
+
+    @needs_fork
+    @pytest.mark.parametrize("death", ["raise", "kill"])
+    def test_failed_child_renders_in_process(self, forked, monkeypatch, death):
+        forks = forked(3)
+        parent, cells = os.getpid(), cli._cells
+
+        def failing_in_children(column):
+            if os.getpid() != parent:
+                if death == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child failed")
+            return cells(column)
+
+        monkeypatch.setattr(cli, "_cells", failing_in_children)
+        header, columns, want = mixed_table()
+        assert_same_text(render_csv(header, columns), want)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @needs_fork
+    def test_error_in_own_range_stops_children(self, forked, monkeypatch):
+        forks = forked(3)
+        parent, cells = os.getpid(), cli._cells
+
+        def failing_in_parent(column):
+            if os.getpid() == parent:
+                raise MemoryError("parent failed")
+            return cells(column)
+
+        monkeypatch.setattr(cli, "_cells", failing_in_parent)
+        header, columns, _ = mixed_table()
+        with pytest.raises(MemoryError, match="parent failed"):
+            render_csv(header, columns)
+        assert len(forks) == 2
+        assert_no_child_left()
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):

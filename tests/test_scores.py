@@ -2,6 +2,7 @@
 dual-route check for the fine-signal cutoff."""
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -270,6 +271,26 @@ class TestDomain:
                 assert np.isfinite(value).all()
                 if fn is not gamma1:
                     assert ((value >= 0.0) & (value <= 1.0)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_theta_warns_of_nothing(self, baseline, irregular_config, random_table):
+        """Past |theta| ~ 1e16 the cutoff, its z-scores or the log odds may
+        overflow; that ends in DomainError or in an infinite z-score or log
+        odds, whose ndtr and expit limits are exact, and is not warned of."""
+        magnitudes = (1e16, 1e64, 1e154, 1e250, 1e300, 1e307, 1.7e308, np.finfo(float).max)
+        thetas = [sign * x for x in magnitudes for sign in (1.0, -1.0)]
+        for config in [baseline, irregular_config] + [record.config for record in random_table]:
+            lo, hi = clamped_tau_interval(config.payoffs)
+            for tau in (lo, 0.5 * (lo + hi), hi):
+                for theta in thetas:
+                    for fn in (score_s1, score_s2, gamma1):
+                        try:
+                            value = float(fn(config, theta, tau))
+                        except DomainError:
+                            continue
+                        assert math.isfinite(value)
+                        if fn is not gamma1:
+                            assert 0.0 <= value <= 1.0
 
     def test_s1_rejects_a_cutoff_past_its_precision(self, baseline):
         """On the baseline the cutoff sits about -theta sds above both means;

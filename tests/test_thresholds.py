@@ -25,7 +25,8 @@ from screenlab import (
 from screenlab import scores, thresholds
 from screenlab.thresholds import CONFIRM_GRID, _crossings, _sampled_losses
 from conftest import (
-    BASELINE_DOC, ENGINEERED_DOC, IRREGULAR_DOC, baseline_theta_grid, scalar_bisect,
+    BASELINE_DOC, ENGINEERED_DOC, FLAT_THETA_DOC, IRREGULAR_DOC, baseline_theta_grid,
+    scalar_bisect,
 )
 
 
@@ -329,6 +330,16 @@ class TestTauBar:
         scale = baseline.payoffs.x_q + baseline.payoffs.x_u
         bisected = scalar_bisect(lambda t: losses(t).mean(), lo, hi, width=1e-8 * scale)
         assert abs(result.value - bisected) <= 1e-3 * result.standard_error
+
+    def test_mc_standard_error_covers_the_bracket(self):
+        """Every applicant of a flat-theta config shares one pair of
+        scores, so the sampled gap has no spread; the root is still known
+        only to Brent's final bracket, and the SE says so."""
+        config = ModelConfig.from_dict(FLAT_THETA_DOC)
+        result = find_tau_bar(config, "mc", m=20_000, seed=1)
+        analytic = find_tau_bar(config, "analytic").value
+        assert result.standard_error > 0.0
+        assert abs(result.value - analytic) <= result.standard_error
 
     def test_mc_mode_irregular_detected(self, irregular_config):
         result = find_tau_bar(irregular_config, "mc", m=200_000, seed=5)
