@@ -59,6 +59,7 @@ from .population import (
 from .regret import expected_regret, regret_curve
 from .scores import ALGOS, clamped_tau_interval, score_table
 from .thresholds import (
+    _available_cpus as _cpus,
     find_critical_prejudices,
     find_regret_crossings,
     find_tau_bar,
@@ -215,9 +216,7 @@ def _render_rows(columns, start: int, stop: int) -> str:
 
 def _available_cpus() -> int:
     """CPUs this process may run on; 1 where it cannot fork or ask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+    return _cpus() if hasattr(os, "fork") else 1
 
 
 def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader] | None:

@@ -99,7 +99,7 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
     finite one so extreme that the cutoff overflows, raises DomainError.
     """
     with np.errstate(over="ignore"):
-        return _Scores(config, theta, ()).cutoff(tau)
+        return _Scores(config, theta, ()).cutoff(log_acceptance_threshold(config.payoffs, tau))
 
 
 class _Scores:
@@ -138,11 +138,10 @@ class _Scores:
     def phi(self) -> np.ndarray:
         return marginal_posterior_phi(self.config, self.theta)
 
-    def cutoff(self, tau) -> np.ndarray:
-        """gamma1 at tau, checked finite."""
+    def cutoff(self, log_t) -> np.ndarray:
+        """gamma1 where log T(tau) is ``log_t``, checked finite."""
         signal = self.config.signal
         w_theta, w_gamma = signal.log_ratio_weights
-        log_t = log_acceptance_threshold(self.config.payoffs, tau)
         cutoff = (log_t - signal.log_ratio_intercept - self.w_theta_theta(w_theta)) / w_gamma
         # the bisections call this with scalars, where math.isfinite costs a
         # fraction of an array reduction
@@ -159,8 +158,13 @@ class _Scores:
     def __call__(self, tau) -> tuple:
         """(s1, s2) at tau, None for a score not in ``algos``; both share
         one cutoff and one pair of z-scores."""
+        return self.at_log_t(log_acceptance_threshold(self.config.payoffs, tau))
+
+    def at_log_t(self, log_t) -> tuple:
+        """(s1, s2) where log T(tau) is ``log_t``.  It calls no public
+        function, so it may run off the thread that computed ``log_t``."""
         with np.errstate(over="ignore"):
-            return self.at_z(*self.z_scores(self.cutoff(tau)))
+            return self.at_z(*self.z_scores(self.cutoff(log_t)))
 
     def at_z(self, z_q, z_u) -> tuple:
         """(s1, s2) from the z-scores of a cutoff, None for a score not in ``algos``."""
@@ -192,8 +196,11 @@ class _BoundScores(_Scores):
     def __init__(self, config: ModelConfig, theta):
         super().__init__(config, theta)
         w_theta = config.signal.log_ratio_weights[0]
-        self.terms = (super().w_theta_theta(w_theta), super().mean(True), super().mean(False),
-                      super().log_odds(), super().phi())
+        # a NaN or infinite theta may make a term NaN (0 * inf where rho = 0)
+        # or overflow; the first evaluation's cutoff check raises DomainError
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.terms = (super().w_theta_theta(w_theta), super().mean(True),
+                          super().mean(False), super().log_odds(), super().phi())
 
     def w_theta_theta(self, w_theta: float) -> np.ndarray:
         return self.terms[0]
@@ -252,8 +259,9 @@ def score_table(config: ModelConfig, theta, tau) -> list[np.ndarray]:
     and one pair of z-scores.
     """
     scores = _Scores(config, np.reshape(theta, (-1, 1)))
+    log_t = log_acceptance_threshold(config.payoffs, tau)
     with np.errstate(over="ignore"):
-        cutoff = scores.cutoff(tau)
+        cutoff = scores.cutoff(log_t)
         z_q, z_u = scores.z_scores(cutoff)
         table = np.broadcast_arrays(scores.theta, np.asarray(tau, dtype=float),
                                     *scores.at_z(z_q, z_u), cutoff, scores.phi(),

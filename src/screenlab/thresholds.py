@@ -19,10 +19,14 @@ The per-theta roots come from bisection to floating-point resolution
 (see _roots), with residual tolerances checked afterwards; tau_bar, in
 both modes, from Brent's method, on the quadrature gap or on a sampled
 population bound once to the terms of its scores that do not depend on tau.
+A population of at least 2 * PART_MIN applicants is bound in parts, which
+threads evaluate side by side in each pass with the same bits as one thread.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,11 @@ CONFIRM_GRID = 101
 # Two critical prejudices closer than this (scaled by x_q + x_u) are
 # reported as coinciding.
 ORDERING_ATOL_SCALE = 1e-9
+
+# Fewest applicants a thread of a Monte Carlo pass takes.  On 2 vCPUs a
+# one-thread pool only beat the serial pass from ~16k applicants up, so
+# every m below 2 * PART_MIN stays on one thread and m = 1e5 splits.
+PART_MIN = 16_384
 
 
 class EndpointResolutionError(ScreeningError):
@@ -342,20 +351,55 @@ def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
 # Population indifference prejudice
 # =====================================================================
 
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _sampled_losses(config: ModelConfig, m: int, seed: int):
     """u(s2) - u(s1) as a function of tau, applicant by applicant, over m
     applicants sampled with ``seed``, bound once to the terms of their
-    scores and payoffs that do not depend on tau."""
-    population = sample_population(config, m, seed)
-    bound = _scores._BoundScores(config, population.theta)
-    pay = _accepted_payoff(config.payoffs, population.q)
-    del population  # gamma is not needed, and theta lives on in the binding
+    scores and payoffs that do not depend on tau.
 
-    def losses(tau: float) -> np.ndarray:
-        s1, s2 = bound(tau)
+    The population is bound in P contiguous parts, one per available CPU
+    but none under PART_MIN applicants.  Each pass computes log T(tau) once;
+    worker threads compute the losses of the first P - 1 parts and the
+    calling thread those of the last, so the special functions, which
+    release the GIL, run side by side, and the parts are joined in order.
+    Every value is elementwise, so the result is the same bit for bit for
+    any P; at P = 1 no thread starts.  The threads call no public function
+    and none outlives its pass.  A failing pass raises the error of the
+    first part that fails, once every part is done.
+    """
+    population = sample_population(config, m, seed)
+    pay = _accepted_payoff(config.payoffs, population.q)
+    count = max(1, min(_available_cpus(), m // PART_MIN))
+    edges = [m * i // count for i in range(count + 1)]
+    parts = [(_scores._BoundScores(config, population.theta[a:b]), pay[a:b])
+             for a, b in zip(edges[:-1], edges[1:])]
+    del population, pay  # gamma is not needed, and theta lives on in the bindings
+
+    def part_losses(log_t, bound, pay) -> np.ndarray:
+        s1, s2 = bound.at_log_t(log_t)
         u2 = _losses(config.payoffs, s2, pay)
         u2 -= _losses(config.payoffs, s1, pay)
         return u2
+
+    def losses(tau: float) -> np.ndarray:
+        log_t = _scores.log_acceptance_threshold(config.payoffs, tau)
+        if count == 1:
+            return part_losses(log_t, *parts[0])
+        with ThreadPoolExecutor(count - 1) as pool:
+            workers = [pool.submit(part_losses, log_t, *part) for part in parts[:-1]]
+            try:
+                last = part_losses(log_t, *parts[-1])
+            finally:
+                # the workers' parts come first, so their errors outrank this one's
+                values = [worker.result() for worker in workers]
+        # joined once every part is done, so no (m,) array is held while they run
+        return np.concatenate([*values, last])
 
     return losses
 

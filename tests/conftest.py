@@ -93,6 +93,15 @@ def random_table() -> list[RandomRecord]:
     return records
 
 
+def split_passes(monkeypatch, parts: int, part_min: int = 1_000) -> None:
+    """Make each Monte Carlo pass run in ``parts`` threads wherever m holds
+    that many parts of ``part_min`` applicants."""
+    from screenlab import thresholds
+
+    monkeypatch.setattr(thresholds, "_available_cpus", lambda: parts)
+    monkeypatch.setattr(thresholds, "PART_MIN", part_min)
+
+
 def scalar_bisect(f, lo: float, hi: float, width: float = 0.0) -> float:
     """Reference bisection of a monotone f, one float at a time: runs to
     machine resolution, or until the bracket is at most ``width`` wide, and

@@ -23,13 +23,14 @@ from screenlab import (
     score_s1,
     score_s2,
 )
+from screenlab import scores
 from screenlab.population import sample_population
 from screenlab.regret import _regret_values
 from screenlab.scores import (
     _BoundScores, log_acceptance_threshold, score, score_pair, score_table,
 )
 from screenlab.thresholds import _sampled_losses
-from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid
+from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid, split_passes
 
 
 class TestAcceptanceThreshold:
@@ -385,6 +386,50 @@ class TestBoundScores:
                 u2 = _regret_values(config.payoffs, ref2, population.q)[3]
                 u1 = _regret_values(config.payoffs, ref1, population.q)[3]
                 assert np.array_equal(losses(tau), u2 - u1)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_split_pass_equals_the_serial_reference(
+        self, baseline, irregular_config, random_table, monkeypatch, parts,
+    ):
+        """However many threads share a pass, each applicant's loss is the
+        reference written out term by term, bit for bit."""
+        split_passes(monkeypatch, parts)
+        sizes = []
+
+        class Counted(_BoundScores):
+            __slots__ = ()
+
+            def __init__(self, config, theta):
+                sizes.append(len(theta))
+                super().__init__(config, theta)
+
+        monkeypatch.setattr(scores, "_BoundScores", Counted)
+        configs = [baseline, irregular_config] + [record.config for record in random_table]
+        for k, config in enumerate(configs):
+            sizes.clear()
+            population = sample_population(config, self.M, seed=k)
+            losses = _sampled_losses(config, self.M, seed=k)
+            assert len(sizes) == parts and sum(sizes) == self.M
+            lo, hi = clamped_tau_interval(config.payoffs)
+            for tau in np.linspace(lo, hi, 5):
+                ref1, ref2 = reference_scores(config, population.theta, tau)
+                u2 = _regret_values(config.payoffs, ref2, population.q)[3]
+                u1 = _regret_values(config.payoffs, ref1, population.q)[3]
+                assert np.array_equal(losses(tau), u2 - u1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_binding_a_nonfinite_theta_warns_of_nothing(self, baseline, theta):
+        """The baseline's rho = 0 meets an infinite theta as 0 * inf while the
+        terms are bound; the first evaluation raises, as each score call does."""
+        thetas = np.array([0.0, theta, 1.0])
+        bound = _BoundScores(baseline, thetas)
+        with pytest.raises(DomainError) as paired:
+            bound(0.2)
+        for fn in (score_s1, score_s2):
+            with pytest.raises(DomainError) as called:
+                fn(baseline, thetas, 0.2)
+            assert str(paired.value) == str(called.value)
 
     @pytest.mark.parametrize("theta,raising", [
         (np.inf, (score_s1, score_s2)),

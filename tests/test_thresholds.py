@@ -2,6 +2,11 @@
 levels, regret-curve crossings, and the population indifference level."""
 from __future__ import annotations
 
+import functools
+import importlib
+import inspect
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,7 +31,7 @@ from screenlab import scores, thresholds
 from screenlab.thresholds import CONFIRM_GRID, _crossings, _sampled_losses
 from conftest import (
     BASELINE_DOC, ENGINEERED_DOC, FLAT_THETA_DOC, IRREGULAR_DOC, baseline_theta_grid,
-    scalar_bisect,
+    scalar_bisect, split_passes,
 )
 
 
@@ -369,3 +374,95 @@ class TestTauBar:
     def test_mc_mode_too_small_sample_is_inconclusive(self, baseline):
         with pytest.raises(InconclusiveResolutionError):
             find_tau_bar(baseline, "mc", m=60, seed=5)
+
+
+class TestSplitPass:
+    """A Monte Carlo pass split across threads gives the serial root and the
+    serial errors, leaves no thread behind and runs no public function off
+    the main thread."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_root_is_the_same_on_two_threads(self, baseline, monkeypatch, seed):
+        results = []
+        for parts in (1, 2):
+            split_passes(monkeypatch, parts)
+            result = find_tau_bar(baseline, "mc", m=20_000, seed=seed)
+            results.append((result.value, result.standard_error, result.passes))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("spoiled,named", [
+        ({100: np.nan}, "nan"),
+        ({3_900: np.inf}, "inf"),
+        ({100: np.nan, 3_900: np.inf}, "nan"),
+    ], ids=["worker-part", "calling-thread-part", "both-parts"])
+    def test_failing_part_raises_the_serial_error(self, baseline, monkeypatch, spoiled, named):
+        """Of 4,000 applicants in two parts, a worker thread takes the first
+        2,000 and the calling thread the rest."""
+        draw = thresholds.sample_population
+
+        def spoiled_draw(*args):
+            population = draw(*args)
+            for i, theta in spoiled.items():
+                population.theta[i] = theta
+            return population
+
+        monkeypatch.setattr(thresholds, "sample_population", spoiled_draw)
+        messages = []
+        for parts in (1, 2):
+            split_passes(monkeypatch, parts)
+            losses = _sampled_losses(baseline, 4_000, seed=3)
+            before = threading.active_count()
+            with pytest.raises(DomainError, match=f"theta={named} ") as info:
+                losses(0.2)
+            assert threading.active_count() == before
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_no_public_function_runs_off_the_main_thread(self, baseline, monkeypatch):
+        """Every public function of the package, wrapped where it is bound
+        as the benchmark's tracer wraps it, is entered on the main thread
+        only, while the bound parts do run off it."""
+        import screenlab
+
+        modules = [importlib.import_module(f"screenlab.{name}") for name in
+                   ("model", "scores", "_roots", "thresholds", "regret", "population", "cli")]
+        off_main = []
+
+        def spy(fn, label):
+            @functools.wraps(fn)
+            def wrapped(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(label)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        wrappers = {}
+        for module in modules:
+            for attr, obj in vars(module).items():
+                if (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                        and not attr.startswith("_")):
+                    wrappers[id(obj)] = (obj, spy(obj, f"{module.__name__}.{attr}"))
+        for module in (screenlab, *modules):
+            for attr, obj in list(vars(module).items()):
+                original, wrapper = wrappers.get(id(obj), (None, None))
+                if original is obj:
+                    monkeypatch.setattr(module, attr, wrapper)
+        bound_off_main = []
+        at_log_t = scores._BoundScores.at_log_t
+
+        def counted(self, log_t):
+            if threading.current_thread() is not threading.main_thread():
+                bound_off_main.append(len(self.theta))
+            return at_log_t(self, log_t)
+
+        monkeypatch.setattr(scores._BoundScores, "at_log_t", counted)
+        split_passes(monkeypatch, 3)
+        result = find_tau_bar(baseline, "mc", m=20_000, seed=1)
+        assert off_main == []
+        assert len(bound_off_main) == 2 * result.passes
