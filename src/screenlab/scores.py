@@ -21,10 +21,10 @@ s1 and s2, come straight from the normal survival function.
 Evaluation is restricted to a clamped prejudice interval
 [-x_u + eps, x_q - eps] with eps = 1e-6 * (x_q + x_u): at the open
 interval's endpoints gamma1 diverges and the scores are defined only as
-limits.  Near the upper endpoint both survival probabilities underflow;
-s1 is therefore computed from the difference of log survival functions
-(scipy's log_ndtr, which switches to the asymptotic tail expansion), so
-the ratio stays finite and tends to 1 as it should.
+limits.  s1 is the qualified share phi * S_q / s2 while the numerator is
+not tiny.  Near the upper endpoint both survivals underflow; there s1 comes
+from the difference of log survival functions (scipy's log_ndtr, which
+switches to the asymptotic tail expansion), so it stays finite and tends to 1.
 """
 from __future__ import annotations
 
@@ -39,9 +39,12 @@ from .model import DomainError, ModelConfig, PayoffParams, marginal_posterior_ph
 # prejudice interval before any grid evaluation.
 TAU_CLAMP_SCALE = 1e-6
 
-# s1's log survival difference, of two ~-z**2/2 terms, rounds off by ~eps*z**2/2
-# in the log odds (NaN past z ~ 1.3e154); cutoffs over S1_MAX_Z sds above both
-# classes' means, where that exceeds S1_LOG_ODDS_TOL, are rejected.
+# s1 = phi * S_q / s2 where that numerator is at least S1_RATIO_MIN, as what ndtr
+# loses below the smallest normal float (0 past z ~ 37.7) is there under eps of s2.
+# Elsewhere s1 takes the log route: two ~-z**2/2 log survivals, whose difference
+# rounds off by ~eps*z**2/2 in the log odds (NaN past z ~ 1.3e154); cutoffs over
+# S1_MAX_Z sds above both means, where that exceeds S1_LOG_ODDS_TOL, are rejected.
+S1_RATIO_MIN = np.finfo(float).tiny / np.finfo(float).eps  # 2**-970, ~1e-292
 S1_LOG_ODDS_TOL = 1e-3
 S1_MAX_Z = math.sqrt(2.0 * S1_LOG_ODDS_TOL / np.finfo(float).eps)  # ~3e6
 
@@ -99,7 +102,7 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
     finite one so extreme that the cutoff overflows, raises DomainError.
     """
     with np.errstate(over="ignore"):
-        return _Scores(config, theta, ()).cutoff(log_acceptance_threshold(config.payoffs, tau))
+        return _Scores(config, theta).cutoff(log_acceptance_threshold(config.payoffs, tau))
 
 
 class _Scores:
@@ -107,10 +110,9 @@ class _Scores:
 
     ``score_s1``, ``score_s2``, ``score_pair``, ``gamma1`` and
     ``score_table`` evaluate their thetas at one tau (or tau array),
-    computing each term that does not depend on tau where it is used, and
-    only for the scores in ``algos``, so a population-sized call holds no
-    more arrays than it needs.  ``_BoundScores`` computes those terms once
-    instead.
+    computing each term that does not depend on tau where it is used, so a
+    population-sized call holds no more arrays than it needs.
+    ``_BoundScores`` computes those terms once instead.
 
     Each evaluation runs under ``np.errstate(over="ignore")``: an extreme
     theta may overflow on the way, which either ends in the cutoff's
@@ -118,12 +120,11 @@ class _Scores:
     expit limits are exact.
     """
 
-    __slots__ = ("config", "theta", "algos")
+    __slots__ = ("config", "theta")
 
-    def __init__(self, config: ModelConfig, theta, algos=ALGOS):
+    def __init__(self, config: ModelConfig, theta):
         self.config = config
         self.theta = np.asarray(theta, dtype=float)
-        self.algos = algos
 
     def w_theta_theta(self, w_theta: float) -> np.ndarray:
         return w_theta * self.theta
@@ -156,40 +157,44 @@ class _Scores:
         return (cutoff - self.mean(True)) / sd, (cutoff - self.mean(False)) / sd
 
     def __call__(self, tau) -> tuple:
-        """(s1, s2) at tau, None for a score not in ``algos``; both share
-        one cutoff and one pair of z-scores."""
+        """(s1, s2) at tau; both share one cutoff and one pair of z-scores."""
         return self.at_log_t(log_acceptance_threshold(self.config.payoffs, tau))
 
     def at_log_t(self, log_t) -> tuple:
         """(s1, s2) where log T(tau) is ``log_t``.  It calls no public
         function, so it may run off the thread that computed ``log_t``."""
         with np.errstate(over="ignore"):
-            return self.at_z(*self.z_scores(self.cutoff(log_t)))
+            return self.at_z(*self.z_scores(self.cutoff(log_t)))[:2]
 
     def at_z(self, z_q, z_u) -> tuple:
-        """(s1, s2) from the z-scores of a cutoff, None for a score not in ``algos``."""
-        s1 = s2 = None
-        if "s2" in self.algos:
-            phi = self.phi()
-            s2 = phi * ndtr(-z_q) + (1.0 - phi) * ndtr(-z_u)
-        if "s1" in self.algos:
-            beyond = (z_q > S1_MAX_Z) & (z_u > S1_MAX_Z)
-            # a scalar bool is tested directly: ndarray.any costs ~2 us per call
-            if beyond if beyond.ndim == 0 else beyond.any():
-                bad = float(np.broadcast_to(self.theta, beyond.shape)[beyond].flat[0])
-                raise DomainError(
-                    f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:.3g} sds above "
-                    f"both classes' means, where s1's log odds round off by over "
-                    f"{S1_LOG_ODDS_TOL:g}"
-                )
-            s1 = expit(self.log_odds() + log_ndtr(-z_q) - log_ndtr(-z_u))
-        return s1, s2
+        """(s1, s2, S_q, S_u) at a cutoff's z-scores, S = ndtr(-z); s1 = phi S_q / s2 down to
+        S1_RATIO_MIN, and the log route expit(log odds + log S_q - log S_u) below it."""
+        beyond = (z_q > S1_MAX_Z) & (z_u > S1_MAX_Z)
+        # a scalar bool is tested directly: ndarray.any costs ~2 us per call
+        if beyond if beyond.ndim == 0 else beyond.any():
+            bad = float(np.broadcast_to(self.theta, beyond.shape)[beyond].flat[0])
+            raise DomainError(
+                f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:.3g} sds above "
+                f"both classes' means, where s1's log odds round off by over {S1_LOG_ODDS_TOL:g}"
+            )
+        phi = self.phi()
+        surv_q, surv_u = ndtr(-z_q), ndtr(-z_u)
+        mass_q = phi * surv_q
+        s2 = mass_q + (1.0 - phi) * surv_u
+        tail = mass_q < S1_RATIO_MIN
+        if not (tail if tail.ndim == 0 else tail.any()):
+            mass_q /= s2  # in place, so a pass holds one array fewer
+            return mass_q, s2, surv_q, surv_u
+        s1 = np.divide(mass_q, s2, out=np.zeros(tail.shape), where=~tail)
+        log_odds = np.broadcast_to(self.log_odds(), tail.shape)[tail]
+        s1[tail] = expit(log_odds + log_ndtr(-z_q[tail]) - log_ndtr(-z_u[tail]))
+        return s1[()], s2, surv_q, surv_u
 
 
 class _BoundScores(_Scores):
     """Both scores of a sampled population, evaluated at many taus: the
     terms that do not depend on tau are computed once, so each tau costs
-    one cutoff, one pair of z-scores and five special-function calls."""
+    one cutoff, one pair of z-scores and two survivals outside s1's tail."""
 
     __slots__ = ("terms",)
 
@@ -219,20 +224,20 @@ def score_s2(config: ModelConfig, theta, tau) -> np.ndarray:
     """Acceptance probability given theta: the accept/reject-trained score.
 
     Mixture of the two class-conditional survival probabilities weighted
-    by the qualification posterior phi(theta).
+    by phi(theta).  Computed with s1, it raises s1's DomainError too.
     """
-    return _Scores(config, theta, ("s2",))(tau)[1]
+    return _Scores(config, theta)(tau)[1]
 
 
 def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
     """Qualification probability among the accepted: the outcome-trained score.
 
-    Evaluated as a logistic transform of the theta log odds plus the log
-    survival difference, which is exact algebra on the mixture form and
-    remains finite when both survivals underflow.  A cutoff past S1_MAX_Z
-    sds in both classes, where it has lost its digits, raises DomainError.
+    The qualified share phi * S_q / s2 of the acceptance probability, or its
+    log-space form where the numerator underflows.  A cutoff past S1_MAX_Z
+    sds in both classes, where the log form has lost its digits, raises
+    DomainError.
     """
-    return _Scores(config, theta, ("s1",))(tau)[0]
+    return _Scores(config, theta)(tau)[0]
 
 
 def score(config: ModelConfig, algo: str, theta, tau) -> np.ndarray:
@@ -245,8 +250,7 @@ def score(config: ModelConfig, algo: str, theta, tau) -> np.ndarray:
 
 
 def score_pair(config: ModelConfig, theta, tau) -> tuple[np.ndarray, np.ndarray]:
-    """(s1, s2) at (theta, tau) from one cutoff and one pair of z-scores,
-    each equal bit for bit to its own ``score_s1`` / ``score_s2`` call."""
+    """(s1, s2) at (theta, tau) from one cutoff and one pair of z-scores."""
     return _Scores(config, theta)(tau)
 
 
@@ -254,16 +258,12 @@ def score_table(config: ModelConfig, theta, tau) -> list[np.ndarray]:
     """The scores.csv columns of the (theta x tau) table, theta by theta
     and along tau within each: theta, tau, s1, s2, gamma1, phi, surv_q and
     surv_u (the class-conditional probabilities that gamma clears gamma1).
-
-    theta is a scalar or a 1-D array; every column comes from one cutoff
-    and one pair of z-scores.
+    theta is a scalar or a 1-D array; all columns share one cutoff and its survivals.
     """
     scores = _Scores(config, np.reshape(theta, (-1, 1)))
-    log_t = log_acceptance_threshold(config.payoffs, tau)
     with np.errstate(over="ignore"):
-        cutoff = scores.cutoff(log_t)
-        z_q, z_u = scores.z_scores(cutoff)
+        cutoff = scores.cutoff(log_acceptance_threshold(config.payoffs, tau))
+        s1, s2, surv_q, surv_u = scores.at_z(*scores.z_scores(cutoff))
         table = np.broadcast_arrays(scores.theta, np.asarray(tau, dtype=float),
-                                    *scores.at_z(z_q, z_u), cutoff, scores.phi(),
-                                    ndtr(-z_q), ndtr(-z_u))
+                                    s1, s2, cutoff, scores.phi(), surv_q, surv_u)
     return [column.ravel() for column in table]

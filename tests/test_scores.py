@@ -337,9 +337,9 @@ class TestDomain:
             score(baseline, "s3", 0.3, taus)
 
 
-def reference_scores(config, theta, tau):
-    """(s1, s2) written out term by term from the model's closed forms: the
-    reference the score evaluator must equal bit for bit."""
+def score_terms(config, theta, tau):
+    """(z_q, z_u, log odds, phi) at (theta, tau), written out term by term
+    from the model's closed forms."""
     signal = config.signal
     w_theta, w_gamma = signal.log_ratio_weights
     log_t = log_acceptance_threshold(config.payoffs, tau)
@@ -347,10 +347,97 @@ def reference_scores(config, theta, tau):
     sd = signal.conditional_gamma_sd
     z_q = (cutoff - signal.conditional_gamma_mean(theta, qualified=True)) / sd
     z_u = (cutoff - signal.conditional_gamma_mean(theta, qualified=False)) / sd
-    phi = marginal_posterior_phi(config, theta)
     log_odds = config.payoffs.log_odds_prior + signal.theta_log_ratio(theta)
-    return (expit(log_odds + log_ndtr(-z_q) - log_ndtr(-z_u)),
-            phi * ndtr(-z_q) + (1.0 - phi) * ndtr(-z_u))
+    return z_q, z_u, log_odds, marginal_posterior_phi(config, theta)
+
+
+def log_route_s1(config, theta, tau):
+    """s1 by the log route alone, expit(log odds + log S_q - log S_u)."""
+    z_q, z_u, log_odds, _ = score_terms(config, theta, tau)
+    return expit(log_odds + log_ndtr(-z_q) - log_ndtr(-z_u))
+
+
+def reference_scores(config, theta, tau):
+    """(s1, s2) written out term by term from the model's closed forms: the
+    reference the score evaluator must equal bit for bit.  s1 is the ratio
+    phi S_q / s2 where its numerator is at least 2**-970 (the smallest normal
+    float over eps) and the log route elsewhere, both evaluated everywhere and
+    then picked element by element."""
+    z_q, z_u, _, phi = score_terms(config, theta, tau)
+    numerator = phi * ndtr(-z_q)
+    s2 = numerator + (1.0 - phi) * ndtr(-z_u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = numerator / s2
+    return np.where(numerator >= 2.0**-970, ratio, log_route_s1(config, theta, tau)), s2
+
+
+class TestS1Routes:
+    """s1 is the ratio phi S_q / s2 down to S1_RATIO_MIN and the log route
+    below it: the ratio is no less accurate, and the switch keeps s1 a
+    probability that rises with tau."""
+
+    def test_ratio_route_is_no_less_accurate_than_the_log_route(self, baseline, irregular_config):
+        """Both routes against a 50-digit reference computed from the same
+        double z-scores and log odds, over generated and extreme thetas at
+        nine taus from one clamped end to the other."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2)
+        weak_gamma = ModelConfig.from_dict(WEAK_GAMMA_DOC)
+        for config in (baseline, irregular_config, weak_gamma):
+            lo, hi = clamped_tau_interval(config.payoffs)
+            thetas = np.concatenate([
+                rng.uniform(-60.0, 60.0, 100),
+                -np.exp(rng.uniform(np.log(60.0), np.log(2000.0), 30)),
+                [-2000.0, -200.0, -40.0, -30.0, 40.0, 1e3, 1e5],
+            ])[:, None]
+            taus = np.linspace(lo, hi, 9)
+            z_q, z_u, log_odds, _ = np.broadcast_arrays(*score_terms(config, thetas, taus))
+            routes = (score_s1(config, thetas, taus), log_route_s1(config, thetas, taus))
+            errors = ([], [])
+            with mpmath.workdps(50):
+                for k in np.ndindex(z_q.shape):
+                    odds_u = mpmath.exp(-mpmath.mpf(log_odds[k])) * mpmath.ncdf(-z_u[k])
+                    exact = 1 / (1 + odds_u / mpmath.ncdf(-z_q[k]))
+                    ulp = np.spacing(float(exact))
+                    for s1, error in zip(routes, errors):
+                        error.append(float(abs(mpmath.mpf(s1[k]) - exact) / ulp))
+            new, old = np.array(errors[0]), np.array(errors[1])
+            differ = (routes[0] != routes[1]).ravel()
+            # the far tail, where both take the log route, holds the overall max
+            assert new.max() <= old.max()
+            assert new[differ].max(initial=0) <= old[differ].max(initial=0)
+            # the weak gamma signal puts its cutoffs tens of sds from both class
+            # means, where the two routes round to the same bits
+            assert config is weak_gamma or differ.sum() > 100
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("which,theta", [("baseline", -30.0), ("irregular", -40.0)])
+    def test_s1_rises_across_the_route_switch(self, baseline, irregular_config, which, theta):
+        """phi S_q falls below S1_RATIO_MIN inside the clamped tau grid; s1
+        stays in [0, 1] and non-decreasing there, and on two finer grids
+        around the switch, down to taus ~1e-9 apart."""
+        config = baseline if which == "baseline" else irregular_config
+        grid = np.linspace(*clamped_tau_interval(config.payoffs), 400)
+        for _ in range(3):
+            z_q, _, _, phi = score_terms(config, theta, grid)
+            ratio = phi * ndtr(-z_q) >= scores.S1_RATIO_MIN
+            assert ratio[0] and not ratio[-1]
+            s1 = score_s1(config, theta, grid)
+            assert ((s1 >= 0.0) & (s1 <= 1.0)).all() and (np.diff(s1) >= 0.0).all()
+            switch = np.argmin(ratio)
+            grid = np.linspace(grid[switch - 1], grid[switch], 2001)
+
+    def test_ratio_waits_for_the_unqualified_survival(self, baseline):
+        """At the clamped upper tau, theta = -22.58 gives a normal phi S_q of
+        ~5.6e-307 while ndtr flushes S_u, truly ~5.4e-313, to 0: a ratio there
+        would read s1 = 1.0 against the true 0.99999903, so s1 keeps the log
+        route."""
+        theta, tau = -22.580225758741747, clamped_tau_interval(baseline.payoffs)[1]
+        z_q, z_u, _, phi = score_terms(baseline, theta, tau)
+        assert phi * ndtr(-z_q) > np.finfo(float).tiny and ndtr(-z_u) == 0.0
+        s1 = score_s1(baseline, theta, tau)
+        assert s1 == log_route_s1(baseline, theta, tau)
+        np.testing.assert_allclose(s1, 0.99999902641676455, rtol=1e-14)
 
 
 class TestBoundScores:
