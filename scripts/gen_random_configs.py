@@ -158,9 +158,8 @@ def vet(doc: dict) -> dict | None:
         return None
 
     try:
-        eu_s2_left = expected_regret(config, "s2", left)
-        eu_s1_left = expected_regret(config, "s1", left)
-        eu_s2_right = expected_regret(config, "s2", right)
+        eu_s1_left, eu_s2_left = expected_regret(config, left)
+        eu_s2_right = expected_regret(config, right)[1]
     except QuadratureError:
         return None
     pi = payoffs.pi

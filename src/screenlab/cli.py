@@ -517,15 +517,9 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
         for report in reports for q in (0, 1)
     ))
 
-    try:
-        env_doc = asdict(classify_environment(config))
-        bar = find_tau_bar(config, "analytic")
-        tau_bar, reason = bar.value, bar.reason
-    except UnsupportedModelError as exc:
-        env_doc = None
-        tau_bar, reason = None, f"unsupported: {exc}"
-
-    averages = [expected_regret(config, algo, tau_grid) for algo in ALGOS]
+    env_doc = asdict(classify_environment(config))
+    bar = find_tau_bar(config, "analytic")
+    averages = expected_regret(config, tau_grid)
 
     return {
         "scores.csv": _csv("scores.csv", score_columns),
@@ -533,8 +527,8 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
         "regret_jumps.json": render_json(jump_docs),
         "thresholds.json": render_json({
             "per_theta": [asdict(report) for report in reports],
-            "tau_bar": tau_bar,
-            "tau_bar_reason": reason,
+            "tau_bar": bar.value,
+            "tau_bar_reason": bar.reason,
             "environment": env_doc,
         }),
         "average_regret.csv": _csv(

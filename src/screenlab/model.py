@@ -74,6 +74,14 @@ def require_size(what: str, n: int, least: int) -> None:
         raise DomainError(f"{what} {n} is too large to allocate (at most {MAX_SIZE})")
 
 
+def _as_scalar_or_1d(values, what: str) -> np.ndarray:
+    """``values`` as a float array, DomainError unless a scalar or 1-D."""
+    array = np.asarray(values, dtype=float)
+    if array.ndim > 1:
+        raise DomainError(f"{what} must be a scalar or a 1-D array, got shape {array.shape}")
+    return array
+
+
 # =====================================================================
 # Parameter containers
 # =====================================================================

@@ -16,13 +16,13 @@ crosses beta (the score's critical prejudice): height x_q for a qualified
 applicant and x_u for an unqualified one.
 
 ``expected_regret`` averages u = N(s) - p over the applicant population at
-each tau of a grid.  N(s) is smooth in theta and is integrated by an
-adaptive Gauss-Legendre panel scheme.  The score rises in theta, so the
-applicants accepted are those above one breakpoint, and the mean of p is
-the class tail masses above it, in closed form.  A whole grid takes one
-bisection for every breakpoint and one score call for every tau's initial
-panels; only a tau whose error estimate misses the tolerance refines its
-own panels, one at a time.
+each tau of a grid, for s1 and s2 together.  N(s) is smooth in theta and is
+integrated by an adaptive Gauss-Legendre panel scheme.  Each score rises in
+theta, so the applicants accepted are those above one breakpoint, and the
+mean of p is the class tail masses above it, in closed form.  A whole grid
+takes one bisection per score for every breakpoint and one evaluation of
+both scores for every tau's initial panels; only a (score, tau) whose error
+estimate misses the tolerance refines its own panels, one at a time.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .model import (
     ModelConfig,
     PayoffParams,
     ScreeningError,
+    _as_scalar_or_1d,
     require_increasing_phi,
 )
 from .scores import ALGOS
@@ -267,20 +268,18 @@ def _theta_range(config: ModelConfig) -> tuple[float, float]:
     return min(means) - 10.0 * sd, max(means) + 10.0 * sd
 
 
-def expected_regret(config: ModelConfig, algo: str, tau):
-    """Population mean of the regret loss u(s(Theta, tau)), at each tau.
+def expected_regret(config: ModelConfig, tau):
+    """(E[u(s1)], E[u(s2)]), the population means of the regret loss, at each tau.
 
-    ``tau`` is a scalar, giving a float, or a 1-D array, giving an array.
-    E[N(s)] is one adaptive quadrature over the full theta range.  The
+    ``tau`` is a scalar, giving two floats, or a 1-D array, giving two arrays.
+    Each E[N(s)] is one adaptive quadrature over the full theta range.  The
     realized payoff p is x_q for an accepted qualified applicant and -x_u
     for an accepted unqualified one, and acceptance means theta above the
-    breakpoint, so E[p] = x_q*pi*P_q(accepted) - x_u*(1-pi)*P_u(accepted)
+    score's breakpoint, so E[p] = x_q*pi*P_q(accepted) - x_u*(1-pi)*P_u(accepted)
     with each class's mass between the breakpoint and the range's top.
     """
     require_increasing_phi(config, "expected_regret")
-    taus = np.asarray(tau, dtype=float)
-    if taus.ndim > 1:
-        raise DomainError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")
+    taus = _as_scalar_or_1d(tau, "tau")
     flat = taus.reshape(-1)
     payoffs = config.payoffs
     pi, beta = payoffs.pi, payoffs.beta
@@ -288,48 +287,50 @@ def expected_regret(config: ModelConfig, algo: str, tau):
     mu_q, mu_u = config.signal.mu_q[0], config.signal.mu_u[0]
     lo, hi = _theta_range(config)
 
-    def integrand(theta, tau):
+    def integrands(theta, tau) -> list[np.ndarray]:
         mixture = pi * _normal_pdf(theta, mu_q, sd) + (1.0 - pi) * _normal_pdf(theta, mu_u, sd)
-        return _ex_ante(payoffs, _scores.score(config, algo, theta, tau)) * mixture
+        return [_ex_ante(payoffs, s) * mixture for s in _scores.score_pair(config, theta, tau)]
 
-    # the rule accepts above one breakpoint: lo when it accepts everyone,
-    # hi when no one, else the root of s - beta, all taus in one bisection;
-    # a lone tau stays 0-d, on numpy's scalar paths (as a (1,) batch it
-    # doubles the time of each gap value in find_tau_bar's Brent search)
-    gap_lo = _scores.score(config, algo, lo, taus) - beta
-    gap_hi = _scores.score(config, algo, hi, taus) - beta
-    breakpoints = np.where(gap_lo > 0.0, lo, hi)
-    split = ~(gap_lo > 0.0) & ~(gap_hi <= 0.0)
-    if split.any():
-        inner = taus[split] if taus.ndim else taus
-        breakpoints[split] = bisect_monotone_many(
-            lambda theta: _scores.score(config, algo, theta, inner) - beta,
-            np.full_like(inner, lo), np.full_like(inner, hi),
-        ).root
-
-    # the 8 initial panels of every tau in one evaluation; each tau's heap
-    # refines only where its error estimate asks for it
+    # the 8 initial panels of every tau in one evaluation of both scores
     edges = np.linspace(lo, hi, 9).tolist()
     panels = list(zip(edges[:-1], edges[1:]))
     nodes = np.concatenate([_panel_nodes(a, b) for a, b in panels])
-    values = integrand(nodes, flat[:, None]).reshape(len(flat), len(panels), len(_NODES_BOTH))
-    integrals = []
-    for t, rows in zip(flat.tolist(), values):
-        heap = []
-        for (a, b), row in zip(panels, rows):
-            value, err = _panel_values(row, a, b)
-            heapq.heappush(heap, (-err, a, b, value))
-        integrals.append(_refine(lambda theta, t=t: integrand(theta, t), heap))
+    values = [v.reshape(len(flat), len(panels), -1) for v in integrands(nodes, flat[:, None])]
+    ends = zip(_scores.score_pair(config, lo, taus), _scores.score_pair(config, hi, taus))
+    results = []
+    for k, (s_lo, s_hi) in enumerate(ends):
+        # the rule accepts above one breakpoint: lo when it accepts everyone,
+        # hi when no one, else the root of s - beta, all taus in one bisection;
+        # a lone tau stays 0-d, on numpy's scalar paths (as a (1,) batch it
+        # doubles the time of each gap value in find_tau_bar's Brent search)
+        gap_lo, gap_hi = s_lo - beta, s_hi - beta
+        breakpoints = np.where(gap_lo > 0.0, lo, hi)
+        split = ~(gap_lo > 0.0) & ~(gap_hi <= 0.0)
+        if split.any():
+            inner = taus[split] if taus.ndim else taus
+            breakpoints[split] = bisect_monotone_many(
+                lambda theta: _scores.score_pair(config, theta, inner)[k] - beta,
+                np.full_like(inner, lo), np.full_like(inner, hi),
+            ).root
 
-    def accepted_mass(mean: float) -> np.ndarray:
-        return ndtr((hi - mean) / sd) - ndtr((breakpoints - mean) / sd)
+        # each tau's heap refines only where its error estimate asks for it
+        integrals = []
+        for t, rows in zip(flat.tolist(), values[k]):
+            heap = []
+            for (a, b), row in zip(panels, rows):
+                value, err = _panel_values(row, a, b)
+                heapq.heappush(heap, (-err, a, b, value))
+            integrals.append(_refine(lambda theta, t=t: integrands(theta, t)[k], heap))
 
-    expected_p = (payoffs.x_q * pi * accepted_mass(mu_q)
-                  - payoffs.x_u * (1.0 - pi) * accepted_mass(mu_u))
-    result = np.array(integrals) - expected_p
-    return float(result[0]) if taus.ndim == 0 else result
+        mass_q, mass_u = (ndtr((hi - mean) / sd) - ndtr((breakpoints - mean) / sd)
+                          for mean in (mu_q, mu_u))
+        expected_p = payoffs.x_q * pi * mass_q - payoffs.x_u * (1.0 - pi) * mass_u
+        result = np.array(integrals) - expected_p
+        results.append(float(result[0]) if taus.ndim == 0 else result)
+    return tuple(results)
 
 
 def expected_regret_gap(config: ModelConfig, tau):
     """E[u(s2)] - E[u(s1)] at each tau: positive where s1 is the cheaper score."""
-    return expected_regret(config, "s2", tau) - expected_regret(config, "s1", tau)
+    u1, u2 = expected_regret(config, tau)
+    return u2 - u1

@@ -240,15 +240,6 @@ def score_s1(config: ModelConfig, theta, tau) -> np.ndarray:
     return _Scores(config, theta)(tau)[0]
 
 
-def score(config: ModelConfig, algo: str, theta, tau) -> np.ndarray:
-    """The score named ``algo``, "s1" or "s2", at (theta, tau)."""
-    if algo not in ALGOS:
-        raise DomainError(f"algo must be one of {ALGOS}, got {algo!r}")
-    # looked up at call time, so a rebound score_s1/score_s2 is the one called
-    fn = score_s1 if algo == "s1" else score_s2
-    return fn(config, theta, tau)
-
-
 def score_pair(config: ModelConfig, theta, tau) -> tuple[np.ndarray, np.ndarray]:
     """(s1, s2) at (theta, tau) from one cutoff and one pair of z-scores."""
     return _Scores(config, theta)(tau)

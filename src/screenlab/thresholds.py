@@ -37,6 +37,7 @@ from .model import (
     DomainError,
     ModelConfig,
     ScreeningError,
+    _as_scalar_or_1d,
     marginal_posterior_phi,
 )
 from .population import _require_mc_size, classify_environment, sample_population
@@ -145,7 +146,7 @@ def find_tau_star(config: ModelConfig, theta):
     the root unless it sits inside the clamp margin.  A scalar theta gives
     a float, a 1-D array one root per theta from one batch bisection.
     """
-    thetas = np.asarray(theta, dtype=float)
+    thetas = _as_scalar_or_1d(theta, "theta")
     roots = _tau_roots(
         config,
         lambda tau: np.subtract(*_scores.score_pair(config, thetas, tau)),
@@ -169,7 +170,7 @@ def find_critical_prejudices(config: ModelConfig, theta):
     is folded into the absent case.  A 1-D theta array gives two lists,
     one entry per theta, each score's roots from one batch bisection.
     """
-    thetas = np.asarray(theta, dtype=float)
+    thetas = _as_scalar_or_1d(theta, "theta")
     has_d1, tau_d1, tau_d2 = _critical_roots(config, thetas)
     if thetas.ndim == 0:
         return (float(tau_d1) if has_d1 else None), float(tau_d2)
@@ -185,16 +186,16 @@ def _critical_roots(config: ModelConfig, thetas: np.ndarray):
     score; a 0-d theta stays 0-d, on numpy's scalar paths, twice as fast."""
     beta = config.beta
 
-    def roots(algo: str, members: np.ndarray) -> np.ndarray:
+    def roots(k: int, members: np.ndarray) -> np.ndarray:
         return _tau_roots(
-            config, lambda tau: _scores.score(config, algo, members, tau) - beta, members,
-            f"score {algo} never meets beta={beta!r} on the clamped interval",
+            config, lambda tau: _scores.score_pair(config, members, tau)[k] - beta, members,
+            f"score {_scores.ALGOS[k]} never meets beta={beta!r} on the clamped interval",
         )
 
-    tau_d2 = roots("s2", thetas)
+    tau_d2 = roots(1, thetas)
     has_d1 = marginal_posterior_phi(config, thetas) < beta
     members = thetas if thetas.ndim == 0 else thetas[has_d1]
-    tau_d1 = roots("s1", members) if has_d1.any() else np.empty(0)
+    tau_d1 = roots(0, members) if has_d1.any() else np.empty(0)
     return has_d1, tau_d1, tau_d2
 
 
@@ -250,7 +251,7 @@ def threshold_report(config: ModelConfig, theta):
     A 1-D theta array gives a list of reports, with each kind of root
     found for every theta in one batch bisection.
     """
-    flat = np.asarray(theta, dtype=float).reshape(-1)
+    flat = _as_scalar_or_1d(theta, "theta").reshape(-1)
     tau_star = find_tau_star(config, flat)
     tau_d1, tau_d2 = find_critical_prejudices(config, flat)
     equalized = 0.5 * np.add(*_scores.score_pair(config, flat, tau_star))
@@ -291,15 +292,18 @@ def find_regret_crossings(config: ModelConfig, theta, q: int):
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
     # a lone theta roots on numpy's scalar paths, in half the time of a (1,) batch
-    critical = find_critical_prejudices(config, theta)
-    if np.ndim(theta) == 0:
-        return _crossings(config, np.array([theta], dtype=float), q, *([t] for t in critical))[0]
-    return _crossings(config, np.asarray(theta, dtype=float), q, *critical)
+    thetas = _as_scalar_or_1d(theta, "theta")
+    critical = find_critical_prejudices(config, thetas)
+    if thetas.ndim == 0:
+        return _crossings(config, thetas.reshape(1), q, *([t] for t in critical))[0]
+    return _crossings(config, thetas, q, *critical)
 
 
 def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
     """find_regret_crossings for each theta, given its critical prejudices;
     the cells of every theta are bisected in one batch."""
+    if not len(thetas):
+        return []
     payoffs = config.payoffs
     lo, hi = _scores.clamped_tau_interval(payoffs)
     drift = float(_accepted_payoff(payoffs, q))

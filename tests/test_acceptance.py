@@ -220,16 +220,17 @@ def test_criterion_07_endpoint_expectations(baseline, random_table):
         scale = payoffs.x_q + payoffs.x_u
         left, right = clamped_tau_interval(payoffs)
         report = classify_environment(config)
+        s1_left, s2_left = expected_regret(config, left)
         np.testing.assert_allclose(
-            expected_regret(config, "s2", left), (1.0 - pi) * scale,
+            s2_left, (1.0 - pi) * scale,
             atol=ENDPOINT_QUAD_TOL,
         )
         np.testing.assert_allclose(
-            expected_regret(config, "s2", right), -payoffs.x_u,
+            expected_regret(config, right)[1], -payoffs.x_u,
             atol=ENDPOINT_QUAD_TOL,
         )
         np.testing.assert_allclose(
-            expected_regret(config, "s1", left),
+            s1_left,
             payoffs.x_q * pi * report.alpha_q
             - payoffs.x_u * (1.0 - pi) * report.alpha_u,
             atol=ENDPOINT_QUAD_TOL,

@@ -388,6 +388,18 @@ class TestSweep:
         assert len(rooted) == 21
         np.testing.assert_allclose(sorted(rooted), np.linspace(-2.0, 2.0, 21), atol=1e-15)
 
+    def test_unsupported_model_exits_2_without_output(self, tmp_path, capsys):
+        """tau_bar and the average regret both need phi increasing in theta."""
+        path = tmp_path / "sideways.json"
+        path.write_text(json.dumps(NONMONOTONE_PHI_DOC))
+        out = tmp_path / "out"
+        assert main([
+            "sweep", "--config", str(path), "--theta", "1.0",
+            "--tau-grid=-0.8:0.8:3", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert not out.exists() or not os.listdir(out)
+
     def test_irregular_tau_bar_null(self, tmp_path):
         path = tmp_path / "irr.json"
         path.write_text(json.dumps(IRREGULAR_DOC))

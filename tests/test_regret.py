@@ -270,8 +270,7 @@ def oracle_expected_regret(config, algo, tau: float, tol=1e-8, max_panels=200):
 
 class TestExpectedRegret:
     def test_reference_values(self, baseline):
-        s1 = expected_regret(baseline, "s1", 0.0)
-        s2 = expected_regret(baseline, "s2", 0.0)
+        s1, s2 = expected_regret(baseline, 0.0)
         np.testing.assert_allclose(s1, 0.5459524011, atol=2e-8)
         np.testing.assert_allclose(s2, -0.3829867601, atol=2e-8)
         assert type(s1) is float and type(s2) is float
@@ -284,51 +283,46 @@ class TestExpectedRegret:
         for config in (baseline, irregular_config, random_table[2].config):
             accepted = set()
             for tau in np.linspace(*clamped_tau_interval(config.payoffs), 5):
-                for algo in ("s1", "s2"):
+                for algo, value in zip(("s1", "s2"), expected_regret(config, tau)):
                     np.testing.assert_allclose(
-                        expected_regret(config, algo, tau),
-                        scipy_expected_regret(config, algo, tau, accepted),
-                        atol=5e-8,
+                        value, scipy_expected_regret(config, algo, tau, accepted), atol=5e-8,
                     )
             assert accepted == {"everyone", "no one", "upper tail"}
 
     def test_gap_is_difference_of_expectations(self, baseline):
-        gap = expected_regret_gap(baseline, 0.1)
-        direct = expected_regret(baseline, "s2", 0.1) - expected_regret(
-            baseline, "s1", 0.1
-        )
-        np.testing.assert_allclose(gap, direct, atol=5e-8)
+        u1, u2 = expected_regret(baseline, 0.1)
+        assert expected_regret_gap(baseline, 0.1) == u2 - u1
 
     def test_quadrature_error_when_budget_too_small(self, baseline, monkeypatch):
         monkeypatch.setattr(regret, "QUAD_TOL", 0.0)
         monkeypatch.setattr(regret, "MAX_PANELS", 4)
         with pytest.raises(QuadratureError, match="panel"):
-            expected_regret(baseline, "s1", 0.0)
+            expected_regret(baseline, 0.0)
 
     def test_quadrature_error_inside_a_batch(self, baseline, monkeypatch):
         monkeypatch.setattr(regret, "QUAD_TOL", 0.0)
         monkeypatch.setattr(regret, "MAX_PANELS", 4)
         with pytest.raises(QuadratureError, match="panel"):
-            expected_regret(baseline, "s1", np.array([-0.5, 0.0, 0.5]))
+            expected_regret(baseline, np.array([-0.5, 0.0, 0.5]))
 
     def test_batch_equals_scalar_oracle_bit_for_bit(
         self, baseline, irregular_config, random_table
     ):
-        """One batched call per score against the oracle, one tau at a time.
-        Nine taus per config span the clamped interval, so their edges
+        """Both rows of one batched call against the oracle, one tau at a
+        time.  Nine taus per config span the clamped interval, so their edges
         accept everyone or no one, and REFINING adds the tau whose panels
         need refining."""
         configs = [baseline, irregular_config] + [record.config for record in random_table]
         seen, refined = set(), 0
         for index, config in enumerate(configs):
-            grid = np.linspace(*clamped_tau_interval(config.payoffs), 9)
-            for algo in ("s1", "s2"):
-                taus = grid
-                if (index - 2, algo) == REFINING[:2]:
-                    taus = np.append(grid, REFINING[2])
-                batch = expected_regret(config, algo, taus)
-                assert batch.shape == taus.shape
-                for tau, value in zip(taus.tolist(), batch.tolist()):
+            taus = np.linspace(*clamped_tau_interval(config.payoffs), 9)
+            if index - 2 == REFINING[0]:
+                taus = np.append(taus, REFINING[2])
+            batch = expected_regret(config, taus)
+            assert len(batch) == 2
+            for algo, row in zip(("s1", "s2"), batch):
+                assert row.shape == taus.shape
+                for tau, value in zip(taus.tolist(), row.tolist()):
                     exact, accepted, panels = oracle_expected_regret(config, algo, tau)
                     assert value == exact, (index, algo, tau)
                     seen.add(accepted)
@@ -339,20 +333,17 @@ class TestExpectedRegret:
     def test_scalar_tau_gives_float(self, random_table):
         index, algo, tau = REFINING
         config = random_table[index].config
-        value = expected_regret(config, algo, tau)
-        assert type(value) is float
+        values = expected_regret(config, tau)
+        assert [type(v) for v in values] == [float, float]
+        value = values[("s1", "s2").index(algo)]
         exact, _, panels = oracle_expected_regret(config, algo, tau)
         assert value == exact and panels > 8
 
     def test_rejects_two_dimensional_tau(self, baseline):
         with pytest.raises(DomainError, match="1-D"):
-            expected_regret(baseline, "s1", np.zeros((2, 2)))
-
-    def test_rejects_unknown_algo(self, baseline):
-        with pytest.raises(DomainError):
-            expected_regret(baseline, "s3", 0.0)
+            expected_regret(baseline, np.zeros((2, 2)))
 
     def test_unsupported_when_phi_not_increasing(self):
         config = ModelConfig.from_dict(NONMONOTONE_PHI_DOC)
         with pytest.raises(UnsupportedModelError):
-            expected_regret(config, "s1", 0.0)
+            expected_regret(config, 0.0)

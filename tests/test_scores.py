@@ -27,7 +27,7 @@ from screenlab import scores
 from screenlab.population import sample_population
 from screenlab.regret import _regret_values
 from screenlab.scores import (
-    _BoundScores, log_acceptance_threshold, score, score_pair, score_table,
+    _BoundScores, log_acceptance_threshold, score_pair, score_table,
 )
 from screenlab.thresholds import _sampled_losses
 from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid, split_passes
@@ -328,13 +328,6 @@ class TestDomain:
             )
             log_odds = config.payoffs.log_odds_prior + config.signal.theta_log_ratio(theta)
             np.testing.assert_allclose(s1[-1], expit(log_odds + log_diff), rtol=0, atol=1e-7)
-
-    def test_score_dispatches_by_name(self, baseline):
-        taus = np.linspace(-0.9, 0.9, 5)
-        np.testing.assert_array_equal(score(baseline, "s1", 0.3, taus), score_s1(baseline, 0.3, taus))
-        np.testing.assert_array_equal(score(baseline, "s2", 0.3, taus), score_s2(baseline, 0.3, taus))
-        with pytest.raises(DomainError, match="algo"):
-            score(baseline, "s3", 0.3, taus)
 
 
 def score_terms(config, theta, tau):

@@ -240,6 +240,22 @@ class TestThetaBatch:
         with pytest.raises(EndpointResolutionError, match="theta=50.0"):
             find_tau_star(baseline, np.array([0.0, 0.5, 50.0]))
 
+    def test_empty_theta_gives_empty_results(self, baseline):
+        empty = np.array([])
+        assert find_tau_star(baseline, empty).shape == (0,)
+        assert find_critical_prejudices(baseline, empty) == ([], [])
+        assert find_regret_crossings(baseline, empty, 0) == []
+        assert find_regret_crossings(baseline, empty, 1) == []
+        assert threshold_report(baseline, empty) == []
+
+    @pytest.mark.parametrize("name,extra", [
+        ("find_tau_star", ()), ("find_critical_prejudices", ()),
+        ("find_regret_crossings", (1,)), ("threshold_report", ()),
+    ])
+    def test_two_dimensional_theta_is_a_domain_error(self, baseline, name, extra):
+        with pytest.raises(DomainError, match="theta must be a scalar or a 1-D array"):
+            getattr(thresholds, name)(baseline, np.zeros((2, 2)), *extra)
+
 
 class TestOneCutoffPerGap:
     """Each value of the score gap and of the regret-crossing gap scores
