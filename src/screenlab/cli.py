@@ -10,10 +10,13 @@ Conventions shared by all subcommands:
 
 * numbers are serialized in shortest round-trip decimal form, so reruns
   with identical inputs produce byte-identical CSV bodies;
-* a CSV of more than one ``CSV_CHUNK_ROWS`` chunk is rendered in one
-  contiguous chunk range per available CPU, all but the last by children
-  forked on POSIX systems; the bytes do not depend on the split, and no
-  option selects it;
+* a CSV is rendered in one contiguous range of ``CSV_CHUNK_ROWS`` chunks
+  per available CPU, by children forked on POSIX systems: a table of more
+  than one chunk has all but its last range forked, while ``sweep``'s
+  scores.csv and regret.csv and ``simulate``'s stage1.csv have every range
+  forked as soon as their columns exist, and format while the later stages
+  run.  On one CPU nothing forks; the bytes do not depend on the split, and
+  no option selects it;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
   recording the config digest, seeds, command line, and output hashes;
@@ -31,7 +34,8 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from time import perf_counter
@@ -263,6 +267,59 @@ def _child_text(pid: int, pipe: io.BufferedReader) -> str | None:
     return data.decode("utf-8") if os.waitpid(pid, 0)[1] == 0 else None
 
 
+@contextmanager
+def _start_csv(header: list[str], columns, *, keep_last: bool = False
+               ) -> Iterator[Callable[[], str]]:
+    """Start rendering the CSV text of ``render_csv``; yield its collector.
+
+    The table is split into one contiguous range of chunks per available
+    CPU.  Where more than one is available, children are forked here for
+    every range, or for all but the last with ``keep_last``, and format
+    while the caller goes on; the collector renders in process each range
+    not forked, then reads the children's texts.  A range whose fork or
+    child fails is rendered in process, so the bytes never depend on the
+    split.  Leaving the ``with`` block, even by a raise, stops and reaps
+    every child not yet collected.
+    """
+    columns = [_as_column(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("CSV columns must have equal lengths")
+    rows = len(columns[0])
+    chunks = -(-rows // CSV_CHUNK_ROWS)
+    cpus = _available_cpus()
+    parts = max(1, min(cpus, chunks))
+    bounds = [CSV_CHUNK_ROWS * (chunks * i // parts) for i in range(parts)] + [rows]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    children: dict[int, tuple[int, io.BufferedReader]] = {}
+
+    def collect() -> str:
+        texts = [None if i in children else _render_rows(columns, *span)
+                 for i, span in enumerate(ranges)]
+        for i in sorted(children):
+            texts[i] = _child_text(*children[i])
+            del children[i]
+        for i, text in enumerate(texts):
+            if text is None:
+                texts[i] = _render_rows(columns, *ranges[i])
+        # one join: prefixing the header afterwards would copy the text again
+        return "".join([",".join(header) + "\n", *texts])
+
+    try:
+        for i, (start, stop) in enumerate(ranges[:-1] if keep_last or cpus == 1 else ranges):
+            child = _fork_render(columns, start, stop)
+            if child is not None:
+                children[i] = child
+        yield collect
+    finally:
+        # only a raise or an uncalled collector leaves children: stop, reap
+        if children:
+            from signal import SIGKILL
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def render_csv(header: list[str], columns) -> str:
     """CSV text of equal-length columns under one header line.
 
@@ -278,38 +335,8 @@ def render_csv(header: list[str], columns) -> str:
     range, which this process renders; a range whose fork or child fails
     is rendered here.  No child outlives the call.
     """
-    columns = [_as_column(column) for column in columns]
-    if len({len(column) for column in columns}) > 1:
-        raise ValueError("CSV columns must have equal lengths")
-    rows = len(columns[0])
-    chunks = -(-rows // CSV_CHUNK_ROWS)
-    parts = max(1, min(_available_cpus(), chunks))
-    bounds = [CSV_CHUNK_ROWS * (chunks * i // parts) for i in range(parts)] + [rows]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    texts: list[str | None] = [None] * parts
-    children: dict[int, tuple[int, io.BufferedReader]] = {}
-    try:
-        for i, (start, stop) in enumerate(ranges[:-1]):
-            child = _fork_render(columns, start, stop)
-            if child is not None:
-                children[i] = child
-        texts[-1] = _render_rows(columns, *ranges[-1])
-        for i in sorted(children):
-            texts[i] = _child_text(*children[i])
-            del children[i]
-    finally:
-        # only a raise leaves children here: stop and reap each one
-        if children:
-            from signal import SIGKILL
-            for pid, pipe in children.values():
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-    for i, text in enumerate(texts):
-        if text is None:
-            texts[i] = _render_rows(columns, *ranges[i])
-    # one join: prefixing the header afterwards would copy the text again
-    return "".join([",".join(header) + "\n", *texts])
+    with _start_csv(header, columns, keep_last=True) as collect:
+        return collect()
 
 
 def render_json(doc) -> str:
@@ -430,8 +457,12 @@ def _required(args, option: str):
     return value
 
 
+def _header(name: str) -> list[str]:
+    return [column for column, _ in SCHEMAS[name]]
+
+
 def _csv(name: str, columns) -> str:
-    return render_csv([column for column, _ in SCHEMAS[name]], columns)
+    return render_csv(_header(name), columns)
 
 
 def _field_columns(name: str, records) -> list[list]:
@@ -508,33 +539,39 @@ def cmd_regret(config, args, lap) -> dict[str, str]:
 def cmd_sweep(config, args, lap) -> dict[str, str]:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
-    score_columns = score_table(config, thetas, tau_grid)
-
-    # every theta's thresholds are rooted once, and its curves jump there
-    reports = threshold_report(config, np.array(thetas))
-    regret_parts, jump_docs = zip(*(
-        _regret_outputs(config, report.theta, q, tau_grid, (report.tau_d1, report.tau_d2))
-        for report in reports for q in (0, 1)
-    ))
-
+    # tau_bar and the average regret need phi rising in theta: fail before
+    # any table is computed or render forked
     env_doc = asdict(classify_environment(config))
-    bar = find_tau_bar(config, "analytic")
-    averages = expected_regret(config, tau_grid)
-
-    return {
-        "scores.csv": _csv("scores.csv", score_columns),
-        "regret.csv": _csv("regret.csv", map(np.concatenate, zip(*regret_parts))),
-        "regret_jumps.json": render_json(jump_docs),
-        "thresholds.json": render_json({
-            "per_theta": [asdict(report) for report in reports],
-            "tau_bar": bar.value,
-            "tau_bar_reason": bar.reason,
-            "environment": env_doc,
-        }),
-        "average_regret.csv": _csv(
-            "average_regret.csv", [tau_grid, *averages]
-        ),
-    }
+    with ExitStack() as renders:
+        scores = renders.enter_context(
+            _start_csv(_header("scores.csv"), score_table(config, thetas, tau_grid))
+        )
+        # every theta's thresholds are rooted once, and its curves jump there
+        reports = threshold_report(config, np.array(thetas))
+        regret_parts, jump_docs = zip(*(
+            _regret_outputs(config, report.theta, q, tau_grid, (report.tau_d1, report.tau_d2))
+            for report in reports for q in (0, 1)
+        ))
+        regret = renders.enter_context(_start_csv(
+            _header("regret.csv"), map(np.concatenate, zip(*regret_parts))
+        ))
+        # the children format both tables while these run
+        bar = find_tau_bar(config, "analytic")
+        averages = expected_regret(config, tau_grid)
+        return {
+            "scores.csv": scores(),
+            "regret.csv": regret(),
+            "regret_jumps.json": render_json(jump_docs),
+            "thresholds.json": render_json({
+                "per_theta": [asdict(report) for report in reports],
+                "tau_bar": bar.value,
+                "tau_bar_reason": bar.reason,
+                "environment": env_doc,
+            }),
+            "average_regret.csv": _csv(
+                "average_regret.csv", [tau_grid, *averages]
+            ),
+        }
 
 
 def cmd_simulate(config, args, lap) -> dict[str, str]:
@@ -545,23 +582,26 @@ def cmd_simulate(config, args, lap) -> dict[str, str]:
     # the MC regret stage below is the run's memory peak, and it samples
     # its own cohort: the first one is not needed past stage one
     del population
-    lap("stage_one_s")
-    bins = empirical_scores(data, args.bins)
-    lap("binning_s")
-    estimates = mc_average_regret(config, tau, args.m, args.seed + 1)
-    lap("mc_regret_s")
-    report = classify_environment(config)
-    lap("classify_s")
-    texts = {
-        "stage1.csv": _csv("stage1.csv", [data.theta, data.accepted, data.q_label]),
-        "scores_empirical.csv": _csv(
-            "scores_empirical.csv", _field_columns("scores_empirical.csv", bins)
-        ),
-        "regret_mc.csv": _csv(
-            "regret_mc.csv", _field_columns("regret_mc.csv", estimates)
-        ),
-        "environment.json": render_json(asdict(report)),
-    }
+    # the children format stage1.csv while binning and MC regret run
+    with _start_csv(_header("stage1.csv"),
+                    [data.theta, data.accepted, data.q_label]) as stage1:
+        lap("stage_one_s")
+        bins = empirical_scores(data, args.bins)
+        lap("binning_s")
+        estimates = mc_average_regret(config, tau, args.m, args.seed + 1)
+        lap("mc_regret_s")
+        report = classify_environment(config)
+        lap("classify_s")
+        texts = {
+            "stage1.csv": stage1(),
+            "scores_empirical.csv": _csv(
+                "scores_empirical.csv", _field_columns("scores_empirical.csv", bins)
+            ),
+            "regret_mc.csv": _csv(
+                "regret_mc.csv", _field_columns("regret_mc.csv", estimates)
+            ),
+            "environment.json": render_json(asdict(report)),
+        }
     lap("render_s")
     return texts
 

@@ -21,6 +21,7 @@ from scipy.special import ndtr
 
 from screenlab import (
     ModelConfig,
+    ScreeningError,
     empirical_scores,
     find_critical_prejudices,
     gamma1,
@@ -85,6 +86,47 @@ def reference_csv(header, rows) -> str:
     for row in rows:
         writer.writerow([fmt(cell) for cell in row])
     return buf.getvalue()
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """3-row CSV chunks, so ``mixed_table`` has four; takes the CPU count the
+    CLI sees and returns the list of forks it makes, one entry per call."""
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+    forks = []
+    fork = getattr(os, "fork", None)
+
+    def counting():
+        forks.append(None)
+        return fork()
+
+    # raising=False: the sweep test that counts no fork runs without os.fork too
+    monkeypatch.setattr(os, "fork", counting, raising=False)
+
+    def with_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        return forks
+
+    return with_cpus
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="render_csv forks only on POSIX")
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_failing(argv, error) -> None:
+    """main(argv) with a stage that raises ``error``: a ScreeningError exits
+    2, and an interrupt leaves main as it came."""
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
 
 
 class TestValidate:
@@ -388,8 +430,10 @@ class TestSweep:
         assert len(rooted) == 21
         np.testing.assert_allclose(sorted(rooted), np.linspace(-2.0, 2.0, 21), atol=1e-15)
 
-    def test_unsupported_model_exits_2_without_output(self, tmp_path, capsys):
-        """tau_bar and the average regret both need phi increasing in theta."""
+    def test_unsupported_model_exits_2_without_output(self, tmp_path, capsys, forked):
+        """tau_bar and the average regret both need phi increasing in theta:
+        the sweep fails before it computes a table or forks a render."""
+        forks = forked(2)
         path = tmp_path / "sideways.json"
         path.write_text(json.dumps(NONMONOTONE_PHI_DOC))
         out = tmp_path / "out"
@@ -399,6 +443,28 @@ class TestSweep:
         ]) == 2
         assert capsys.readouterr().err.startswith("numeric failure:")
         assert not out.exists() or not os.listdir(out)
+        assert forks == []
+
+    @needs_fork
+    @pytest.mark.parametrize("error", [ScreeningError, KeyboardInterrupt])
+    def test_failure_after_renders_start_leaves_no_child(
+        self, config_path, tmp_path, monkeypatch, forked, error
+    ):
+        forks = forked(2)
+
+        def failing(config, mode):
+            assert forks, "scores.csv and regret.csv are forked before tau_bar"
+            raise error("stopped")
+
+        monkeypatch.setattr(cli, "find_tau_bar", failing)
+        out = tmp_path / "out"
+        run_failing([
+            "sweep", "--config", config_path, "--theta=-0.5,0.5",
+            "--tau-grid=-0.8:0.8:9", "--out", str(out),
+        ], error)
+        assert len(forks) == 4
+        assert_no_child_left()
+        assert not out.exists()
 
     def test_irregular_tau_bar_null(self, tmp_path):
         path = tmp_path / "irr.json"
@@ -466,6 +532,27 @@ class TestSimulate:
         ]) == 1
         assert "error: seed must lie in [0, 2**128)" in capsys.readouterr().err
 
+    @needs_fork
+    @pytest.mark.parametrize("error", [ScreeningError, KeyboardInterrupt])
+    def test_failure_after_render_starts_leaves_no_child(
+        self, config_path, tmp_path, monkeypatch, forked, error
+    ):
+        forks = forked(2)
+
+        def failing(config, tau, m, seed):
+            assert forks, "stage1.csv is forked before the MC regret"
+            raise error("stopped")
+
+        monkeypatch.setattr(cli, "mc_average_regret", failing)
+        out = tmp_path / "out"
+        run_failing([
+            "simulate", "--config", config_path, "--tau", "0.0",
+            "--m", "2000", "--seed", "1", "--out", str(out),
+        ], error)
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert not out.exists()
+
     def test_manifest_records_stage_timings(self, config_path, tmp_path):
         out = str(tmp_path / "out")
         assert main([
@@ -509,14 +596,6 @@ def mixed_table():
         optional, names,
     )
     return header, [floats, ints, flags, labels, optional, names], reference_csv(header, rows)
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="render_csv forks only on POSIX")
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestCsvByteOracle:
@@ -601,27 +680,6 @@ class TestCsvByteOracle:
         column = np.linspace(-1.0, 1.0, 10_000) ** 3
         render_csv(["f"], [column])
         assert repr_calls == column.tolist()
-
-    @pytest.fixture()
-    def forked(self, monkeypatch):
-        """Four 3-row chunks of ``mixed_table``; takes the CPU count render_csv
-        sees and returns the list of forks it makes, one entry per call."""
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
-        forks = []
-        fork = os.fork
-
-        def counting():
-            forks.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting)
-
-        def with_cpus(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                                raising=False)
-            return forks
-
-        return with_cpus
 
     @needs_fork
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -760,6 +818,70 @@ class TestCsvByteOracle:
                            ("average_regret.csv", average_rows)):
             header = [column for column, _ in cli.SCHEMAS[name]]
             assert_same_text(read_text(os.path.join(out, name)), reference_csv(header, rows))
+
+
+def started_csv(header, columns) -> str:
+    with cli._start_csv(header, columns) as collect:
+        return collect()
+
+
+@needs_fork
+class TestStartedCsv:
+    """A render started ahead of its collection writes render_csv's bytes."""
+
+    @pytest.mark.parametrize("cpus,chunk_rows,ranges", [
+        (1, 3, 0), (2, 3, 2), (3, 3, 3), (1, 64, 0), (2, 64, 1),
+    ])
+    def test_every_range_forked_at_start(self, forked, monkeypatch, cpus, chunk_rows,
+                                         ranges):
+        forks = forked(cpus)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        header, columns, want = mixed_table()
+        with cli._start_csv(header, columns) as collect:
+            assert len(forks) == ranges
+            got = collect()
+        assert_same_text(got, want)
+        assert_same_text(got, render_csv(header, columns))
+        assert_no_child_left()
+
+    def test_failed_fork_renders_in_process(self, forked, monkeypatch):
+        forked(3)
+
+        def failing():
+            raise OSError("no process left")
+
+        monkeypatch.setattr(os, "fork", failing)
+        header, columns, want = mixed_table()
+        assert_same_text(started_csv(header, columns), want)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("death", ["raise", "kill"])
+    def test_failed_child_renders_in_process(self, forked, monkeypatch, death):
+        forks = forked(3)
+        parent, cells = os.getpid(), cli._cells
+
+        def failing_in_children(column):
+            if os.getpid() != parent:
+                if death == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child failed")
+            return cells(column)
+
+        monkeypatch.setattr(cli, "_cells", failing_in_children)
+        header, columns, want = mixed_table()
+        assert_same_text(started_csv(header, columns), want)
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_error_before_collection_stops_children(self, forked, error):
+        forks = forked(3)
+        header, columns, _ = mixed_table()
+        with pytest.raises(error):
+            with cli._start_csv(header, columns):
+                raise error()
+        assert len(forks) == 3
+        assert_no_child_left()
 
 
 class TestEntryPoint:

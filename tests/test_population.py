@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
-from scipy.stats import norm
 
 from screenlab import (
     DomainError,

@@ -29,7 +29,7 @@ from screenlab import (
     score_s1,
     score_s2,
 )
-from conftest import BASELINE_DOC, NONMONOTONE_PHI_DOC, scalar_bisect
+from conftest import NONMONOTONE_PHI_DOC, scalar_bisect
 
 
 class TestIndividualRegret:

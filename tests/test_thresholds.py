@@ -30,7 +30,7 @@ from screenlab import (
 from screenlab import scores, thresholds
 from screenlab.thresholds import CONFIRM_GRID, _crossings, _sampled_losses
 from conftest import (
-    BASELINE_DOC, ENGINEERED_DOC, FLAT_THETA_DOC, IRREGULAR_DOC, baseline_theta_grid,
+    BASELINE_DOC, FLAT_THETA_DOC, IRREGULAR_DOC, baseline_theta_grid,
     scalar_bisect, split_passes,
 )
 
