@@ -505,34 +505,30 @@ def cmd_tau(config, args, lap) -> dict[str, str]:
     return {"thresholds.json": render_json(docs[0] if len(docs) == 1 else docs)}
 
 
-def _regret_outputs(config, theta, q, tau_grid, critical):
-    """regret.csv columns (rows by algo, then tau) and the jump doc."""
-    curves = regret_curve(config, theta, q, tau_grid, critical)
-    k = len(curves.tau)
-    columns = [
-        np.full(2 * k, curves.theta), np.full(2 * k, q), np.tile(curves.tau, 2),
-        np.repeat(ALGOS, k),
-    ] + [
-        np.concatenate([field[algo] for algo in ALGOS])
-        for field in (curves.score, curves.n_ex_ante, curves.accepted,
-                      curves.p_ex_post, curves.u)
-    ]
-    jumps = {
-        "theta": curves.theta,
-        "q": curves.q,
-        "jumps": [asdict(jump) for jump in curves.jumps],
-    }
+def _regret_outputs(config, thetas, bits, tau_grid, critical):
+    """regret.csv columns, rows by theta, bit, algo and then tau, and the
+    jump doc of each (theta, bit); one regret_curve call per bit."""
+    curves = [regret_curve(config, thetas, q, tau_grid, critical) for q in bits]
+    thetas, tau = curves[0].theta, curves[0].tau
+    shape = (len(thetas), len(bits), len(ALGOS), len(tau))
+    keys = (thetas[:, None, None, None], np.array(bits)[:, None, None],
+            tau, np.array(ALGOS)[:, None])
+    fields = (np.stack([getattr(c, name) for c in curves], axis=1)
+              for name in ("score", "n_ex_ante", "accepted", "p_ex_post", "u"))
+    columns = [np.broadcast_to(column, shape).ravel() for column in (*keys, *fields)]
+    jumps = [{"theta": theta, "q": c.q, "jumps": [asdict(jump) for jump in c.jumps[i]]}
+             for i, theta in enumerate(thetas.tolist()) for c in curves]
     return columns, jumps
 
 
 def cmd_regret(config, args, lap) -> dict[str, str]:
-    theta, q = _required(args, "theta"), _required(args, "q")
+    theta, q = [_required(args, "theta")], _required(args, "q")
     tau_grid = _tau_grid(config, args.tau_grid)
     critical = find_critical_prejudices(config, theta)
-    columns, jumps = _regret_outputs(config, theta, q, tau_grid, critical)
+    columns, jumps = _regret_outputs(config, theta, (q,), tau_grid, critical)
     return {
         "regret.csv": _csv("regret.csv", columns),
-        "regret_jumps.json": render_json(jumps),
+        "regret_jumps.json": render_json(jumps[0]),
     }
 
 
@@ -548,13 +544,9 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
         )
         # every theta's thresholds are rooted once, and its curves jump there
         reports = threshold_report(config, np.array(thetas))
-        regret_parts, jump_docs = zip(*(
-            _regret_outputs(config, report.theta, q, tau_grid, (report.tau_d1, report.tau_d2))
-            for report in reports for q in (0, 1)
-        ))
-        regret = renders.enter_context(_start_csv(
-            _header("regret.csv"), map(np.concatenate, zip(*regret_parts))
-        ))
+        critical = ([r.tau_d1 for r in reports], [r.tau_d2 for r in reports])
+        regret_columns, jump_docs = _regret_outputs(config, thetas, (0, 1), tau_grid, critical)
+        regret = renders.enter_context(_start_csv(_header("regret.csv"), regret_columns))
         # the children format both tables while these run
         bar = find_tau_bar(config, "analytic")
         averages = expected_regret(config, tau_grid)

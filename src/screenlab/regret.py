@@ -13,7 +13,9 @@ amount, and the regret loss u is the gap between expectation and outcome:
 Holding an applicant fixed and sweeping the prejudice tau, the regret from
 each score curve is continuous except for a single jump where the score
 crosses beta (the score's critical prejudice): height x_q for a qualified
-applicant and x_u for an unqualified one.
+applicant and x_u for an unqualified one.  ``regret_curve`` tabulates both
+curves of one bit for a theta or a 1-D array of thetas at once, s1 and s2
+on one axis in ``ALGOS`` order.
 
 ``expected_regret`` averages u = N(s) - p over the applicant population at
 each tau of a grid, for s1 and s2 together.  N(s) is smooth in theta and is
@@ -42,7 +44,6 @@ from .model import (
     _as_scalar_or_1d,
     require_increasing_phi,
 )
-from .scores import ALGOS
 
 
 class QuadratureError(ScreeningError):
@@ -150,56 +151,58 @@ class JumpAnnotation:
 
 @dataclass(frozen=True)
 class RegretCurves:
-    """Regret of both scores along a tau grid, for one (theta, q)."""
+    """Regret of both scores along a tau grid, for one q and each theta.
 
-    theta: float
+    ``score``, ``n_ex_ante``, ``accepted``, ``p_ex_post`` and ``u`` hold
+    the scores on an ``ALGOS`` axis ahead of tau: shape (2, k) for a scalar
+    theta and (n, 2, k) for n thetas.  ``jumps`` is the lone theta's tuple
+    of annotations, or one such tuple per theta.
+    """
+
+    theta: float | np.ndarray
     q: int
     tau: np.ndarray
-    score: dict[str, np.ndarray]
-    n_ex_ante: dict[str, np.ndarray]
-    accepted: dict[str, np.ndarray]
-    p_ex_post: dict[str, np.ndarray]
-    u: dict[str, np.ndarray]
-    jumps: tuple[JumpAnnotation, ...]
+    score: np.ndarray
+    n_ex_ante: np.ndarray
+    accepted: np.ndarray
+    p_ex_post: np.ndarray
+    u: np.ndarray
+    jumps: tuple
 
 
 def regret_curve(config: ModelConfig, theta, q, tau_grid, critical) -> RegretCurves:
     """Evaluate u(s1(tau)) and u(s2(tau)) along a grid, annotating jumps.
 
-    The grid must stay inside the open prejudice interval.  ``critical``
-    is theta's (tau_d1, tau_d2) from find_critical_prejudices, where the
-    curves jump; tau_d1 is None for phi(theta) >= beta, where the s1 curve
-    is continuous throughout.
+    ``theta`` is a scalar or a 1-D array, and every theta's curves come
+    from one evaluation of both scores.  The grid must stay inside the open
+    prejudice interval.  ``critical`` is (tau_d1, tau_d2) as
+    find_critical_prejudices returns it for ``theta``, where the curves
+    jump; a tau_d1 of None (phi(theta) >= beta) leaves that theta's s1
+    curve continuous throughout.
     """
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
+    thetas = _as_scalar_or_1d(theta, "theta")
     tau = np.sort(np.asarray(tau_grid, dtype=float).ravel())
     payoffs = config.payoffs
-    score, n_ex_ante, accepted, p_ex_post, u = {}, {}, {}, {}, {}
-    for algo, s in zip(ALGOS, _scores.score_pair(config, theta, tau)):
-        n, acc, p, loss = _regret_values(payoffs, s, q)
-        score[algo] = s
-        n_ex_ante[algo] = n
-        accepted[algo] = acc.astype(int)
-        p_ex_post[algo] = p
-        u[algo] = loss
-
-    tau_d1, tau_d2 = critical
+    score = np.stack(_scores.score_pair(config, thetas[..., None], tau), axis=-2)
+    n, accepted, p, u = _regret_values(payoffs, score, q)
     pay = float(_accepted_payoff(payoffs, q))
-    jumps = []
-    if tau_d1 is not None:
-        jumps.append(JumpAnnotation(algo="s1", tau_d=tau_d1, height=-pay))
-    jumps.append(JumpAnnotation(algo="s2", tau_d=tau_d2, height=pay))
+
+    def annotate(tau_d1, tau_d2) -> tuple[JumpAnnotation, ...]:
+        s1 = () if tau_d1 is None else (JumpAnnotation(algo="s1", tau_d=tau_d1, height=-pay),)
+        return (*s1, JumpAnnotation(algo="s2", tau_d=tau_d2, height=pay))
+
     return RegretCurves(
-        theta=float(theta),
+        theta=float(thetas) if thetas.ndim == 0 else thetas,
         q=int(q),
         tau=tau,
         score=score,
-        n_ex_ante=n_ex_ante,
-        accepted=accepted,
-        p_ex_post=p_ex_post,
+        n_ex_ante=n,
+        accepted=accepted.astype(int),
+        p_ex_post=p,
         u=u,
-        jumps=tuple(jumps),
+        jumps=tuple(map(annotate, *critical)) if thetas.ndim else annotate(*critical),
     )
 
 

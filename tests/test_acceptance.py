@@ -32,6 +32,7 @@ from screenlab import (
     verify_nonatomic,
 )
 from screenlab.population import empirical_scores
+from screenlab.scores import ALGOS
 from conftest import baseline_theta_grid
 
 TAU_GRID_POINTS = 400
@@ -159,8 +160,8 @@ def _check_jump_structure(config, report, q, taus):
     expected_tau = {"s1": d1, "s2": d2}
     height_size = payoffs.x_q if q == 1 else payoffs.x_u
     sign_of = {"s1": -1.0 if q == 1 else 1.0, "s2": 1.0 if q == 1 else -1.0}
-    for algo in ("s1", "s2"):
-        diffs = np.diff(np.asarray(curves.u[algo]))
+    for k, algo in enumerate(ALGOS):
+        diffs = np.diff(curves.u[k])
         if expected_tau[algo] is None:
             assert algo not in annotated
             assert np.max(np.abs(diffs)) < 0.5 * height_size

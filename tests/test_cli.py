@@ -62,6 +62,11 @@ def read_text(path):
         return fh.read()
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 NEG_NAN = float(np.copysign(np.nan, -1.0))
 PAYLOAD_NAN = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
 # floats that repeat often, including pairs equal by value but not by bits
@@ -287,12 +292,12 @@ class TestScores:
         np.testing.assert_allclose(
             float(rows[2]["gamma1"]), 1.4054651081081644, rtol=1e-12
         )
-        manifest = json.loads(open(os.path.join(out, "run_manifest.json")).read())
+        manifest = json.loads(read_text(os.path.join(out, "run_manifest.json")))
         entry = manifest["outputs"][0]
-        blob = open(os.path.join(out, "scores.csv"), "rb").read()
+        blob = read_bytes(os.path.join(out, "scores.csv"))
         assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
         assert entry["bytes"] == len(blob)
-        raw = open(config_path, "rb").read()
+        raw = read_bytes(config_path)
         assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
 
     def test_manifest_records_the_argv_given_to_main(self, config_path, tmp_path):
@@ -336,7 +341,7 @@ class TestScores:
                 "scores", "--config", config_path, "--theta-grid=-1:2:4",
                 "--tau-grid=-0.9:0.9:11", "--out", out,
             ]) == 0
-            outs.append(open(os.path.join(out, "scores.csv"), "rb").read())
+            outs.append(read_bytes(os.path.join(out, "scores.csv")))
         assert outs[0] == outs[1]
 
     def test_schema_flag(self, config_path, capsys):
@@ -373,7 +378,7 @@ class TestRegret:
         rows = read_csv(os.path.join(out, "regret.csv"))
         assert {r["algo"] for r in rows} == {"s1", "s2"}
         assert len(rows) == 14
-        jumps = json.loads(open(os.path.join(out, "regret_jumps.json")).read())
+        jumps = json.loads(read_text(os.path.join(out, "regret_jumps.json")))
         heights = {j["algo"]: j["height"] for j in jumps["jumps"]}
         assert heights == {"s1": -1.0, "s2": 1.0}
 
@@ -402,14 +407,14 @@ class TestSweep:
             "average_regret.csv", "regret.csv", "regret_jumps.json",
             "run_manifest.json", "scores.csv", "thresholds.json",
         ]
-        doc = json.loads(open(os.path.join(out, "thresholds.json")).read())
+        doc = json.loads(read_text(os.path.join(out, "thresholds.json")))
         assert doc["environment"]["classification"] == "regular"
         np.testing.assert_allclose(doc["tau_bar"], -0.4086591074919251, atol=1e-6)
         assert doc["tau_bar_reason"] is None
         assert [p["theta"] for p in doc["per_theta"]] == [-0.5, 0.5]
         avg = read_csv(os.path.join(out, "average_regret.csv"))
         assert len(avg) == 9
-        manifest = json.loads(open(os.path.join(out, "run_manifest.json")).read())
+        manifest = json.loads(read_text(os.path.join(out, "run_manifest.json")))
         assert len(manifest["outputs"]) == 5
 
     def test_each_theta_rooted_once(self, config_path, tmp_path, monkeypatch):
@@ -429,6 +434,24 @@ class TestSweep:
         ]) == 0
         assert len(rooted) == 21
         np.testing.assert_allclose(sorted(rooted), np.linspace(-2.0, 2.0, 21), atol=1e-15)
+
+    def test_one_regret_curve_call_per_bit(self, config_path, tmp_path, monkeypatch):
+        """Every theta's regret curves of a bit come from one call."""
+        calls = []
+        real = cli.regret_curve
+
+        def spy(config, theta, q, tau_grid, critical):
+            calls.append((q, np.atleast_1d(theta).tolist()))
+            return real(config, theta, q, tau_grid, critical)
+
+        monkeypatch.setattr(cli, "regret_curve", spy)
+        assert main([
+            "sweep", "--config", config_path, "--theta-grid=-2:2:21",
+            "--tau-grid=-0.8:0.8:5", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert [q for q, _ in calls] == [0, 1]
+        for _, thetas in calls:
+            np.testing.assert_allclose(thetas, np.linspace(-2.0, 2.0, 21), atol=1e-15)
 
     def test_unsupported_model_exits_2_without_output(self, tmp_path, capsys, forked):
         """tau_bar and the average regret both need phi increasing in theta:
@@ -474,7 +497,7 @@ class TestSweep:
             "sweep", "--config", str(path), "--theta", "1.0",
             "--tau-grid=-0.8:0.8:3", "--out", out,
         ]) == 0
-        doc = json.loads(open(os.path.join(out, "thresholds.json")).read())
+        doc = json.loads(read_text(os.path.join(out, "thresholds.json")))
         assert doc["tau_bar"] is None
         assert doc["tau_bar_reason"] == "irregular"
 
@@ -494,7 +517,7 @@ class TestSimulate:
         assert accepted and all(r["q_label"] in {"0", "1"} for r in accepted)
         mc = read_csv(os.path.join(out, "regret_mc.csv"))
         assert [r["algo"] for r in mc] == ["s1", "s2"]
-        env = json.loads(open(os.path.join(out, "environment.json")).read())
+        env = json.loads(read_text(os.path.join(out, "environment.json")))
         assert env["classification"] == "regular"
 
     def test_same_seed_same_bytes(self, config_path, tmp_path):
@@ -505,7 +528,7 @@ class TestSimulate:
                 "simulate", "--config", config_path, "--tau", "0.1",
                 "--m", "5000", "--seed", "3", "--out", out,
             ]) == 0
-            blobs.append(open(os.path.join(out, "stage1.csv"), "rb").read())
+            blobs.append(read_bytes(os.path.join(out, "stage1.csv")))
         assert blobs[0] == blobs[1]
 
     def test_missing_tau_exits_1(self, config_path, tmp_path):
@@ -801,12 +824,12 @@ class TestCsvByteOracle:
             for q in (0, 1):
                 critical = find_critical_prejudices(config, theta)
                 curves = regret_curve(config, theta, q, tau_grid, critical)
-                for algo in ALGOS:
+                for k, algo in enumerate(ALGOS):
                     for j, tau in enumerate(curves.tau):
                         regret_rows.append((
-                            theta, q, tau, algo, curves.score[algo][j],
-                            curves.n_ex_ante[algo][j], curves.accepted[algo][j],
-                            curves.p_ex_post[algo][j], curves.u[algo][j],
+                            theta, q, tau, algo, curves.score[k][j],
+                            curves.n_ex_ante[k][j], curves.accepted[k][j],
+                            curves.p_ex_post[k][j], curves.u[k][j],
                         ))
         average_rows = [
             (tau, oracle_expected_regret(config, "s1", float(tau))[0],

@@ -12,6 +12,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from screenlab import regret
+from screenlab.scores import ALGOS
 from screenlab import (
     DomainError,
     ModelConfig,
@@ -20,6 +21,7 @@ from screenlab import (
     UnsupportedModelError,
     bisect_monotone,
     clamped_tau_interval,
+    classify_environment,
     ex_ante_payoff,
     expected_regret,
     expected_regret_gap,
@@ -135,20 +137,45 @@ class TestRegretCurves:
         grid = np.linspace(lo, hi, 2001)
         curves = regret_curve(baseline, 0.0, 1, grid, find_critical_prejudices(baseline, 0.0))
         for jump in curves.jumps:
-            u = np.asarray(curves.u[jump.algo])
+            u = curves.u[ALGOS.index(jump.algo)]
             cell = int(np.argmax(np.abs(np.diff(u))))
             assert grid[cell] <= jump.tau_d <= grid[cell + 1]
             np.testing.assert_allclose(np.diff(u)[cell], jump.height, atol=5e-3)
 
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_theta_batch_equals_lone_calls(self, baseline, irregular_config, q):
+        """Every field and jump of a theta array's curves is its lone
+        theta's, bit for bit, on both sides of theta_beta: tau_d1 is there
+        below it and absent above."""
+        for config in (baseline, irregular_config):
+            thetas = classify_environment(config).theta_beta + np.array([-1.5, -0.2, 0.3, 2.0])
+            lo, hi = clamped_tau_interval(config.payoffs)
+            taus = np.linspace(lo, hi, 41)
+            critical = find_critical_prejudices(config, thetas)
+            assert [d is None for d in critical[0]] == [False, False, True, True]
+            batch = regret_curve(config, thetas, q, taus, critical)
+            assert batch.score.shape == (4, 2, 41)
+            assert batch.theta.tolist() == thetas.tolist()
+            for i, theta in enumerate(thetas.tolist()):
+                lone = regret_curve(config, theta, q, taus,
+                                    find_critical_prejudices(config, theta))
+                assert lone.score.shape == (2, 41)
+                assert batch.tau.tobytes() == lone.tau.tobytes()
+                for name in ("score", "n_ex_ante", "accepted", "p_ex_post", "u"):
+                    ours, theirs = getattr(batch, name)[i], getattr(lone, name)
+                    assert ours.dtype == theirs.dtype
+                    assert ours.tobytes() == theirs.tobytes(), name
+                assert batch.jumps[i] == lone.jumps
+
     def test_curve_values_recompose_from_scalars(self, baseline):
         taus = np.linspace(-0.8, 0.8, 9)
         curves = regret_curve(baseline, 0.4, 1, taus, find_critical_prejudices(baseline, 0.4))
-        for algo, score_fn in (("s1", score_s1), ("s2", score_s2)):
+        for k, score_fn in enumerate((score_s1, score_s2)):
             for j, tau in enumerate(taus):
                 s = float(score_fn(baseline, 0.4, tau))
                 rec = individual_regret(baseline.payoffs, s, 1)
-                np.testing.assert_allclose(curves.score[algo][j], s, rtol=1e-14)
-                np.testing.assert_allclose(curves.u[algo][j], rec.u, rtol=1e-12)
+                np.testing.assert_allclose(curves.score[k][j], s, rtol=1e-14)
+                np.testing.assert_allclose(curves.u[k][j], rec.u, rtol=1e-12)
 
 
 def scipy_expected_regret(config, algo, tau, accepted: set) -> float:

@@ -23,10 +23,12 @@ from screenlab import (
     find_tau_bar,
     find_tau_star,
     marginal_posterior_phi,
+    regret_curve,
     score_s1,
     score_s2,
     threshold_report,
 )
+import screenlab
 from screenlab import scores, thresholds
 from screenlab.thresholds import CONFIRM_GRID, _crossings, _sampled_losses
 from conftest import (
@@ -247,14 +249,20 @@ class TestThetaBatch:
         assert find_regret_crossings(baseline, empty, 0) == []
         assert find_regret_crossings(baseline, empty, 1) == []
         assert threshold_report(baseline, empty) == []
+        curves = regret_curve(baseline, empty, 1, np.linspace(-0.5, 0.5, 7), ([], []))
+        for values in (curves.score, curves.n_ex_ante, curves.accepted,
+                       curves.p_ex_post, curves.u):
+            assert values.shape == (0, 2, 7)
+        assert curves.jumps == ()
 
     @pytest.mark.parametrize("name,extra", [
         ("find_tau_star", ()), ("find_critical_prejudices", ()),
         ("find_regret_crossings", (1,)), ("threshold_report", ()),
+        ("regret_curve", (1, [0.0], ([None, None], [0.0, 0.0]))),
     ])
     def test_two_dimensional_theta_is_a_domain_error(self, baseline, name, extra):
         with pytest.raises(DomainError, match="theta must be a scalar or a 1-D array"):
-            getattr(thresholds, name)(baseline, np.zeros((2, 2)), *extra)
+            getattr(screenlab, name)(baseline, np.zeros((2, 2)), *extra)
 
 
 class TestOneCutoffPerGap:
