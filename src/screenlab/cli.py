@@ -50,6 +50,7 @@ from .model import (
     ScreeningError,
     UnsupportedModelError,
     load_config,
+    require_increasing_phi,
     require_size,
     validate_mlrp,
 )
@@ -61,7 +62,7 @@ from .population import (
     sample_population,
 )
 from .regret import expected_regret, regret_curve
-from .scores import ALGOS, clamped_tau_interval, score_table
+from .scores import ALGOS, clamped_tau_interval, log_acceptance_threshold, score_table
 from .thresholds import (
     _available_cpus as _cpus,
     find_critical_prejudices,
@@ -568,6 +569,11 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
 
 def cmd_simulate(config, args, lap) -> dict[str, str]:
     tau = _required(args, "tau")
+    # the checks of the later stages' inputs, with their messages, made
+    # before any applicant is sampled
+    require_increasing_phi(config, "classify_environment")
+    log_acceptance_threshold(config.payoffs, tau)
+    require_size("theta bin count", args.bins, 1)
     population = sample_population(config, args.m, args.seed)
     lap("sample_s")
     data = run_stage_one(config, population, tau)

@@ -25,6 +25,10 @@ limits.  s1 is the qualified share phi * S_q / s2 while the numerator is
 not tiny.  Near the upper endpoint both survivals underflow; there s1 comes
 from the difference of log survival functions (scipy's log_ndtr, which
 switches to the asymptotic tail expansion), so it stays finite and tends to 1.
+
+Every score evaluation goes through one evaluator, ``_Scores``.  It binds
+its thetas' tau-free terms once, when it is built, and then prices any tau
+with one cutoff, one pair of z-scores and their two survivals.
 """
 from __future__ import annotations
 
@@ -106,44 +110,41 @@ def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:
 
 
 class _Scores:
-    """The scores at fixed thetas; every score formula lives here.
+    """The scores at fixed thetas, at any number of taus; every score
+    formula lives here.
 
-    ``score_s1``, ``score_s2``, ``score_pair``, ``gamma1`` and
-    ``score_table`` evaluate their thetas at one tau (or tau array),
-    computing each term that does not depend on tau where it is used, so a
-    population-sized call holds no more arrays than it needs.
-    ``_BoundScores`` computes those terms once instead.
+    The terms that do not depend on tau (w_theta * theta, both conditional
+    gamma means and phi) are computed once, when the thetas are bound, so
+    each tau costs one cutoff, one pair of z-scores and two survivals
+    outside s1's tail.  ``score_pair`` and the other public score functions
+    bind their thetas for one tau (or tau array); a Monte Carlo pass binds
+    a population once for every tau of its root.
 
-    Each evaluation runs under ``np.errstate(over="ignore")``: an extreme
-    theta may overflow on the way, which either ends in the cutoff's
-    DomainError or gives an infinite z-score or log odds, whose ndtr and
-    expit limits are exact.
+    A NaN or infinite theta may make a term NaN (0 * inf where rho = 0) or
+    overflow while it is bound; the first evaluation's cutoff check raises
+    DomainError.  Each evaluation runs under ``np.errstate(over="ignore")``:
+    an extreme theta may overflow on the way, which either ends in the
+    cutoff's DomainError or gives an infinite z-score or log odds, whose
+    ndtr and expit limits are exact.
     """
 
-    __slots__ = ("config", "theta")
+    __slots__ = ("config", "theta", "w_theta_theta", "mean_q", "mean_u", "phi")
 
     def __init__(self, config: ModelConfig, theta):
         self.config = config
         self.theta = np.asarray(theta, dtype=float)
-
-    def w_theta_theta(self, w_theta: float) -> np.ndarray:
-        return w_theta * self.theta
-
-    def mean(self, qualified: bool) -> np.ndarray:
-        return self.config.signal.conditional_gamma_mean(self.theta, qualified)
-
-    def log_odds(self) -> np.ndarray:
-        """The theta log odds of qualification, logit phi(theta)."""
-        return self.config.payoffs.log_odds_prior + self.config.signal.theta_log_ratio(self.theta)
-
-    def phi(self) -> np.ndarray:
-        return marginal_posterior_phi(self.config, self.theta)
+        signal = config.signal
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.w_theta_theta = signal.log_ratio_weights[0] * self.theta
+            self.mean_q = signal.conditional_gamma_mean(self.theta, True)
+            self.mean_u = signal.conditional_gamma_mean(self.theta, False)
+            self.phi = marginal_posterior_phi(config, self.theta)
 
     def cutoff(self, log_t) -> np.ndarray:
         """gamma1 where log T(tau) is ``log_t``, checked finite."""
         signal = self.config.signal
-        w_theta, w_gamma = signal.log_ratio_weights
-        cutoff = (log_t - signal.log_ratio_intercept - self.w_theta_theta(w_theta)) / w_gamma
+        w_gamma = signal.log_ratio_weights[1]
+        cutoff = (log_t - signal.log_ratio_intercept - self.w_theta_theta) / w_gamma
         # the bisections call this with scalars, where math.isfinite costs a
         # fraction of an array reduction
         if not (math.isfinite(cutoff) if cutoff.ndim == 0 else np.isfinite(cutoff).all()):
@@ -154,7 +155,7 @@ class _Scores:
     def z_scores(self, cutoff):
         """z-scores of the gamma cutoff under each class's conditional law."""
         sd = self.config.signal.conditional_gamma_sd
-        return (cutoff - self.mean(True)) / sd, (cutoff - self.mean(False)) / sd
+        return (cutoff - self.mean_q) / sd, (cutoff - self.mean_u) / sd
 
     def __call__(self, tau) -> tuple:
         """(s1, s2) at tau; both share one cutoff and one pair of z-scores."""
@@ -168,7 +169,8 @@ class _Scores:
 
     def at_z(self, z_q, z_u) -> tuple:
         """(s1, s2, S_q, S_u) at a cutoff's z-scores, S = ndtr(-z); s1 = phi S_q / s2 down to
-        S1_RATIO_MIN, and the log route expit(log odds + log S_q - log S_u) below it."""
+        S1_RATIO_MIN, and the log route expit(log odds + log S_q - log S_u) below it,
+        whose theta log odds, logit phi(theta), are computed for those elements alone."""
         beyond = (z_q > S1_MAX_Z) & (z_u > S1_MAX_Z)
         # a scalar bool is tested directly: ndarray.any costs ~2 us per call
         if beyond if beyond.ndim == 0 else beyond.any():
@@ -177,47 +179,18 @@ class _Scores:
                 f"theta={bad!r} puts the acceptance cutoff over {S1_MAX_Z:.3g} sds above "
                 f"both classes' means, where s1's log odds round off by over {S1_LOG_ODDS_TOL:g}"
             )
-        phi = self.phi()
         surv_q, surv_u = ndtr(-z_q), ndtr(-z_u)
-        mass_q = phi * surv_q
-        s2 = mass_q + (1.0 - phi) * surv_u
+        mass_q = self.phi * surv_q
+        s2 = mass_q + (1.0 - self.phi) * surv_u
         tail = mass_q < S1_RATIO_MIN
         if not (tail if tail.ndim == 0 else tail.any()):
             mass_q /= s2  # in place, so a pass holds one array fewer
             return mass_q, s2, surv_q, surv_u
         s1 = np.divide(mass_q, s2, out=np.zeros(tail.shape), where=~tail)
-        log_odds = np.broadcast_to(self.log_odds(), tail.shape)[tail]
+        theta = np.broadcast_to(self.theta, tail.shape)[tail]
+        log_odds = self.config.payoffs.log_odds_prior + self.config.signal.theta_log_ratio(theta)
         s1[tail] = expit(log_odds + log_ndtr(-z_q[tail]) - log_ndtr(-z_u[tail]))
         return s1[()], s2, surv_q, surv_u
-
-
-class _BoundScores(_Scores):
-    """Both scores of a sampled population, evaluated at many taus: the
-    terms that do not depend on tau are computed once, so each tau costs
-    one cutoff, one pair of z-scores and two survivals outside s1's tail."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, config: ModelConfig, theta):
-        super().__init__(config, theta)
-        w_theta = config.signal.log_ratio_weights[0]
-        # a NaN or infinite theta may make a term NaN (0 * inf where rho = 0)
-        # or overflow; the first evaluation's cutoff check raises DomainError
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.terms = (super().w_theta_theta(w_theta), super().mean(True),
-                          super().mean(False), super().log_odds(), super().phi())
-
-    def w_theta_theta(self, w_theta: float) -> np.ndarray:
-        return self.terms[0]
-
-    def mean(self, qualified: bool) -> np.ndarray:
-        return self.terms[1] if qualified else self.terms[2]
-
-    def log_odds(self) -> np.ndarray:
-        return self.terms[3]
-
-    def phi(self) -> np.ndarray:
-        return self.terms[4]
 
 
 def score_s2(config: ModelConfig, theta, tau) -> np.ndarray:
@@ -249,12 +222,13 @@ def score_table(config: ModelConfig, theta, tau) -> list[np.ndarray]:
     """The scores.csv columns of the (theta x tau) table, theta by theta
     and along tau within each: theta, tau, s1, s2, gamma1, phi, surv_q and
     surv_u (the class-conditional probabilities that gamma clears gamma1).
-    theta is a scalar or a 1-D array; all columns share one cutoff and its survivals.
+    theta is a scalar or a 1-D array; all columns share one binding of the
+    thetas (phi is its bound term), one cutoff and its survivals.
     """
     scores = _Scores(config, np.reshape(theta, (-1, 1)))
     with np.errstate(over="ignore"):
         cutoff = scores.cutoff(log_acceptance_threshold(config.payoffs, tau))
         s1, s2, surv_q, surv_u = scores.at_z(*scores.z_scores(cutoff))
         table = np.broadcast_arrays(scores.theta, np.asarray(tau, dtype=float),
-                                    s1, s2, cutoff, scores.phi(), surv_q, surv_u)
+                                    s1, s2, cutoff, scores.phi, surv_q, surv_u)
     return [column.ravel() for column in table]

@@ -364,8 +364,9 @@ def _available_cpus() -> int:
 
 def _sampled_losses(config: ModelConfig, m: int, seed: int):
     """u(s2) - u(s1) as a function of tau, applicant by applicant, over m
-    applicants sampled with ``seed``, bound once to the terms of their
-    scores and payoffs that do not depend on tau.
+    applicants sampled with ``seed``.  Each part of the population is bound
+    once as a ``_Scores``, with its payoffs, to every term that does not
+    depend on tau.
 
     The population is bound in P contiguous parts, one per available CPU
     but none under PART_MIN applicants.  Each pass computes log T(tau) once;
@@ -381,7 +382,7 @@ def _sampled_losses(config: ModelConfig, m: int, seed: int):
     pay = _accepted_payoff(config.payoffs, population.q)
     count = max(1, min(_available_cpus(), m // PART_MIN))
     edges = [m * i // count for i in range(count + 1)]
-    parts = [(_scores._BoundScores(config, population.theta[a:b]), pay[a:b])
+    parts = [(_scores._Scores(config, population.theta[a:b]), pay[a:b])
              for a, b in zip(edges[:-1], edges[1:])]
     del population, pay  # gamma is not needed, and theta lives on in the bindings
 

@@ -555,6 +555,37 @@ class TestSimulate:
         ]) == 1
         assert "error: seed must lie in [0, 2**128)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,options,code,message", [
+        (NONMONOTONE_PHI_DOC, ["--tau", "0.0"], 2,
+         "numeric failure: classify_environment needs the coarse-signal posterior"),
+        (BASELINE_DOC, ["--tau", "5.0"], 1,
+         "error: tau=5.0 outside the open prejudice interval"),
+        (BASELINE_DOC, ["--tau", "0.0", "--bins", "0"], 1,
+         "error: theta bin count must be at least 1, got 0"),
+    ], ids=["nonmonotone-phi", "tau-outside-interval", "zero-bins"])
+    def test_bad_input_exits_before_sampling(
+        self, tmp_path, monkeypatch, capsys, doc, options, code, message
+    ):
+        """These exited only after sampling; a falling phi, after stage one,
+        binning and the MC regret too."""
+        sampled = []
+        draw = cli.sample_population
+
+        def spy(config, m, seed):
+            sampled.append(m)
+            return draw(config, m, seed)
+
+        monkeypatch.setattr(cli, "sample_population", spy)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([
+            "simulate", "--config", str(path), *options, "--m", "2000", "--out", str(out),
+        ]) == code
+        assert message in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
+
     @needs_fork
     @pytest.mark.parametrize("error", [ScreeningError, KeyboardInterrupt])
     def test_failure_after_render_starts_leaves_no_child(

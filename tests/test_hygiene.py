@@ -1,10 +1,13 @@
-"""Every module uses each name it imports, and the tests and scripts close
-every file they open.
+"""Every module uses each name it imports, src/screenlab reads every private
+name it defines, and the tests and scripts close every file they open.
 
 The repository has no linter configured, so these tests parse the modules
 with ``ast``.  One fails on an imported name that its module never
 references, under src/screenlab, tests/ and scripts/; ``__init__.py`` is
-left out: its imports are the package's exports.  The other fails on an
+left out: its imports are the package's exports.  One fails on a private
+function, class or assigned name at the top level of a src/screenlab
+module that no module there reads, by name, as an attribute or in an
+import: code that only the tests still reach.  The last fails on an
 ``open(...)`` in tests/ or scripts/ that is not the context expression of a
 ``with`` item.  src/ is left out of that one: ``cli._fork_render`` returns
 the pipe it opens, and ``cli._child_text`` closes it.
@@ -43,6 +46,32 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unread_privates(sources) -> list[str]:
+    """Private names (not dunders) that a module of ``sources`` defines at
+    its top level, by ``def``, ``class`` or assignment, and that none of
+    ``sources`` reads: by name, as an attribute or in a ``from`` import."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(name.id for target in targets for name in ast.walk(target)
+                               if isinstance(name, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    private = {name for name in defined
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    return sorted(private - read)
+
+
 def unclosed_opens(source: str) -> list[int]:
     """Lines of the ``open(...)`` calls of ``source`` that no ``with`` item
     holds, so the file is left to the garbage collector to close."""
@@ -71,6 +100,26 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+def test_scan_finds_an_unread_private():
+    defining = (
+        "_used = 1\n_unused: int = 2\n_attr, (_pair, _other) = 1, (2, 3)\n__all__ = []\n"
+        "def _helper():\n    return _used\n"
+        "def _imported():\n    return _helper()\n"
+        "class _Gone:\n    _inner = 0\n"
+    )
+    reading = "from a import _imported\nprint(a._attr, a._pair)\n"
+    assert unread_privates([defining, reading]) == ["_Gone", "_other", "_unused"]
+
+
+def test_src_reads_every_private_name_it_defines():
+    sources = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src/screenlab/*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert len(sources) > 5
+    assert unread_privates(sources) == []
 
 
 def test_scan_finds_an_unclosed_open():

@@ -21,12 +21,13 @@ from screenlab import (
     verify_nonatomic,
 )
 from screenlab.population import (
+    McRegretEstimate,
     Population,
     ScoreBin,
     empirical_scores,
 )
 from screenlab.regret import _regret_values
-from screenlab.scores import log_acceptance_threshold
+from screenlab.scores import log_acceptance_threshold, score_pair
 from conftest import BASELINE_DOC, FLAT_THETA_DOC, NONMONOTONE_PHI_DOC
 
 
@@ -237,6 +238,26 @@ class TestMcAverageRegret:
         monkeypatch.setattr(population, "sample_population", spy)
         mc_average_regret(baseline, 0.1, m=1000, seed=3)
         assert seeds == [3]
+
+    @pytest.mark.parametrize("m", [999, 1000, 2501])
+    def test_parts_give_the_whole_cohort_bits(self, baseline, irregular_config, monkeypatch, m):
+        """Scored in parts of 1,000 applicants, one part or a short last one,
+        every estimate is the whole cohort's, bit for bit."""
+        from screenlab import population
+
+        monkeypatch.setattr(population, "_MC_PART", 1000)
+        for config in (baseline, irregular_config):
+            cohort = sample_population(config, m, seed=5)
+            for tau in (-0.5, 0.0, 0.5):
+                pair = score_pair(config, cohort.theta, tau)
+                estimates = mc_average_regret(config, tau, m=m, seed=5)
+                for est, algo, s in zip(estimates, ("s1", "s2"), pair, strict=True):
+                    u = _regret_values(config.payoffs, s, cohort.q)[3]
+                    assert est == McRegretEstimate(
+                        value=float(u.mean()),
+                        standard_error=float(u.std(ddof=1) / np.sqrt(m)),
+                        algo=algo, tau=tau, m=m, seed=5,
+                    )
 
 
 class TestClassifyEnvironment:

@@ -27,7 +27,7 @@ from screenlab import scores
 from screenlab.population import sample_population
 from screenlab.regret import _regret_values
 from screenlab.scores import (
-    _BoundScores, log_acceptance_threshold, score_pair, score_table,
+    _Scores, log_acceptance_threshold, score_pair, score_table,
 )
 from screenlab.thresholds import _sampled_losses
 from conftest import BASELINE_DOC, WEAK_GAMMA_DOC, baseline_theta_grid, split_passes
@@ -450,7 +450,7 @@ class TestBoundScores:
             # score_pair over it tau by tau, score_pair at one applicant, and
             # score_pair over the (theta x tau) grid in one call
             lone, grid = float(population.theta[0]), population.theta[:, None]
-            cases = [(_BoundScores(config, population.theta), population.theta, tau)
+            cases = [(_Scores(config, population.theta), population.theta, tau)
                      for tau in taus]
             cases += [(partial(score_pair, config, theta), theta, tau)
                       for theta in (population.theta, lone) for tau in taus]
@@ -476,14 +476,14 @@ class TestBoundScores:
         split_passes(monkeypatch, parts)
         sizes = []
 
-        class Counted(_BoundScores):
+        class Counted(_Scores):
             __slots__ = ()
 
             def __init__(self, config, theta):
                 sizes.append(len(theta))
                 super().__init__(config, theta)
 
-        monkeypatch.setattr(scores, "_BoundScores", Counted)
+        monkeypatch.setattr(scores, "_Scores", Counted)
         configs = [baseline, irregular_config] + [record.config for record in random_table]
         for k, config in enumerate(configs):
             sizes.clear()
@@ -497,13 +497,28 @@ class TestBoundScores:
                 u1 = _regret_values(config.payoffs, ref1, population.q)[3]
                 assert np.array_equal(losses(tau), u2 - u1)
 
+    def test_terms_are_bound_once_for_every_tau(self, baseline, monkeypatch):
+        """phi is computed when the thetas are bound, not again at each tau."""
+        calls = []
+        phi = scores.marginal_posterior_phi
+
+        def counted(config, theta):
+            calls.append(np.shape(theta))
+            return phi(config, theta)
+
+        monkeypatch.setattr(scores, "marginal_posterior_phi", counted)
+        bound = _Scores(baseline, np.linspace(-2.0, 2.0, 11))
+        for tau in np.linspace(-0.5, 0.5, 5):
+            bound(tau)
+        assert calls == [(11,)]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("theta", [np.inf, np.nan], ids=["inf", "nan"])
     def test_binding_a_nonfinite_theta_warns_of_nothing(self, baseline, theta):
         """The baseline's rho = 0 meets an infinite theta as 0 * inf while the
         terms are bound; the first evaluation raises, as each score call does."""
         thetas = np.array([0.0, theta, 1.0])
-        bound = _BoundScores(baseline, thetas)
+        bound = _Scores(baseline, thetas)
         with pytest.raises(DomainError) as paired:
             bound(0.2)
         for fn in (score_s1, score_s2):
@@ -519,7 +534,7 @@ class TestBoundScores:
     def test_bound_pair_raises_as_score_calls_do(self, baseline, theta, raising):
         thetas = np.array([0.0, theta, 1.0])
         pairs = (
-            lambda: _BoundScores(baseline, thetas)(0.2),
+            lambda: _Scores(baseline, thetas)(0.2),
             lambda: score_pair(baseline, thetas, 0.2),
             lambda: score_pair(baseline, theta, 0.2),
             lambda: score_pair(baseline, thetas[:, None], np.array([-0.5, 0.2])),

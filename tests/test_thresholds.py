@@ -478,14 +478,14 @@ class TestSplitPass:
                 if original is obj:
                     monkeypatch.setattr(module, attr, wrapper)
         bound_off_main = []
-        at_log_t = scores._BoundScores.at_log_t
+        at_log_t = scores._Scores.at_log_t
 
         def counted(self, log_t):
             if threading.current_thread() is not threading.main_thread():
                 bound_off_main.append(len(self.theta))
             return at_log_t(self, log_t)
 
-        monkeypatch.setattr(scores._BoundScores, "at_log_t", counted)
+        monkeypatch.setattr(scores._Scores, "at_log_t", counted)
         split_passes(monkeypatch, 3)
         result = find_tau_bar(baseline, "mc", m=20_000, seed=1)
         assert off_main == []
