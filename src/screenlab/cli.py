@@ -50,7 +50,6 @@ from .model import (
     ScreeningError,
     UnsupportedModelError,
     load_config,
-    require_increasing_phi,
     require_size,
     validate_mlrp,
 )
@@ -570,10 +569,13 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
 def cmd_simulate(config, args, lap) -> dict[str, str]:
     tau = _required(args, "tau")
     # the checks of the later stages' inputs, with their messages, made
-    # before any applicant is sampled
-    require_increasing_phi(config, "classify_environment")
+    # before any applicant is sampled; the classification is closed form
+    report = classify_environment(config)
     log_acceptance_threshold(config.payoffs, tau)
     require_size("theta bin count", args.bins, 1)
+    if not 0 <= args.seed < 2**128 - 1:  # the MC regret cohort's Philox key is seed + 1
+        raise DomainError(f"seed must lie in [0, 2**128), as must seed + 1, the Monte "
+                          f"Carlo cohort's seed; got {args.seed}")
     population = sample_population(config, args.m, args.seed)
     lap("sample_s")
     data = run_stage_one(config, population, tau)
@@ -588,7 +590,8 @@ def cmd_simulate(config, args, lap) -> dict[str, str]:
         lap("binning_s")
         estimates = mc_average_regret(config, tau, args.m, args.seed + 1)
         lap("mc_regret_s")
-        report = classify_environment(config)
+        # classify_s times the report's rendering, its classification having run first
+        environment = render_json(asdict(report))
         lap("classify_s")
         texts = {
             "stage1.csv": stage1(),
@@ -598,7 +601,7 @@ def cmd_simulate(config, args, lap) -> dict[str, str]:
             "regret_mc.csv": _csv(
                 "regret_mc.csv", _field_columns("regret_mc.csv", estimates)
             ),
-            "environment.json": render_json(asdict(report)),
+            "environment.json": environment,
         }
     lap("render_s")
     return texts

@@ -18,13 +18,14 @@ curves of one bit for a theta or a 1-D array of thetas at once, s1 and s2
 on one axis in ``ALGOS`` order.
 
 ``expected_regret`` averages u = N(s) - p over the applicant population at
-each tau of a grid, for s1 and s2 together.  N(s) is smooth in theta and is
-integrated by an adaptive Gauss-Legendre panel scheme.  Each score rises in
-theta, so the applicants accepted are those above one breakpoint, and the
-mean of p is the class tail masses above it, in closed form.  A whole grid
-takes one bisection per score for every breakpoint and one evaluation of
-both scores for every tau's initial panels; only a (score, tau) whose error
-estimate misses the tolerance refines its own panels, one at a time.
+each tau of a grid, for s1 and s2 together.  N is affine in s, so E[N(s2)]
+is N of the reviewer's acceptance rate, in closed form.  N(s1) is smooth in
+theta and is integrated by an adaptive Gauss-Legendre panel scheme: every
+tau's initial panels come from one evaluation of s1, and only a tau whose
+error estimate misses the tolerance refines its own panels, one at a time.
+Each score rises in theta, so the applicants accepted are those above one
+breakpoint, one bisection per score for a whole grid, and the mean of p is
+the class tail masses above it, in closed form.
 """
 from __future__ import annotations
 
@@ -227,26 +228,24 @@ def _normal_pdf(x, mean: float, sd: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / sd)
 
 
-def _panel_nodes(a: float, b: float) -> np.ndarray:
-    """Both node sets of the panel [a, b], coarse first."""
-    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES_BOTH
-
-
-def _panel_values(values: np.ndarray, a: float, b: float) -> tuple[float, float]:
-    """(fine estimate, error estimate) for one panel from f at its nodes."""
+def _estimates(f, a: np.ndarray, b: np.ndarray, tau: np.ndarray):
+    """(fine, error) estimates of f(theta, tau)'s integral over each panel
+    [a, b], from one evaluation of f at both node sets: shape tau.shape + a.shape."""
     half = 0.5 * (b - a)
-    coarse = half * float(np.dot(_NODES_COARSE[1], values[:20]))
-    fine = half * float(np.dot(_NODES_FINE[1], values[20:]))
+    values = f(0.5 * (a + b)[:, None] + half[:, None] * _NODES_BOTH, tau[..., None, None])
+    coarse = half * (values[..., :20] @ _NODES_COARSE[1])
+    fine = half * (values[..., 20:] @ _NODES_FINE[1])
     return fine, abs(fine - coarse)
 
 
-def _refine(f, heap: list) -> float:
-    """Adaptive Gauss-Legendre integral of a smooth vectorized f.
-
-    ``heap`` holds (-error, left, right, value) panels covering the range;
-    the worst panel is halved until the error estimates sum below QUAD_TOL.
-    """
+def _refine(f, tau: float, panels) -> float:
+    """Adaptive Gauss-Legendre integral of f at one tau from (-error, left,
+    right, value) panels covering the range: the worst panel on a heap is
+    halved until the error estimates sum below QUAD_TOL."""
+    heap = []
     while True:
+        for item in panels:
+            heapq.heappush(heap, item)
         total_err = -sum(item[0] for item in heap)
         if total_err < QUAD_TOL:
             return sum(item[3] for item in heap)
@@ -259,46 +258,55 @@ def _refine(f, heap: list) -> float:
             )
         _, left, right, _ = heapq.heappop(heap)
         mid = 0.5 * (left + right)
-        for seg in ((left, mid), (mid, right)):
-            value, err = _panel_values(f(_panel_nodes(*seg)), *seg)
-            heapq.heappush(heap, (-err, seg[0], seg[1], value))
+        fine, err = _estimates(f, np.array([left, mid]), np.array([mid, right]), np.asarray(tau))
+        panels = zip((-err).tolist(), (left, mid), (mid, right), fine.tolist())
 
 
-def _theta_range(config: ModelConfig) -> tuple[float, float]:
-    """Theta interval covering both class means to ten marginal deviations."""
-    sd = config.signal.sigma_theta
-    means = (config.signal.mu_q[0], config.signal.mu_u[0])
-    return min(means) - 10.0 * sd, max(means) + 10.0 * sd
+def _integrate(f, lo: float, hi: float, taus: np.ndarray) -> np.ndarray:
+    """The integral of f(theta, tau) over [lo, hi] at each tau of a 1-D array:
+    8 panels for every tau from one evaluation of f, summed in panel order,
+    and a heap of them for a tau whose summed error misses QUAD_TOL."""
+    edges = np.linspace(lo, hi, 9)
+    a, b = edges[:-1], edges[1:]
+    fine, err = _estimates(f, a, b, taus)
+    integrals = sum(fine.T)
+    for i in np.flatnonzero(~(sum(err.T) < QUAD_TOL)):
+        panels = zip((-err[i]).tolist(), a.tolist(), b.tolist(), fine[i].tolist())
+        integrals[i] = _refine(f, taus[i], panels)
+    return integrals
 
 
 def expected_regret(config: ModelConfig, tau):
     """(E[u(s1)], E[u(s2)]), the population means of the regret loss, at each tau.
 
     ``tau`` is a scalar, giving two floats, or a 1-D array, giving two arrays.
-    Each E[N(s)] is one adaptive quadrature over the full theta range.  The
-    realized payoff p is x_q for an accepted qualified applicant and -x_u
-    for an accepted unqualified one, and acceptance means theta above the
-    score's breakpoint, so E[p] = x_q*pi*P_q(accepted) - x_u*(1-pi)*P_u(accepted)
-    with each class's mass between the breakpoint and the range's top.
+    E[N(s1)] is one adaptive quadrature over the class means +/- 10 sds of
+    theta.  E[N(s2)] is N of the acceptance rate: the log likelihood ratio
+    w.(theta, gamma) + b is normal within each class, and the reviewer
+    accepts above log T(tau).  The realized payoff p is x_q for an accepted
+    qualified applicant and -x_u for an accepted unqualified one, and
+    acceptance means theta above the score's breakpoint, so
+    E[p] = x_q*pi*P_q(accepted) - x_u*(1-pi)*P_u(accepted), with each class's
+    mass between the breakpoint and the range's top.
     """
     require_increasing_phi(config, "expected_regret")
     taus = _as_scalar_or_1d(tau, "tau")
-    flat = taus.reshape(-1)
-    payoffs = config.payoffs
+    payoffs, signal = config.payoffs, config.signal
     pi, beta = payoffs.pi, payoffs.beta
-    sd = config.signal.sigma_theta
-    mu_q, mu_u = config.signal.mu_q[0], config.signal.mu_u[0]
-    lo, hi = _theta_range(config)
+    sd = signal.sigma_theta
+    mu_q, mu_u = signal.mu_q[0], signal.mu_u[0]
+    lo, hi = min(mu_q, mu_u) - 10.0 * sd, max(mu_q, mu_u) + 10.0 * sd
 
-    def integrands(theta, tau) -> list[np.ndarray]:
+    def s1_payoff(theta, tau) -> np.ndarray:
         mixture = pi * _normal_pdf(theta, mu_q, sd) + (1.0 - pi) * _normal_pdf(theta, mu_u, sd)
-        return [_ex_ante(payoffs, s) * mixture for s in _scores.score_pair(config, theta, tau)]
+        return _ex_ante(payoffs, _scores.score_pair(config, theta, tau)[0]) * mixture
 
-    # the 8 initial panels of every tau in one evaluation of both scores
-    edges = np.linspace(lo, hi, 9).tolist()
-    panels = list(zip(edges[:-1], edges[1:]))
-    nodes = np.concatenate([_panel_nodes(a, b) for a, b in panels])
-    values = [v.reshape(len(flat), len(panels), -1) for v in integrands(nodes, flat[:, None])]
+    w = np.array(signal.log_ratio_weights)
+    log_t = _scores.log_acceptance_threshold(payoffs, taus)
+    d_q, d_u = ((w @ mu + signal.log_ratio_intercept - log_t) / np.sqrt(w @ signal.covariance @ w)
+                for mu in (signal.mu_q, signal.mu_u))
+    n_ex_ante = (_integrate(s1_payoff, lo, hi, taus.reshape(-1)).reshape(taus.shape),
+                 _ex_ante(payoffs, pi * ndtr(d_q) + (1.0 - pi) * ndtr(d_u)))
     ends = zip(_scores.score_pair(config, lo, taus), _scores.score_pair(config, hi, taus))
     results = []
     for k, (s_lo, s_hi) in enumerate(ends):
@@ -315,21 +323,11 @@ def expected_regret(config: ModelConfig, tau):
                 lambda theta: _scores.score_pair(config, theta, inner)[k] - beta,
                 np.full_like(inner, lo), np.full_like(inner, hi),
             ).root
-
-        # each tau's heap refines only where its error estimate asks for it
-        integrals = []
-        for t, rows in zip(flat.tolist(), values[k]):
-            heap = []
-            for (a, b), row in zip(panels, rows):
-                value, err = _panel_values(row, a, b)
-                heapq.heappush(heap, (-err, a, b, value))
-            integrals.append(_refine(lambda theta, t=t: integrands(theta, t)[k], heap))
-
         mass_q, mass_u = (ndtr((hi - mean) / sd) - ndtr((breakpoints - mean) / sd)
                           for mean in (mu_q, mu_u))
         expected_p = payoffs.x_q * pi * mass_q - payoffs.x_u * (1.0 - pi) * mass_u
-        result = np.array(integrals) - expected_p
-        results.append(float(result[0]) if taus.ndim == 0 else result)
+        result = n_ex_ante[k] - expected_p
+        results.append(float(result) if taus.ndim == 0 else result)
     return tuple(results)
 
 

@@ -32,7 +32,7 @@ from screenlab import (
     score_s1,
     score_s2,
 )
-from screenlab import cli, thresholds
+from screenlab import cli, population, thresholds
 from screenlab.cli import main, render_csv
 from screenlab.regret import _regret_values
 from screenlab.scores import ALGOS
@@ -562,20 +562,30 @@ class TestSimulate:
          "error: tau=5.0 outside the open prejudice interval"),
         (BASELINE_DOC, ["--tau", "0.0", "--bins", "0"], 1,
          "error: theta bin count must be at least 1, got 0"),
-    ], ids=["nonmonotone-phi", "tau-outside-interval", "zero-bins"])
+        (BASELINE_DOC, ["--tau", "0.0", f"--seed={2**128 - 1}"], 1,
+         f"error: seed must lie in [0, 2**128), as must seed + 1, the Monte Carlo "
+         f"cohort's seed; got {2**128 - 1}"),
+        (dict(BASELINE_DOC, mu_q=[1e-310, 1.0]), ["--tau", "0.0"], 1,
+         "error: the phi = beta breakpoint is not finite"),
+    ], ids=["nonmonotone-phi", "tau-outside-interval", "zero-bins", "last-seed",
+            "subnormal-theta-shift"])
     def test_bad_input_exits_before_sampling(
         self, tmp_path, monkeypatch, capsys, doc, options, code, message
     ):
         """These exited only after sampling; a falling phi, after stage one,
-        binning and the MC regret too."""
+        binning and the MC regret too, and the last seed and a subnormal
+        theta shift only at or after the MC regret's own draw."""
         sampled = []
-        draw = cli.sample_population
 
-        def spy(config, m, seed):
-            sampled.append(m)
-            return draw(config, m, seed)
+        def spy(draw):
+            def sample(config, m, seed):
+                sampled.append(m)
+                return draw(config, m, seed)
+            return sample
 
-        monkeypatch.setattr(cli, "sample_population", spy)
+        # mc_average_regret draws its cohort through the population module
+        for module in (cli, population):
+            monkeypatch.setattr(module, "sample_population", spy(module.sample_population))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"

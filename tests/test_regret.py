@@ -12,7 +12,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from screenlab import regret
-from screenlab.scores import ALGOS
+from screenlab.scores import ALGOS, log_acceptance_threshold, score_pair
 from screenlab import (
     DomainError,
     ModelConfig,
@@ -31,7 +31,7 @@ from screenlab import (
     score_s1,
     score_s2,
 )
-from conftest import NONMONOTONE_PHI_DOC, scalar_bisect
+from conftest import NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC, scalar_bisect
 
 
 class TestIndividualRegret:
@@ -220,47 +220,67 @@ def scipy_expected_regret(config, algo, tau, accepted: set) -> float:
 
 # =====================================================================
 # Scalar oracle: expected_regret one tau at a time, with the reference
-# bisection and its own panel heap, as the package computed it before
-# batching
+# bisection, s1's own panel heap and s2's closed form, as the package
+# computes them
 # =====================================================================
 
 _GL_COARSE = np.polynomial.legendre.leggauss(20)
 _GL_FINE = np.polynomial.legendre.leggauss(40)
 _GL_BOTH = np.concatenate([_GL_COARSE[0], _GL_FINE[0]])
 
-# random_table[27]: the one frozen config and tau (of 50 configs x 41 taus)
-# where s2's eight initial panels miss the tolerance and get refined
-REFINING = (27, "s2", -1.5435046194315822)
+# WEAK_GAMMA_DOC at index 30 of its 41 clamped-grid taus: one of the 39
+# where s1's eight initial panels miss the tolerance and get refined
+REFINING = ("s1", 0.49999899999999997)
 
 
 def _scalar_integral(f, a: float, b: float, tol: float, max_panels: int):
     """(integral, panels): 20/40-node Gauss-Legendre on 8 panels of [a, b],
-    halving the worst panel until the error estimates sum below tol."""
-    def panel(left, right):
-        half = 0.5 * (right - left)
-        values = np.asarray(f(0.5 * (left + right) + half * _GL_BOTH), dtype=float)
-        coarse = half * float(np.dot(_GL_COARSE[1], values[:20]))
-        fine = half * float(np.dot(_GL_FINE[1], values[20:]))
-        return (-abs(fine - coarse), left, right, fine)
+    summed in panel order; or, when their error estimates sum to tol or
+    more, halving the worst panel on a heap until they sum below it."""
+    def panels(lefts, rights) -> list:
+        lefts, rights = np.array(lefts), np.array(rights)
+        half = 0.5 * (rights - lefts)
+        values = f(0.5 * (lefts + rights)[:, None] + half[:, None] * _GL_BOTH)
+        coarse = half * (values[:, :20] @ _GL_COARSE[1])
+        fine = half * (values[:, 20:] @ _GL_FINE[1])
+        return list(zip((-abs(fine - coarse)).tolist(), lefts.tolist(), rights.tolist(),
+                        fine.tolist()))
 
-    edges = np.linspace(a, b, 9).tolist()
+    edges = np.linspace(a, b, 9)
+    initial = panels(edges[:-1], edges[1:])
+    if sum(-item[0] for item in initial) < tol:
+        return sum(item[3] for item in initial), len(initial)
     heap = []
-    for left, right in zip(edges[:-1], edges[1:]):
-        heapq.heappush(heap, panel(left, right))
+    for item in initial:
+        heapq.heappush(heap, item)
     while -sum(item[0] for item in heap) >= tol:
         if len(heap) >= max_panels:
             raise QuadratureError(f"oracle stalled with {len(heap)} panels")
         _, left, right, _ = heapq.heappop(heap)
         mid = 0.5 * (left + right)
-        heapq.heappush(heap, panel(left, mid))
-        heapq.heappush(heap, panel(mid, right))
+        for item in panels([left, mid], [mid, right]):
+            heapq.heappush(heap, item)
     return sum(item[3] for item in heap), len(heap)
 
 
+def closed_form_acceptance(config, tau):
+    """(P_q, P_u), each class's probability that the reviewer accepts at
+    tau: the log likelihood ratio w.(theta, gamma) + b is normal in a
+    class, with mean w.mu + b and variance w'Sigma w, and must exceed log T."""
+    signal = config.signal
+    w = np.array(signal.log_ratio_weights)
+    log_t = log_acceptance_threshold(config.payoffs, tau)
+    return tuple(ndtr((w @ mu + signal.log_ratio_intercept - log_t)
+                      / np.sqrt(w @ signal.covariance @ w))
+                 for mu in (signal.mu_q, signal.mu_u))
+
+
 def oracle_expected_regret(config, algo, tau: float, tol=1e-8, max_panels=200):
-    """(E[u], who is accepted, panels) at one tau: the integral of N(s) times
-    the mixture density, minus the closed-form accepted payoff above the
-    acceptance breakpoint."""
+    """(E[u], who is accepted, panels) at one tau: E[N(s)], minus the
+    closed-form accepted payoff above the acceptance breakpoint.  For s1,
+    E[N(s1)] is the integral of N(s1) times the mixture density over
+    ``panels`` panels; for s2 it is N of the closed-form acceptance rate,
+    with no panels."""
     payoffs = config.payoffs
     pi, beta = payoffs.pi, payoffs.beta
     sd = config.signal.sigma_theta
@@ -290,9 +310,14 @@ def oracle_expected_regret(config, algo, tau: float, tol=1e-8, max_panels=200):
     def mass(mean):
         return float(ndtr((hi - mean) / sd) - ndtr((breakpoint_theta - mean) / sd))
 
-    integral, panels = _scalar_integral(integrand, lo, hi, tol, max_panels)
+    if algo == "s1":
+        integral, panels = _scalar_integral(integrand, lo, hi, tol, max_panels)
+    else:
+        p_q, p_u = closed_form_acceptance(config, tau)
+        rate = pi * p_q + (1.0 - pi) * p_u
+        integral, panels = rate * payoffs.x_q - (1.0 - rate) * payoffs.x_u, 0
     expected_p = payoffs.x_q * pi * mass(mu_q) - payoffs.x_u * (1.0 - pi) * mass(mu_u)
-    return integral - expected_p, accepted, panels
+    return float(integral - expected_p), accepted, panels
 
 
 class TestExpectedRegret:
@@ -337,34 +362,81 @@ class TestExpectedRegret:
     ):
         """Both rows of one batched call against the oracle, one tau at a
         time.  Nine taus per config span the clamped interval, so their edges
-        accept everyone or no one, and REFINING adds the tau whose panels
-        need refining."""
-        configs = [baseline, irregular_config] + [record.config for record in random_table]
+        accept everyone or no one, and the weak-gamma config, with REFINING's
+        tau added, has s1's panels refined."""
+        weak_gamma = ModelConfig.from_dict(WEAK_GAMMA_DOC)
+        configs = [baseline, irregular_config, weak_gamma] + [r.config for r in random_table]
         seen, refined = set(), 0
-        for index, config in enumerate(configs):
+        for config in configs:
             taus = np.linspace(*clamped_tau_interval(config.payoffs), 9)
-            if index - 2 == REFINING[0]:
-                taus = np.append(taus, REFINING[2])
+            if config is weak_gamma:
+                taus = np.append(taus, REFINING[1])
             batch = expected_regret(config, taus)
             assert len(batch) == 2
             for algo, row in zip(("s1", "s2"), batch):
                 assert row.shape == taus.shape
                 for tau, value in zip(taus.tolist(), row.tolist()):
                     exact, accepted, panels = oracle_expected_regret(config, algo, tau)
-                    assert value == exact, (index, algo, tau)
+                    assert value == exact, (algo, tau)
                     seen.add(accepted)
                     refined += panels > 8
         assert seen == {"everyone", "no one", "upper tail"}
         assert refined >= 1
 
-    def test_scalar_tau_gives_float(self, random_table):
-        index, algo, tau = REFINING
-        config = random_table[index].config
+    def test_scalar_tau_gives_float(self):
+        algo, tau = REFINING
+        config = ModelConfig.from_dict(WEAK_GAMMA_DOC)
         values = expected_regret(config, tau)
         assert [type(v) for v in values] == [float, float]
         value = values[("s1", "s2").index(algo)]
         exact, _, panels = oracle_expected_regret(config, algo, tau)
         assert value == exact and panels > 8
+
+    def test_lone_tau_equals_grid_bit_for_bit(self, baseline, irregular_config):
+        """Both rows at a lone tau are that tau's values inside a grid, at
+        both clamp edges and at the weak-gamma taus where s1 is refined."""
+        weak_gamma = ModelConfig.from_dict(WEAK_GAMMA_DOC)
+        for config in (baseline, irregular_config, weak_gamma):
+            taus = np.linspace(*clamped_tau_interval(config.payoffs), 41)
+            grid = expected_regret(config, taus)
+            for j, tau in enumerate(taus.tolist()):
+                assert expected_regret(config, tau) == (grid[0][j], grid[1][j]), tau
+
+    @pytest.mark.parametrize("route", ["n_of_s2", "s1_times_s2"])
+    def test_quadrature_matches_closed_forms(
+        self, baseline, irregular_config, random_table, route
+    ):
+        """Second routes for the closed form and for s1's integrand: the
+        kernel's quadrature of N(s2) times the mixture density is N of the
+        acceptance rate, and that of s1*s2 = P(q = 1, accepted | theta) is
+        pi*P_q(accepted), within QUAD_TOL on 41 clamped taus per config."""
+        configs = [baseline, irregular_config, ModelConfig.from_dict(WEAK_GAMMA_DOC)]
+        for config in configs + [record.config for record in random_table]:
+            payoffs, signal = config.payoffs, config.signal
+            pi, sd = payoffs.pi, signal.sigma_theta
+            means = (signal.mu_q[0], signal.mu_u[0])
+            taus = np.linspace(*clamped_tau_interval(payoffs), 41)
+
+            def integrand(theta, tau):
+                s1, s2 = score_pair(config, theta, tau)
+                mixture = (pi * norm.pdf(theta, means[0], sd)
+                           + (1.0 - pi) * norm.pdf(theta, means[1], sd))
+                if route == "n_of_s2":
+                    return (s2 * payoffs.x_q - (1.0 - s2) * payoffs.x_u) * mixture
+                return s1 * s2 * mixture
+
+            p_q, p_u = closed_form_acceptance(config, taus)
+            rate = pi * p_q + (1.0 - pi) * p_u
+            exact = (rate * payoffs.x_q - (1.0 - rate) * payoffs.x_u
+                     if route == "n_of_s2" else pi * p_q)
+            lo, hi = min(means) - 10.0 * sd, max(means) + 10.0 * sd
+            got = regret._integrate(integrand, lo, hi, taus)
+            np.testing.assert_allclose(got, exact, rtol=0.0, atol=regret.QUAD_TOL)
+
+    def test_empty_tau_gives_empty_rows(self, baseline):
+        """An empty tau array raised numpy's reshape ValueError."""
+        rows = expected_regret(baseline, np.array([]))
+        assert [row.shape for row in rows] == [(0,), (0,)]
 
     def test_rejects_two_dimensional_tau(self, baseline):
         with pytest.raises(DomainError, match="1-D"):
