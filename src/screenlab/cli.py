@@ -11,15 +11,18 @@ Conventions shared by all subcommands:
 * numbers are serialized in shortest round-trip decimal form, so reruns
   with identical inputs produce byte-identical CSV bodies;
 * a CSV is rendered in one contiguous range of ``CSV_CHUNK_ROWS`` chunks
-  per available CPU, by children forked on POSIX systems: a table of more
-  than one chunk has all but its last range forked, while ``sweep``'s
-  scores.csv and regret.csv and ``simulate``'s stage1.csv have every range
-  forked as soon as their columns exist, and format while the later stages
-  run.  On one CPU nothing forks; the bytes do not depend on the split, and
-  no option selects it;
+  per available CPU, or per chunk where it has fewer, by children forked
+  on POSIX systems: a table of more than one chunk has all but its last
+  range forked, while ``sweep``'s scores.csv and regret.csv and
+  ``simulate``'s stage1.csv have every range forked as soon as their
+  columns exist, and format while the later stages run (on two CPUs,
+  regret.csv over 21 thetas is three chunks in two ranges).  On one CPU
+  nothing forks; the bytes do not depend on the split, and no option
+  selects it;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
-  recording the config digest, seeds, command line, and output hashes;
+  recording the config digest, seeds, command line, and output hashes,
+  and for ``sweep`` and ``simulate`` the seconds of each stage;
 * tau grids are given as ``min:max:count`` and are clamped to the open
   prejudice interval with a printed notice when that changes anything;
 * exit status 0 means success, 1 a validation failure (bad config or
@@ -165,8 +168,10 @@ def write_atomic(path: str, data: str) -> None:
 
 
 # Rows are formatted this many at a time, so a 1e6-row file never holds a
-# Python string per cell for the whole table at once.
-CSV_CHUNK_ROWS = 65_536
+# Python string per cell for the whole table at once; and a range holds
+# whole chunks, so this is also the least a forked range renders: sweep's
+# 33,600-row regret.csv (21 thetas) is three chunks, split over two CPUs.
+CSV_CHUNK_ROWS = 16_384
 
 
 def _all_distinct(keys: np.ndarray) -> bool:
@@ -542,15 +547,20 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
         scores = renders.enter_context(
             _start_csv(_header("scores.csv"), score_table(config, thetas, tau_grid))
         )
+        lap("scores_s")
         # every theta's thresholds are rooted once, and its curves jump there
         reports = threshold_report(config, np.array(thetas))
+        lap("thresholds_s")
         critical = ([r.tau_d1 for r in reports], [r.tau_d2 for r in reports])
         regret_columns, jump_docs = _regret_outputs(config, thetas, (0, 1), tau_grid, critical)
         regret = renders.enter_context(_start_csv(_header("regret.csv"), regret_columns))
+        lap("regret_s")
         # the children format both tables while these run
         bar = find_tau_bar(config, "analytic")
+        lap("tau_bar_s")
         averages = expected_regret(config, tau_grid)
-        return {
+        lap("averages_s")
+        texts = {
             "scores.csv": scores(),
             "regret.csv": regret(),
             "regret_jumps.json": render_json(jump_docs),
@@ -564,6 +574,9 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
                 "average_regret.csv", [tau_grid, *averages]
             ),
         }
+    # the wait for the children, and the small tables rendered here
+    lap("render_s")
+    return texts
 
 
 def cmd_simulate(config, args, lap) -> dict[str, str]:

@@ -1,9 +1,10 @@
 """Shared fixtures: reference configs, the frozen random-config table, a
-reference bisection, and a terminal summary that prints one line per
-acceptance criterion."""
+reference bisection, a scalar twin of the package's root loop, and a
+terminal summary that prints one line per acceptance criterion."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 
@@ -125,6 +126,53 @@ def scalar_bisect(f, lo: float, hi: float, width: float = 0.0) -> float:
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_root(f, lo: float, hi: float) -> float:
+    """Twin of the package's root loop, one float at a time: regula falsi
+    with Anderson-Bjorck's (or Illinois') scaling of an end kept twice
+    running, each point kept 2 eps |x| inside the bracket, and a bisection
+    where none is left or the bracket has not halved over three steps.
+    Runs to adjacent floats and stops on an exact zero."""
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    assert np.sign(f_lo) != np.sign(f_hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    orient = -1.0 if f_lo > 0.0 else 1.0
+    g_lo, g_hi, last = orient * f_lo, orient * f_hi, 1.0
+    below = above = False
+    widths = [math.inf] * 3
+    eps = float(np.finfo(float).eps)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        width = hi - lo
+        x = lo - g_lo * width / (g_hi - g_lo)
+        tol = 2.0 * eps * abs(x)
+        x = min(max(x, lo + tol), hi - tol)
+        if not (width <= 0.5 * widths[0] and lo < x < hi):
+            x = mid
+        widths = widths[1:] + [width]
+        g = orient * float(f(x))
+        if g == 0.0:
+            return x
+        kept_hi, kept_lo = below, above
+        below, above = g < 0.0, g > 0.0
+        ratio = g / (last if abs(g) < abs(last) else g)
+        m = 1.0 - ratio if ratio < 1.0 else 0.5
+        last = g
+        if below:
+            lo, g_lo = x, g
+            if kept_hi:
+                g_hi = m * g_hi
+        else:
+            hi, g_hi = x, g
+            if kept_lo:
+                g_lo = m * g_lo
     return 0.5 * (lo + hi)
 
 

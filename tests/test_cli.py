@@ -43,6 +43,8 @@ from conftest import (
 from test_regret import oracle_expected_regret
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the package's own chunk size, read before any test patches it
+CHUNK_ROWS = cli.CSV_CHUNK_ROWS
 
 
 @pytest.fixture()
@@ -488,6 +490,20 @@ class TestSweep:
         assert len(forks) == 4
         assert_no_child_left()
         assert not out.exists()
+
+    def test_manifest_records_stage_timings(self, config_path, tmp_path):
+        out = str(tmp_path / "out")
+        assert main([
+            "sweep", "--config", config_path, "--theta=-0.5,0.5",
+            "--tau-grid=-0.8:0.8:9", "--out", out,
+        ]) == 0
+        manifest = json.loads(read_text(os.path.join(out, "run_manifest.json")))
+        timings = manifest["timings"]
+        assert list(timings) == [
+            "scores_s", "thresholds_s", "regret_s", "tau_bar_s", "averages_s",
+            "render_s", "write_s",
+        ]
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
 
     def test_irregular_tau_bar_null(self, tmp_path):
         path = tmp_path / "irr.json"
@@ -935,6 +951,40 @@ class TestStartedCsv:
         header, columns, want = mixed_table()
         assert_same_text(started_csv(header, columns), want)
         assert len(forks) == 3
+        assert_no_child_left()
+
+    def test_sweep_regret_table_splits_over_two_cpus(self, forked, monkeypatch):
+        """At the package's chunk size, a table of the sweep's regret.csv
+        size over 21 thetas (33,600 rows) is three chunks, formatted by two
+        children."""
+        forks = forked(2)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
+        rows = 21 * 2 * len(ALGOS) * 400
+        header = ["theta", "q", "tau", "algo", "u"]
+        columns = [
+            np.repeat(np.linspace(-2.0, 2.0, 21), rows // 21),
+            np.tile(np.repeat([0, 1], rows // 42), 21),
+            np.tile(np.linspace(-0.9, 0.9, 400), rows // 400),
+            np.tile(np.repeat(np.array(ALGOS), 400), rows // 800),
+            np.sin(0.37 * np.arange(rows)),
+        ]
+        with cli._start_csv(header, columns) as collect:
+            assert len(forks) == 2
+            got = collect()
+        assert_same_text(got, ",".join(header) + "\n" + cli._render_rows(columns, 0, rows))
+        assert_no_child_left()
+
+    def test_simulate_stage1_splits_over_two_cpus(self, forked, monkeypatch, config_path,
+                                                   tmp_path):
+        """stage1.csv of more than one chunk takes one child per CPU; the
+        small tables render in process."""
+        forks = forked(2)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
+        assert main([
+            "simulate", "--config", config_path, "--tau", "0.0", "--m", "40000",
+            "--seed", "1", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert len(forks) == 2
         assert_no_child_left()
 
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])

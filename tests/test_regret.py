@@ -3,6 +3,7 @@ average computed by adaptive quadrature."""
 from __future__ import annotations
 
 import heapq
+import types
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from screenlab import (
     score_s1,
     score_s2,
 )
-from conftest import NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC, scalar_bisect
+from conftest import NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC, scalar_bisect, scalar_root
 
 
 class TestIndividualRegret:
@@ -219,9 +220,9 @@ def scipy_expected_regret(config, algo, tau, accepted: set) -> float:
 
 
 # =====================================================================
-# Scalar oracle: expected_regret one tau at a time, with the reference
-# bisection, s1's own panel heap and s2's closed form, as the package
-# computes them
+# Scalar oracle: expected_regret one tau at a time, with the scalar twin
+# of the root loop, s1's own panel heap and s2's closed form, as the
+# package computes them
 # =====================================================================
 
 _GL_COARSE = np.polynomial.legendre.leggauss(20)
@@ -305,7 +306,7 @@ def oracle_expected_regret(config, algo, tau: float, tol=1e-8, max_panels=200):
     elif gap(hi) <= 0.0:
         breakpoint_theta, accepted = hi, "no one"
     else:
-        breakpoint_theta, accepted = scalar_bisect(gap, lo, hi), "upper tail"
+        breakpoint_theta, accepted = scalar_root(gap, lo, hi), "upper tail"
 
     def mass(mean):
         return float(ndtr((hi - mean) / sd) - ndtr((breakpoint_theta - mean) / sd))
@@ -382,6 +383,38 @@ class TestExpectedRegret:
                     refined += panels > 8
         assert seen == {"everyone", "no one", "upper tail"}
         assert refined >= 1
+
+    def test_bisected_breakpoints_move_the_averages_little(
+        self, baseline, irregular_config, monkeypatch
+    ):
+        """Second route for the breakpoints of a 400-tau grid: a scalar
+        bisection to adjacent floats at each tau, in place of the root loop.
+        The two differ only by which float of the gap's rounding noise each
+        search ends on; the bound is the largest move measured (on
+        irregular's s1)."""
+        for config in (baseline, irregular_config):
+            signal, beta = config.signal, config.payoffs.beta
+            sd, means = signal.sigma_theta, (signal.mu_q[0], signal.mu_u[0])
+            lo, hi = min(means) - 10.0 * sd, max(means) + 10.0 * sd
+            taus = np.linspace(*clamped_tau_interval(config.payoffs), 400)
+            calls = []
+
+            def bisected(f, a, b):
+                k = len(calls)  # one call per score, in ALGOS order
+                calls.append(k)
+                s_lo, s_hi = (score_pair(config, theta, taus)[k] for theta in (lo, hi))
+                inner = taus[~(s_lo - beta > 0.0) & ~(s_hi - beta <= 0.0)]
+                assert a.shape == inner.shape
+                return types.SimpleNamespace(root=np.array([scalar_bisect(
+                    lambda theta: float(score_pair(config, theta, tau)[k]) - beta, lo, hi
+                ) for tau in inner.tolist()]))
+
+            looped = expected_regret(config, taus)
+            monkeypatch.setattr(regret, "bisect_monotone_many", bisected)
+            for row, other in zip(looped, expected_regret(config, taus)):
+                np.testing.assert_allclose(row, other, rtol=0.0, atol=6.5e-15)
+            monkeypatch.undo()
+            assert calls == [0, 1]
 
     def test_scalar_tau_gives_float(self):
         algo, tau = REFINING

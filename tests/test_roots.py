@@ -1,13 +1,18 @@
-"""Bracketed roots: bisection on monotone curves and Brent's method."""
+"""Bracketed roots: the safeguarded regula falsi on monotone curves, and
+Brent's method."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from screenlab import BracketError, ScreeningError
-from screenlab import find_tau_star
+from screenlab import BracketError, ModelConfig, ScreeningError
+from screenlab import (
+    clamped_tau_interval, expected_regret, find_tau_bar, find_tau_star, threshold_report,
+)
+from screenlab import regret, thresholds
 from screenlab._roots import bisect_monotone, bisect_monotone_many, brent_root
+from conftest import WEAK_GAMMA_DOC, scalar_bisect
 
 
 class TestScalarBisection:
@@ -233,6 +238,50 @@ class TestBrentRoot:
 
         lo, hi, xtol = root - 7.3, root + 11.1, 1e-8
         brent = brent_root(f, lo, hi, xtol=xtol)
-        bisected = bisect_monotone(f, lo, hi)
-        assert abs(brent.root - bisected.root) <= xtol
-        assert brent.iterations < bisected.iterations
+        assert abs(brent.root - bisect_monotone(f, lo, hi).root) <= xtol
+        values = []
+
+        def counted(x):
+            values.append(x)
+            return f(x)
+
+        scalar_bisect(counted, lo, hi, width=xtol)
+        # both counts leave out the two ends
+        assert brent.iterations < len(values) - 2
+
+
+class TestSteps:
+    def test_no_member_takes_more_than_45_steps(
+        self, baseline, irregular_config, random_table, monkeypatch
+    ):
+        """The loop's steps on the package's own roots: every member of
+        threshold_report's batches, of a 400-tau expected_regret's
+        breakpoints and of find_tau_bar's lone breakpoints, on baseline,
+        irregular, weak gamma and the 50 frozen configs.  The worst measured
+        was 40 (weak gamma's 400-tau breakpoints); bisection to adjacent
+        floats took up to 66, 71 and 65 steps in the three."""
+        steps = {"threshold_report": [], "expected_regret": [], "find_tau_bar": []}
+        phase = []
+
+        def counted(search):
+            def spy(f, lo, hi):
+                result = search(f, lo, hi)
+                steps[phase[-1]].append(int(np.max(result.iterations, initial=0)))
+                return result
+            return spy
+
+        monkeypatch.setattr(thresholds, "bisect_monotone_many",
+                            counted(thresholds.bisect_monotone_many))
+        monkeypatch.setattr(regret, "bisect_monotone_many", counted(regret.bisect_monotone_many))
+        weak_gamma = ModelConfig.from_dict(WEAK_GAMMA_DOC)
+        grids = [(config, np.linspace(-2.0, 2.0, 21))
+                 for config in (baseline, irregular_config, weak_gamma)]
+        for config, thetas in grids + [(r.config, r.theta_grid) for r in random_table]:
+            phase.append("threshold_report")
+            threshold_report(config, thetas)
+            phase.append("expected_regret")
+            expected_regret(config, np.linspace(*clamped_tau_interval(config.payoffs), 400))
+            phase.append("find_tau_bar")
+            find_tau_bar(config, "analytic")
+        assert all(steps.values())
+        assert max(max(counts) for counts in steps.values()) <= 45

@@ -33,7 +33,7 @@ from screenlab import scores, thresholds
 from screenlab.thresholds import CONFIRM_GRID, _crossings, _sampled_losses
 from conftest import (
     BASELINE_DOC, FLAT_THETA_DOC, IRREGULAR_DOC, baseline_theta_grid,
-    scalar_bisect, split_passes,
+    scalar_bisect, scalar_root, split_passes,
 )
 
 
@@ -198,12 +198,23 @@ class TestRegretCrossings:
         assert all(not any(r.boundary_flags) for r in reports)
 
 
+def root_gaps(config, theta: float) -> dict:
+    """The gap whose root on the clamped interval is tau_star, tau_d1 and
+    tau_d2 of a lone theta, by report field."""
+    beta = config.payoffs.beta
+    return {
+        "tau_star": lambda t: score_s1(config, theta, t) - score_s2(config, theta, t),
+        "tau_d1": lambda t: score_s1(config, theta, t) - beta,
+        "tau_d2": lambda t: score_s2(config, theta, t) - beta,
+    }
+
+
 class TestThetaBatch:
-    """Every per-theta root over a theta vector, one batch bisection per kind."""
+    """Every per-theta root over a theta vector, one batch root search per kind."""
 
     def test_batch_matches_a_scalar_bisection(self, baseline, engineered):
         """Dual route: tau_star and both critical prejudices of each theta by
-        the test suite's own scalar bisection, bit for bit."""
+        the test suite's scalar twin of the root loop, bit for bit."""
         for config in (baseline, engineered):
             lo, hi = clamped_tau_interval(config.payoffs)
             beta = config.payoffs.beta
@@ -212,19 +223,30 @@ class TestThetaBatch:
             star = find_tau_star(config, thetas)
             d1, d2 = find_critical_prejudices(config, thetas)
             for i, theta in enumerate(thetas.tolist()):
+                gaps = root_gaps(config, theta)
                 assert reports[i].theta == theta
-                assert star[i] == reports[i].tau_star == scalar_bisect(
-                    lambda t: score_s1(config, theta, t) - score_s2(config, theta, t), lo, hi
-                )
-                assert d2[i] == reports[i].tau_d2 == scalar_bisect(
-                    lambda t: score_s2(config, theta, t) - beta, lo, hi
-                )
+                assert star[i] == reports[i].tau_star == scalar_root(gaps["tau_star"], lo, hi)
+                assert d2[i] == reports[i].tau_d2 == scalar_root(gaps["tau_d2"], lo, hi)
                 if float(marginal_posterior_phi(config, theta)) >= beta:
                     assert d1[i] is None and reports[i].tau_d1 is None
                 else:
-                    assert d1[i] == reports[i].tau_d1 == scalar_bisect(
-                        lambda t: score_s1(config, theta, t) - beta, lo, hi
-                    )
+                    assert d1[i] == reports[i].tau_d1 == scalar_root(gaps["tau_d1"], lo, hi)
+
+    def test_roots_stay_near_a_scalar_bisection(self, baseline, irregular_config):
+        """Second route: bisection to adjacent floats, at 61 thetas.  The
+        roots differ only by which float of the gap's rounding noise each
+        search ends on; the bounds are the largest moves measured.  tau_d1
+        moved most (181 ulps at theta=26/15 on baseline, where s1 - beta is
+        exactly 0.0 on both roots and its slope is 0.005)."""
+        moved = {"tau_star": 2.3e-16, "tau_d1": 2.1e-14, "tau_d2": 3.9e-16}
+        for config in (baseline, irregular_config):
+            lo, hi = clamped_tau_interval(config.payoffs)
+            thetas = np.linspace(-2.0, 2.0, 61)
+            for theta, report in zip(thetas.tolist(), threshold_report(config, thetas)):
+                for field, gap in root_gaps(config, theta).items():
+                    root = getattr(report, field)
+                    if root is not None:
+                        assert abs(root - scalar_bisect(gap, lo, hi)) <= moved[field], field
 
     def test_batch_reports_equal_lone_reports(self, engineered):
         thetas = [-0.5, 0.0, 0.35, 1.2]
