@@ -19,7 +19,10 @@ near the ends of the prejudice interval, and on the rounding noise of a
 curve next to its root; the bisection then halves the bracket at least
 once in four steps, while three steps leave room for a scaled end to
 carry the next point across.  On the package's roots the worst member
-takes ~40 steps, where bisection took ~70.
+takes ~40 steps, where bisection took ~70.  The halving bounds every
+bracket: the loop allows four steps per halving from the bracket's
+magnitude down to the least float spacing, and raises if a member is
+still short of adjacent floats after them.
 
 Each member runs until its bracket spans adjacent floats (its midpoint is
 one of its ends) or a point lands on an exact zero, and its residual is
@@ -56,8 +59,7 @@ class BracketError(ScreeningError):
         self.member = member
 
 
-# Most steps per root; the package's roots, on brackets a few units wide,
-# reach adjacent floats in at most ~40.
+# Most values Brent's method takes for one root.
 MAX_ITER = 200
 
 # Largest |f(root)| the root loop accepts.
@@ -174,7 +176,11 @@ def _bisect(f, lo, hi) -> RootResult:
     # Python's own cost a tenth as much and give the same bits
     pick, lower, upper, any_ = ((np.where, np.maximum, np.minimum, np.any) if shape
                                 else (_pick, max, min, bool))
-    for _ in range(MAX_ITER):
+    # the safeguard halves a bracket at least once in four steps, and one no
+    # wider than the least float spacing, 2**-1074, spans adjacent floats;
+    # the package's roots take at most ~40 steps of this bound's ~4,300
+    halvings = int(np.frexp(np.max(np.maximum(abs(lo), abs(hi)), initial=0.0))[1]) + 1076
+    for _ in range(4 * halvings + 1):
         mid = 0.5 * (lo + hi)
         iterations = iterations + live
         live = live & (lo < mid) & (mid < hi)
@@ -207,6 +213,10 @@ def _bisect(f, lo, hi) -> RootResult:
         lo = pick(above | done, lo, x)
         hi = pick(below | done, hi, x)
         live = below | above
+    else:
+        i = int(np.argmax(live))
+        raise ScreeningError(f"root search did not reach adjacent floats in "
+                             f"{4 * halvings} steps{member(i)}")
     root = 0.5 * (lo + hi)
     if nan.any():
         i = int(np.argmax(nan))

@@ -21,8 +21,7 @@ Conventions shared by all subcommands:
   selects it;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
-  recording the config digest, seeds, command line, and output hashes,
-  and for ``sweep`` and ``simulate`` the seconds of each stage;
+  recording the config digest, seeds, command line, and output hashes;
 * tau grids are given as ``min:max:count`` and are clamped to the open
   prejudice interval with a printed notice when that changes anything;
 * exit status 0 means success, 1 a validation failure (bad config or
@@ -547,20 +546,15 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
         scores = renders.enter_context(
             _start_csv(_header("scores.csv"), score_table(config, thetas, tau_grid))
         )
-        lap("scores_s")
         # every theta's thresholds are rooted once, and its curves jump there
         reports = threshold_report(config, np.array(thetas))
-        lap("thresholds_s")
         critical = ([r.tau_d1 for r in reports], [r.tau_d2 for r in reports])
         regret_columns, jump_docs = _regret_outputs(config, thetas, (0, 1), tau_grid, critical)
         regret = renders.enter_context(_start_csv(_header("regret.csv"), regret_columns))
-        lap("regret_s")
         # the children format both tables while these run
         bar = find_tau_bar(config, "analytic")
-        lap("tau_bar_s")
         averages = expected_regret(config, tau_grid)
-        lap("averages_s")
-        texts = {
+        return {
             "scores.csv": scores(),
             "regret.csv": regret(),
             "regret_jumps.json": render_json(jump_docs),
@@ -574,9 +568,6 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
                 "average_regret.csv", [tau_grid, *averages]
             ),
         }
-    # the wait for the children, and the small tables rendered here
-    lap("render_s")
-    return texts
 
 
 def cmd_simulate(config, args, lap) -> dict[str, str]:

@@ -491,20 +491,6 @@ class TestSweep:
         assert_no_child_left()
         assert not out.exists()
 
-    def test_manifest_records_stage_timings(self, config_path, tmp_path):
-        out = str(tmp_path / "out")
-        assert main([
-            "sweep", "--config", config_path, "--theta=-0.5,0.5",
-            "--tau-grid=-0.8:0.8:9", "--out", out,
-        ]) == 0
-        manifest = json.loads(read_text(os.path.join(out, "run_manifest.json")))
-        timings = manifest["timings"]
-        assert list(timings) == [
-            "scores_s", "thresholds_s", "regret_s", "tau_bar_s", "averages_s",
-            "render_s", "write_s",
-        ]
-        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
-
     def test_irregular_tau_bar_null(self, tmp_path):
         path = tmp_path / "irr.json"
         path.write_text(json.dumps(IRREGULAR_DOC))

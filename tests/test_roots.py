@@ -285,3 +285,16 @@ class TestSteps:
             find_tau_bar(config, "analytic")
         assert all(steps.values())
         assert max(max(counts) for counts in steps.values()) <= 45
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: np.arctan(1e300 * x) - 0.1, -1.0, 1.0),  # a root near 1e-301
+        (lambda x: np.exp(x) - 1.0 - 1e-310, -700.0, 700.0),  # 1 - e^x rounds flat
+    ], ids=["root-near-1e-301", "flat-exp"])
+    def test_long_searches_reach_adjacent_floats(self, f, lo, hi):
+        """Brackets whose roots take hundreds of steps, past a fixed cap of
+        200, still run to adjacent floats or an exact zero, as bisection of
+        a root near 1e-301 must halve its bracket ~1,000 times."""
+        result = bisect_monotone(f, lo, hi)
+        assert result.iterations > 200
+        assert result.bracket_width <= np.spacing(result.root)
+        assert result.residual <= 1e-10
