@@ -18,7 +18,10 @@ Conventions shared by all subcommands:
   columns exist, and format while the later stages run (on two CPUs,
   regret.csv over 21 thetas is three chunks in two ranges).  On one CPU
   nothing forks; the bytes do not depend on the split, and no option
-  selects it;
+  selects it.  Those three tables are collected as UTF-8 pieces, the
+  header and then one per range, which are written and hashed piece by
+  piece: their text is never joined, decoded or encoded again, and every
+  other artifact is encoded once;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
   recording the config digest, seeds, command line, and output hashes;
@@ -159,10 +162,16 @@ SCHEMAS: dict[str, list[tuple[str, str]]] = {
 # Small serialization helpers
 # =====================================================================
 
-def write_atomic(path: str, data: str) -> None:
+def _pieces(data: str | list[bytes]) -> list[bytes]:
+    """An artifact's bytes: a text encoded as UTF-8, or its pieces as given."""
+    return [data.encode("utf-8")] if isinstance(data, str) else data
+
+
+def write_atomic(path: str, data: str | list[bytes]) -> None:
+    """Write a text, or the bytes pieces of one, to a temp file and rename it."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+    with open(tmp, "wb") as fh:
+        fh.writelines(_pieces(data))
     os.replace(tmp, path)
 
 
@@ -260,30 +269,31 @@ def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader
     return pid, open(read_fd, "rb")
 
 
-def _child_text(pid: int, pipe: io.BufferedReader) -> str | None:
-    """The text a forked child sent, read to EOF, or None when it failed.
+def _child_bytes(pid: int, pipe: io.BufferedReader) -> bytes | None:
+    """The bytes a forked child sent, read to EOF, or None when it failed.
 
-    Reaps the child.  Its bytes are dropped on return, so they are not held
-    while the caller joins the texts.
+    Reaps the child.
     """
     with pipe:
         data = pipe.read()
-    return data.decode("utf-8") if os.waitpid(pid, 0)[1] == 0 else None
+    return data if os.waitpid(pid, 0)[1] == 0 else None
 
 
 @contextmanager
 def _start_csv(header: list[str], columns, *, keep_last: bool = False
-               ) -> Iterator[Callable[[], str]]:
+               ) -> Iterator[Callable[[], list[bytes]]]:
     """Start rendering the CSV text of ``render_csv``; yield its collector.
 
     The table is split into one contiguous range of chunks per available
     CPU.  Where more than one is available, children are forked here for
     every range, or for all but the last with ``keep_last``, and format
     while the caller goes on; the collector renders in process each range
-    not forked, then reads the children's texts.  A range whose fork or
-    child fails is rendered in process, so the bytes never depend on the
-    split.  Leaving the ``with`` block, even by a raise, stops and reaps
-    every child not yet collected.
+    not forked, then reads the children's bytes.  It returns the text as
+    UTF-8 pieces, the header line and then one per range, never joined or
+    decoded, so collecting holds the text's bytes about once.  A range whose
+    fork or child fails is rendered in process, so the bytes never depend
+    on the split.  Leaving the ``with`` block, even by a raise, stops and
+    reaps every child not yet collected.
     """
     columns = [_as_column(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
@@ -296,17 +306,18 @@ def _start_csv(header: list[str], columns, *, keep_last: bool = False
     ranges = list(zip(bounds[:-1], bounds[1:]))
     children: dict[int, tuple[int, io.BufferedReader]] = {}
 
-    def collect() -> str:
-        texts = [None if i in children else _render_rows(columns, *span)
-                 for i, span in enumerate(ranges)]
+    def render(span) -> bytes:
+        return _render_rows(columns, *span).encode("utf-8")
+
+    def collect() -> list[bytes]:
+        pieces = [None if i in children else render(span) for i, span in enumerate(ranges)]
         for i in sorted(children):
-            texts[i] = _child_text(*children[i])
+            pieces[i] = _child_bytes(*children[i])
             del children[i]
-        for i, text in enumerate(texts):
-            if text is None:
-                texts[i] = _render_rows(columns, *ranges[i])
-        # one join: prefixing the header afterwards would copy the text again
-        return "".join([",".join(header) + "\n", *texts])
+        for i, piece in enumerate(pieces):
+            if piece is None:
+                pieces[i] = render(ranges[i])
+        return [(",".join(header) + "\n").encode("utf-8"), *pieces]
 
     try:
         for i, (start, stop) in enumerate(ranges[:-1] if keep_last or cpus == 1 else ranges):
@@ -340,7 +351,7 @@ def render_csv(header: list[str], columns) -> str:
     is rendered here.  No child outlives the call.
     """
     with _start_csv(header, columns, keep_last=True) as collect:
-        return collect()
+        return b"".join(collect()).decode("utf-8")
 
 
 def render_json(doc) -> str:
@@ -360,20 +371,20 @@ class RunManifest:
     )
 
     def write(
-        self, out_dir: str, texts: dict[str, str], timings: dict | None = None
+        self, out_dir: str, texts: dict[str, str | list[bytes]],
+        timings: dict | None = None,
     ) -> None:
         """Hash ``texts``, the artifacts just written to ``out_dir`` by
-        name, into ``run_manifest.json``; ``timings`` maps a stage name to
-        its seconds and is recorded when given."""
+        name, into ``run_manifest.json``, piece by piece as ``write_atomic``
+        wrote them; ``timings`` maps a stage name to its seconds and is
+        recorded when given."""
         entries = []
         for name in sorted(texts):
-            # write_atomic writes UTF-8 with no newline translation
-            blob = texts[name].encode("utf-8")
-            entries.append({
-                "name": name,
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "bytes": len(blob),
-            })
+            digest, size = hashlib.sha256(), 0
+            for piece in _pieces(texts[name]):
+                digest.update(piece)
+                size += len(piece)
+            entries.append({"name": name, "sha256": digest.hexdigest(), "bytes": size})
         doc = {
             "tool": "screenlab",
             "version": __version__,
@@ -475,7 +486,8 @@ def _field_columns(name: str, records) -> list[list]:
 
 
 # =====================================================================
-# Subcommands: each maps (config, args, lap) to {artifact name: text}.
+# Subcommands: each maps (config, args, lap) to {artifact name: text},
+# a rendered-ahead CSV's text given as its UTF-8 pieces.
 # lap(stage) records the seconds since the previous lap; a command that
 # laps gets a ``timings`` block in its manifest.
 # =====================================================================
@@ -536,7 +548,7 @@ def cmd_regret(config, args, lap) -> dict[str, str]:
     }
 
 
-def cmd_sweep(config, args, lap) -> dict[str, str]:
+def cmd_sweep(config, args, lap) -> dict[str, str | list[bytes]]:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
     # tau_bar and the average regret need phi rising in theta: fail before
@@ -570,7 +582,7 @@ def cmd_sweep(config, args, lap) -> dict[str, str]:
         }
 
 
-def cmd_simulate(config, args, lap) -> dict[str, str]:
+def cmd_simulate(config, args, lap) -> dict[str, str | list[bytes]]:
     tau = _required(args, "tau")
     # the checks of the later stages' inputs, with their messages, made
     # before any applicant is sampled; the classification is closed form
@@ -676,11 +688,13 @@ def run(args, argv: list[str]) -> int:
             print(text, end="")
         return EXIT_OK
     os.makedirs(out, exist_ok=True)
-    for name, text in texts.items():
-        write_atomic(os.path.join(out, name), text)
+    # each text is encoded once, for its file and its hash
+    artifacts = {name: _pieces(text) for name, text in texts.items()}
+    for name, pieces in artifacts.items():
+        write_atomic(os.path.join(out, name), pieces)
     if timings:
         lap("write_s")
-    manifest.write(out, texts, timings or None)
+    manifest.write(out, artifacts, timings or None)
     return EXIT_OK
 
 

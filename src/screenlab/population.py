@@ -29,6 +29,13 @@ from .regret import _accepted_payoff, _losses
 # Sampling
 # =====================================================================
 
+# Applicants drawn, and scored by mc_average_regret, at once: a part's
+# normals, bound score terms and temporaries take a few MB, where whole 1e6
+# cohorts' raised simulate's peak memory by ~45 MB at sampling and again at
+# the MC regret.
+_MC_PART = 65_536
+
+
 @dataclass(frozen=True)
 class Population:
     """Column-wise applicant sample."""
@@ -46,23 +53,52 @@ def sample_population(config: ModelConfig, m: int, seed: int) -> Population:
 
     The qualification bit is Bernoulli(pi); the signal pair given the bit
     is the class-conditional bivariate normal, generated from standard
-    normals through the shared Cholesky factor.
+    normals through the shared Cholesky factor.  The signals are drawn
+    ``_MC_PART`` applicants at a time into the returned arrays.
+    """
+    q, signals = _draw(config, m, seed)
+    theta, gamma = np.empty(m), np.empty(m)
+    for part, theta_part, gamma_part in signals:
+        theta[part], gamma[part] = theta_part, gamma_part
+    return Population(q=q, theta=theta, gamma=gamma)
+
+
+def _draw(config: ModelConfig, m: int, seed: int, *, gamma: bool = True
+          ) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray, np.ndarray | None]]]:
+    """The one sampler: every qualification bit, then the signals by part.
+
+    The stream is one Philox generator keyed by ``seed``: m uniforms for
+    the bits, then an (m, 2) block of standard normals.  Both are drawn in
+    parts of ``_MC_PART`` rows, which consume the stream as one call would,
+    so the bits do not depend on the part size.  Returns q and an iterator
+    of (part, theta, gamma) over contiguous parts that draws each part's
+    normals as it is advanced; gamma is None without ``gamma``.
     """
     require_size("population size", m, 1)
     if not 0 <= seed < 2**128:  # the range of a Philox key
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     signal = config.signal
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    q = (rng.random(m) < config.payoffs.pi).astype(np.int8)
-    z = rng.standard_normal((m, 2))
-    cross_sd = signal.rho * signal.sigma_gamma
-    resid_sd = signal.conditional_gamma_sd
-    theta_noise = signal.sigma_theta * z[:, 0]
-    gamma_noise = cross_sd * z[:, 0] + resid_sd * z[:, 1]
-    qualified = q == 1
-    theta = np.where(qualified, signal.mu_q[0], signal.mu_u[0]) + theta_noise
-    gamma = np.where(qualified, signal.mu_q[1], signal.mu_u[1]) + gamma_noise
-    return Population(q=q, theta=theta, gamma=gamma)
+    q = np.empty(m, dtype=np.int8)
+    for a in range(0, m, _MC_PART):
+        q[a:a + _MC_PART] = rng.random(min(_MC_PART, m - a)) < config.payoffs.pi
+
+    def signals():
+        cross_sd = signal.rho * signal.sigma_gamma
+        resid_sd = signal.conditional_gamma_sd
+        for a in range(0, m, _MC_PART):
+            part = slice(a, a + _MC_PART)
+            z = rng.standard_normal((min(_MC_PART, m - a), 2))
+            theta_noise = signal.sigma_theta * z[:, 0]
+            qualified = q[part] == 1
+            theta = np.where(qualified, signal.mu_q[0], signal.mu_u[0]) + theta_noise
+            if not gamma:
+                yield part, theta, None
+                continue
+            noise = cross_sd * z[:, 0] + resid_sd * z[:, 1]
+            yield part, theta, np.where(qualified, signal.mu_q[1], signal.mu_u[1]) + noise
+
+    return q, signals()
 
 
 def _require_mc_size(m: int) -> None:
@@ -163,31 +199,34 @@ def empirical_scores(data: StageOneData, theta_bins: int = 50) -> list[ScoreBin]
     if len(data) == 0:
         raise DomainError("cannot bin an empty dataset")
     require_size("theta bin count", theta_bins, 1)
-    edges = np.unique(
-        np.quantile(data.theta, np.linspace(0.0, 1.0, theta_bins + 1))
-    )
+    values = np.sort(data.theta)
+    # the quantiles of a sorted copy are those of the unsorted one
+    edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, theta_bins + 1)))
     if len(edges) < 2:  # a single distinct theta spans no bin
         return []
-    # One pass: bin k holds edges[k] <= theta < edges[k+1], the last bin
-    # also its upper edge; the edges run from the least theta to the largest.
-    k_bins = len(edges) - 1
-    index = np.searchsorted(edges, data.theta, side="right") - 1
-    index[data.theta == edges[-1]] = k_bins - 1
+    # bin k holds edges[k] <= theta < edges[k+1], the last bin also its upper
+    # edge; the edges run from the least theta to the largest
+
+    def per_bin(sorted_thetas: np.ndarray) -> list[int]:
+        """Applicants in each bin: the steps between the first positions at
+        or past each edge, the top edge's position being the end."""
+        at = np.searchsorted(sorted_thetas, edges)
+        at[-1] = len(sorted_thetas)
+        return np.diff(at).tolist()
+
     hired = data.accepted
-    counts = np.bincount(index, minlength=k_bins).tolist()
-    accepted_counts = np.bincount(index[hired], minlength=k_bins).tolist()
-    qualified_sums = np.bincount(
-        index[hired], weights=data.q_label.data[hired], minlength=k_bins
-    ).tolist()
+    counts = per_bin(values)
+    accepted_counts = per_bin(np.sort(data.theta[hired]))
+    qualified_counts = per_bin(np.sort(data.theta[hired & (data.q_label.data == 1)]))
     bins: list[ScoreBin] = []
-    for k in range(k_bins):
+    for k in range(len(edges) - 1):
         n, n_accepted = counts[k], accepted_counts[k]
         if n == 0:
             continue
         s2_hat = n_accepted / n
         s2_se = float(np.sqrt(s2_hat * (1.0 - s2_hat) / n))
         if n_accepted > 0:
-            s1_hat = qualified_sums[k] / n_accepted
+            s1_hat = qualified_counts[k] / n_accepted
             s1_se = float(np.sqrt(s1_hat * (1.0 - s1_hat) / n_accepted))
         else:
             s1_hat = None
@@ -209,12 +248,6 @@ def empirical_scores(data: StageOneData, theta_bins: int = 50) -> list[ScoreBin]
 # Monte Carlo average regret
 # =====================================================================
 
-# Applicants that mc_average_regret scores at once: a part's bound score terms
-# and temporaries take a few MB, where a whole 1e6 cohort's raised simulate's
-# peak memory by ~45 MB.
-_MC_PART = 65_536
-
-
 @dataclass(frozen=True)
 class McRegretEstimate:
     value: float
@@ -233,19 +266,19 @@ def mc_average_regret(
     The population is drawn independently of any first-stage dataset (a
     second-stage cohort) and shared by both scores, which are the analytic
     curves; the standard error is the sample standard deviation over
-    sqrt(m), so m >= 2.  The cohort is scored in contiguous parts of
-    _MC_PART applicants into one row of losses per score; each estimate
-    reduces a whole row, so the parts do not change its bits.  Returns one
-    estimate per score, in ``ALGOS`` order.
+    sqrt(m), so m >= 2.  Each part of _MC_PART applicants is scored as
+    ``_draw`` gives it, into one row of losses per score, so only q and the
+    losses are held for the whole cohort; each estimate reduces a whole
+    row, so the parts do not change its bits.  Returns one estimate per
+    score, in ``ALGOS`` order.
     """
     _require_mc_size(m)
-    population = sample_population(config, m, seed)
-    pay = _accepted_payoff(config.payoffs, population.q)
+    q, signals = _draw(config, m, seed, gamma=False)
     losses = np.empty((len(_scores.ALGOS), m))
-    for a in range(0, m, _MC_PART):
-        part = slice(a, a + _MC_PART)
-        for row, s in zip(losses, _scores.score_pair(config, population.theta[part], tau)):
-            row[part] = _losses(config.payoffs, s, pay[part])
+    for part, theta, _ in signals:
+        pay = _accepted_payoff(config.payoffs, q[part])
+        for row, s in zip(losses, _scores.score_pair(config, theta, tau)):
+            row[part] = _losses(config.payoffs, s, pay)
     return [
         McRegretEstimate(
             value=float(u.mean()),

@@ -12,6 +12,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -580,14 +581,16 @@ class TestSimulate:
         sampled = []
 
         def spy(draw):
-            def sample(config, m, seed):
+            def sample(config, m, seed, **options):
                 sampled.append(m)
-                return draw(config, m, seed)
+                return draw(config, m, seed, **options)
             return sample
 
-        # mc_average_regret draws its cohort through the population module
-        for module in (cli, population):
-            monkeypatch.setattr(module, "sample_population", spy(module.sample_population))
+        # mc_average_regret draws its cohort through the population module's
+        # sampler, which sample_population calls too
+        for module, name in ((cli, "sample_population"), (population, "sample_population"),
+                             (population, "_draw")):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -618,6 +621,28 @@ class TestSimulate:
         assert len(forks) == 2
         assert_no_child_left()
         assert not out.exists()
+
+    @needs_fork
+    def test_manifest_hashes_every_file_written(self, config_path, tmp_path, monkeypatch,
+                                                forked):
+        """stage1.csv is written and hashed from the children's pieces, the
+        small tables and the JSON from their texts; each entry is the file's."""
+        forks = forked(2)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
+        out = tmp_path / "out"
+        assert main([
+            "simulate", "--config", config_path, "--tau", "0.0", "--m", "40000",
+            "--seed", "4", "--out", str(out),
+        ]) == 0
+        assert len(forks) == 2
+        manifest = json.loads(read_text(out / "run_manifest.json"))
+        artifacts = sorted(cli.COMMANDS["simulate"].artifacts)
+        assert sorted(os.listdir(out)) == sorted([*artifacts, "run_manifest.json"])
+        assert [entry["name"] for entry in manifest["outputs"]] == artifacts
+        for entry in manifest["outputs"]:
+            blob = read_bytes(out / entry["name"])
+            assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+            assert entry["bytes"] == len(blob)
 
     def test_manifest_records_stage_timings(self, config_path, tmp_path):
         out = str(tmp_path / "out")
@@ -886,9 +911,15 @@ class TestCsvByteOracle:
             assert_same_text(read_text(os.path.join(out, name)), reference_csv(header, rows))
 
 
+def joined(pieces: list[bytes]) -> str:
+    """The text of a started render's UTF-8 pieces."""
+    assert all(isinstance(piece, bytes) for piece in pieces)
+    return b"".join(pieces).decode("utf-8")
+
+
 def started_csv(header, columns) -> str:
     with cli._start_csv(header, columns) as collect:
-        return collect()
+        return joined(collect())
 
 
 @needs_fork
@@ -905,7 +936,10 @@ class TestStartedCsv:
         header, columns, want = mixed_table()
         with cli._start_csv(header, columns) as collect:
             assert len(forks) == ranges
-            got = collect()
+            pieces = collect()
+        # the header, then one piece per range
+        assert len(pieces) == 1 + max(ranges, 1)
+        got = joined(pieces)
         assert_same_text(got, want)
         assert_same_text(got, render_csv(header, columns))
         assert_no_child_left()
@@ -956,7 +990,7 @@ class TestStartedCsv:
         ]
         with cli._start_csv(header, columns) as collect:
             assert len(forks) == 2
-            got = collect()
+            got = joined(collect())
         assert_same_text(got, ",".join(header) + "\n" + cli._render_rows(columns, 0, rows))
         assert_no_child_left()
 
@@ -971,6 +1005,28 @@ class TestStartedCsv:
             "--seed", "1", "--out", str(tmp_path / "out"),
         ]) == 0
         assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_collection_holds_the_text_about_once(self, forked, monkeypatch):
+        """Collecting a 200,000-row stage1.csv from two children keeps their
+        bytes as pieces: decoding and joining them held the text twice."""
+        forks = forked(2)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
+        config = ModelConfig.from_dict(BASELINE_DOC)
+        data = run_stage_one(config, sample_population(config, 200_000, 8), 0.0)
+        with cli._start_csv(["theta", "accepted", "q_label"],
+                            [data.theta, data.accepted, data.q_label]) as collect:
+            assert len(forks) == 2
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                pieces = collect()
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        size = sum(map(len, pieces))
+        assert size > 4_000_000
+        assert peak <= 1.25 * size
         assert_no_child_left()
 
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])

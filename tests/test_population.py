@@ -2,6 +2,8 @@
 empirical scores, and the environment classification."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,42 @@ from screenlab.population import (
 from screenlab.regret import _regret_values
 from screenlab.scores import log_acceptance_threshold, score_pair
 from conftest import BASELINE_DOC, FLAT_THETA_DOC, NONMONOTONE_PHI_DOC
+
+# sizes around the package's sampling part of 65,536 applicants
+PART_STRADDLING = [1, 2, 65_535, 65_536, 65_537, 200_003]
+
+
+def one_shot_population(config, m: int, seed: int) -> Population:
+    """The mixture draw in one call per stream: m uniforms for the bits,
+    then an (m, 2) block of standard normals, from Philox keyed by seed."""
+    signal = config.signal
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    q = (rng.random(m) < config.payoffs.pi).astype(np.int8)
+    z = rng.standard_normal((m, 2))
+    cross_sd = signal.rho * signal.sigma_gamma
+    resid_sd = signal.conditional_gamma_sd
+    theta_noise = signal.sigma_theta * z[:, 0]
+    gamma_noise = cross_sd * z[:, 0] + resid_sd * z[:, 1]
+    qualified = q == 1
+    theta = np.where(qualified, signal.mu_q[0], signal.mu_u[0]) + theta_noise
+    gamma = np.where(qualified, signal.mu_q[1], signal.mu_u[1]) + gamma_noise
+    return Population(q=q, theta=theta, gamma=gamma)
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes ``fn(*args)`` allocates at its peak over what it started
+    with, as tracemalloc sees them (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSampling:
@@ -79,6 +117,22 @@ class TestSampling:
 
     def test_largest_philox_key_samples(self, baseline):
         assert len(sample_population(baseline, 10, seed=2**128 - 1)) == 10
+
+    @pytest.mark.parametrize("m", PART_STRADDLING)
+    def test_parts_draw_the_one_shot_stream(self, baseline, m):
+        """Drawn in parts, the population is the one-shot draw bit for bit,
+        on the baseline and with gamma's cross term (rho != 0)."""
+        correlated = ModelConfig.from_dict({**BASELINE_DOC, "rho": -0.35})
+        for config in (baseline, correlated):
+            got, want = sample_population(config, m, 17), one_shot_population(config, m, 17)
+            for name in ("q", "theta", "gamma"):
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+
+    def test_peak_memory_per_applicant(self, baseline):
+        """The whole normal block and the uniforms' float64 are never held:
+        one-shot sampling peaked at 50 bytes per applicant."""
+        m = 1_000_000
+        assert traced_peak(sample_population, baseline, m, 3) <= 24 * m
 
 
 class TestStageOne:
@@ -173,8 +227,68 @@ def _masked_loop_scores(data, edges):
     return bins
 
 
+def _bincount_scores(data, theta_bins):
+    """The per-applicant searchsorted and three bincounts that
+    empirical_scores replaced."""
+    edges = np.unique(np.quantile(data.theta, np.linspace(0.0, 1.0, theta_bins + 1)))
+    if len(edges) < 2:
+        return []
+    k_bins = len(edges) - 1
+    index = np.searchsorted(edges, data.theta, side="right") - 1
+    index[data.theta == edges[-1]] = k_bins - 1
+    hired = data.accepted
+    counts = np.bincount(index, minlength=k_bins).tolist()
+    accepted_counts = np.bincount(index[hired], minlength=k_bins).tolist()
+    qualified_sums = np.bincount(
+        index[hired], weights=data.q_label.data[hired], minlength=k_bins
+    ).tolist()
+    bins = []
+    for k in range(k_bins):
+        n, n_accepted = counts[k], accepted_counts[k]
+        if n == 0:
+            continue
+        s2_hat = n_accepted / n
+        s1_hat = s1_se = None
+        if n_accepted > 0:
+            s1_hat = qualified_sums[k] / n_accepted
+            s1_se = float(np.sqrt(s1_hat * (1.0 - s1_hat) / n_accepted))
+        bins.append(ScoreBin(
+            theta_lo=float(edges[k]), theta_hi=float(edges[k + 1]), n=n,
+            n_accepted=n_accepted, s2_hat=float(s2_hat),
+            s2_se=float(np.sqrt(s2_hat * (1.0 - s2_hat) / n)), s1_hat=s1_hat, s1_se=s1_se,
+        ))
+    return bins
+
+
 class TestEmpiricalScoresOracle:
-    """One-pass binning equals the per-bin mask loop, field by field."""
+    """Binning by sorted counts equals the per-bin mask loop and the
+    bincount binning it replaced, field by field."""
+
+    @pytest.mark.parametrize("seed", [3, 19, 2024])
+    @pytest.mark.parametrize("tau", [0.0, 0.9])
+    def test_sorted_counts_equal_the_bincount_binning(self, baseline, seed, tau):
+        """Edges and counts to the bit (repr tells -0.0 and ints apart), at
+        tau = 0.9 with starved bins."""
+        data = run_stage_one(baseline, sample_population(baseline, 60_000, seed), tau)
+        got = empirical_scores(data, theta_bins=50)
+        assert repr(got) == repr(_bincount_scores(data, 50))
+
+    @pytest.mark.parametrize("bins", [7, 50])
+    def test_ties_at_an_edge(self, baseline, bins):
+        """Thetas on a 0.25 grid repeat, so edges fall on runs of ties,
+        which belong to the bin above an inner edge and to the last bin at
+        the top edge.  (+ 0.0 turns -0.0 into 0.0: equal values of other
+        bits may sort either way, where no two sampled thetas are equal.)"""
+        pop = sample_population(baseline, 20_000, seed=8)
+        theta = np.round(pop.theta * 4) / 4 + 0.0
+        coarse = Population(q=pop.q, theta=theta, gamma=pop.gamma)
+        data = run_stage_one(baseline, coarse, 0.0)
+        got = empirical_scores(data, theta_bins=bins)
+        assert sum(b.n for b in got) == len(data)
+        assert any(b.theta_lo in set(data.theta.tolist()) for b in got)
+        assert repr(got) == repr(_bincount_scores(data, bins))
+        assert got == _masked_loop_scores(
+            data, np.unique(np.quantile(data.theta, np.linspace(0.0, 1.0, bins + 1))))
 
     def test_quantile_bins_with_starved_bins(self, baseline):
         data = run_stage_one(baseline, sample_population(baseline, 40_000, seed=9), 0.9)
@@ -209,10 +323,10 @@ class TestMcAverageRegret:
         """m = 1 gave a NaN standard error; the check comes before sampling."""
         from screenlab import population
 
-        def no_draw(*args):
+        def no_draw(*args, **options):
             raise AssertionError("sampled before checking m")
 
-        monkeypatch.setattr(population, "sample_population", no_draw)
+        monkeypatch.setattr(population, "_draw", no_draw)
         with pytest.raises(DomainError, match=f"needs m >= 2, got {m}"):
             mc_average_regret(baseline, 0.0, m=m, seed=3)
 
@@ -229,35 +343,50 @@ class TestMcAverageRegret:
         from screenlab import population
 
         seeds = []
-        draw = population.sample_population
+        draw = population._draw
 
-        def spy(config, m, seed):
+        def spy(config, m, seed, **options):
             seeds.append(seed)
-            return draw(config, m, seed)
+            return draw(config, m, seed, **options)
 
-        monkeypatch.setattr(population, "sample_population", spy)
+        monkeypatch.setattr(population, "_draw", spy)
         mc_average_regret(baseline, 0.1, m=1000, seed=3)
         assert seeds == [3]
 
     @pytest.mark.parametrize("m", [999, 1000, 2501])
     def test_parts_give_the_whole_cohort_bits(self, baseline, irregular_config, monkeypatch, m):
-        """Scored in parts of 1,000 applicants, one part or a short last one,
-        every estimate is the whole cohort's, bit for bit."""
+        """Drawn and scored in parts of 1,000 applicants, one part or a short
+        last one, every estimate is the one-shot cohort's, bit for bit."""
         from screenlab import population
 
         monkeypatch.setattr(population, "_MC_PART", 1000)
         for config in (baseline, irregular_config):
-            cohort = sample_population(config, m, seed=5)
             for tau in (-0.5, 0.0, 0.5):
-                pair = score_pair(config, cohort.theta, tau)
-                estimates = mc_average_regret(config, tau, m=m, seed=5)
-                for est, algo, s in zip(estimates, ("s1", "s2"), pair, strict=True):
-                    u = _regret_values(config.payoffs, s, cohort.q)[3]
-                    assert est == McRegretEstimate(
-                        value=float(u.mean()),
-                        standard_error=float(u.std(ddof=1) / np.sqrt(m)),
-                        algo=algo, tau=tau, m=m, seed=5,
-                    )
+                assert_estimates_of_the_one_shot_cohort(config, tau, m, seed=5)
+
+    @pytest.mark.parametrize("m", [65_537, 200_003])
+    def test_package_parts_give_the_one_shot_cohort_bits(self, baseline, m):
+        for tau in (-0.5, 0.5):
+            assert_estimates_of_the_one_shot_cohort(baseline, tau, m, seed=29)
+
+    def test_peak_memory_per_applicant(self, baseline):
+        """Only q and the two rows of losses are held for the whole cohort:
+        scoring a whole sampled population peaked at 50 bytes per applicant."""
+        m = 1_000_000
+        assert traced_peak(mc_average_regret, baseline, 0.1, m, 3) <= 30 * m
+
+
+def assert_estimates_of_the_one_shot_cohort(config, tau: float, m: int, seed: int) -> None:
+    cohort = one_shot_population(config, m, seed)
+    pair = score_pair(config, cohort.theta, tau)
+    estimates = mc_average_regret(config, tau, m=m, seed=seed)
+    for est, algo, s in zip(estimates, ("s1", "s2"), pair, strict=True):
+        u = _regret_values(config.payoffs, s, cohort.q)[3]
+        assert est == McRegretEstimate(
+            value=float(u.mean()),
+            standard_error=float(u.std(ddof=1) / np.sqrt(m)),
+            algo=algo, tau=tau, m=m, seed=seed,
+        )
 
 
 class TestClassifyEnvironment:
