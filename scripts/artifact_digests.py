@@ -1,13 +1,17 @@
-"""Print the sha256 of every artifact and stdout of a fixed set of CLI runs.
+"""Print the sha256 of every artifact and stdout of a fixed set of CLI runs,
+then the Monte Carlo tau_bar at a fixed set of seeds.
 
 Each run goes through ``screenlab.cli.main`` inside a temporary directory.
 A run that writes to ``--out`` contributes every file it writes except
 ``run_manifest.json``, which holds timestamps; a run without ``--out``
 contributes what it printed.  Lines read ``sha256  run/artifact``, in run
-order and then by artifact name.
+order and then by artifact name.  After them, one line per seed of
+MC_SEEDS reads ``value standard_error passes  mc-tau-bar/seed-N``, the
+``repr`` of each float of ``find_tau_bar(baseline, "mc", m=100_000)``.
 
 Running this at two commits and diffing the output shows whether a change
-kept every CLI artifact byte-identical:
+kept every CLI artifact byte-identical, and every Monte Carlo root and
+standard error bit-identical:
 
     PYTHONPATH=src python3 scripts/artifact_digests.py > after.txt
     diff before.txt after.txt
@@ -45,6 +49,9 @@ RUNS = {
     "classify-irregular": ["classify", "--config", IRREGULAR],
 }
 
+# seeds of the Monte Carlo tau_bar lines, each at m = 100_000
+MC_SEEDS = (1, 7, 123, 1547)
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -73,10 +80,25 @@ def digests(work: str) -> list[str]:
     return lines
 
 
+def mc_tau_bars() -> list[str]:
+    """``value standard_error passes  mc-tau-bar/seed-N`` for each seed."""
+    from screenlab import ModelConfig, find_tau_bar
+
+    config = ModelConfig.from_json_path(BASELINE)
+    lines = []
+    for seed in MC_SEEDS:
+        result = find_tau_bar(config, "mc", m=100_000, seed=seed)
+        lines.append(f"{result.value!r} {result.standard_error!r} {result.passes}  "
+                     f"mc-tau-bar/seed-{seed}")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for line in digests(work):
             print(line)
+    for line in mc_tau_bars():
+        print(line)
     return 0
 
 

@@ -39,6 +39,9 @@ Each value of the tau_bar gap is a quadrature or a pass over a sampled
 population, so tau_bar roots with Brent's method to a set width, in both
 modes: ~7-15 values where bisection to the same width takes ~28-34.  Both
 searches share the bracket rules; Brent's caller checks the residual.
+Brent stays apart from the loop: the loop with Brent's stop took 15.4
+values per Monte Carlo root (m = 1e5, 24 seeds) against Brent's 13.7, and
+428 analytic gap values against 419 (baseline and 45 random configs).
 """
 from __future__ import annotations
 
@@ -83,27 +86,10 @@ class RootResult:
 
 
 def bisect_monotone(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
-    """Find the root of a monotone ``f`` on [lo, hi] to machine resolution.
-
-    Raises BracketError when f(lo) and f(hi) share a sign or are both
-    zero, and ScreeningError when ``f`` returns NaN or the converged root's
-    residual exceeds RESIDUAL_TOL (which for a genuinely monotone
-    continuous curve means ``f`` has a jump, not a zero, there).
-    """
-    lone = _bisect(lambda x: f(float(x)), float(lo), float(hi))
+    """``bisect_monotone_many`` on one bracket, with floats in and out."""
+    lone = bisect_monotone_many(lambda x: f(float(x)), float(lo), float(hi))
     return RootResult(float(lone.root), float(lone.residual),
                       float(lone.bracket_width), int(lone.iterations))
-
-
-def bisect_monotone_many(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> RootResult:
-    """``bisect_monotone``, member by member of a batch.
-
-    ``f`` maps an array of abscissas to an array of values, each member
-    monotone on its own bracket.  Every member takes the steps, and
-    reaches the bits, that ``bisect_monotone`` takes on its bracket alone;
-    an error names the first offending member.
-    """
-    return _bisect(f, lo, hi)
 
 
 def _member(shape: tuple, lo, hi, i: int) -> str:
@@ -143,9 +129,18 @@ def _pick(c, a, b):
     return a if c else b
 
 
-def _bisect(f, lo, hi) -> RootResult:
-    """The one root loop; 0-d brackets, a batch of one, keep their shape,
-    so ``f`` runs on numpy's scalar paths."""
+def bisect_monotone_many(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> RootResult:
+    """The root of a monotone ``f`` on each bracket [lo, hi], to machine resolution.
+
+    ``f`` maps an array of abscissas to an array of values, each member
+    monotone on its own bracket.  Each member takes the steps, and reaches
+    the bits, that it takes alone; 0-d brackets, a batch of one, keep their
+    shape, so ``f`` runs on numpy's scalar paths.  Raises BracketError when
+    f(lo) and f(hi) share a sign or are both zero, and ScreeningError when
+    ``f`` returns NaN or a converged root's residual exceeds RESIDUAL_TOL
+    (which for a genuinely monotone continuous curve means ``f`` has a
+    jump, not a zero, there); an error names the first offending member.
+    """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape = lo.shape
 

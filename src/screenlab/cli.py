@@ -68,7 +68,7 @@ from .population import (
 from .regret import expected_regret, regret_curve
 from .scores import ALGOS, clamped_tau_interval, log_acceptance_threshold, score_table
 from .thresholds import (
-    _available_cpus as _cpus,
+    _available_cpus,
     find_critical_prejudices,
     find_regret_crossings,
     find_tau_bar,
@@ -162,16 +162,11 @@ SCHEMAS: dict[str, list[tuple[str, str]]] = {
 # Small serialization helpers
 # =====================================================================
 
-def _pieces(data: str | list[bytes]) -> list[bytes]:
-    """An artifact's bytes: a text encoded as UTF-8, or its pieces as given."""
-    return [data.encode("utf-8")] if isinstance(data, str) else data
-
-
-def write_atomic(path: str, data: str | list[bytes]) -> None:
-    """Write a text, or the bytes pieces of one, to a temp file and rename it."""
+def write_atomic(path: str, pieces: list[bytes]) -> None:
+    """Write the bytes ``pieces``, in order, to a temp file and rename it to ``path``."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.writelines(_pieces(data))
+        fh.writelines(pieces)
     os.replace(tmp, path)
 
 
@@ -229,11 +224,6 @@ def _render_rows(columns, start: int, stop: int) -> str:
         cells = [_cells(column[lo:min(lo + CSV_CHUNK_ROWS, stop)]) for column in columns]
         chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
     return "".join(chunks)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or ask."""
-    return _cpus() if hasattr(os, "fork") else 1
 
 
 def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader] | None:
@@ -300,7 +290,7 @@ def _start_csv(header: list[str], columns, *, keep_last: bool = False
         raise ValueError("CSV columns must have equal lengths")
     rows = len(columns[0])
     chunks = -(-rows // CSV_CHUNK_ROWS)
-    cpus = _available_cpus()
+    cpus = _available_cpus() if hasattr(os, "fork") else 1
     parts = max(1, min(cpus, chunks))
     bounds = [CSV_CHUNK_ROWS * (chunks * i // parts) for i in range(parts)] + [rows]
     ranges = list(zip(bounds[:-1], bounds[1:]))
@@ -371,17 +361,17 @@ class RunManifest:
     )
 
     def write(
-        self, out_dir: str, texts: dict[str, str | list[bytes]],
+        self, out_dir: str, artifacts: dict[str, list[bytes]],
         timings: dict | None = None,
     ) -> None:
-        """Hash ``texts``, the artifacts just written to ``out_dir`` by
-        name, into ``run_manifest.json``, piece by piece as ``write_atomic``
-        wrote them; ``timings`` maps a stage name to its seconds and is
-        recorded when given."""
+        """Hash ``artifacts``, the bytes pieces just written to ``out_dir``
+        by name, into ``run_manifest.json``, piece by piece as
+        ``write_atomic`` wrote them, and write it as UTF-8 JSON; ``timings``
+        maps a stage name to its seconds and is recorded when given."""
         entries = []
-        for name in sorted(texts):
+        for name in sorted(artifacts):
             digest, size = hashlib.sha256(), 0
-            for piece in _pieces(texts[name]):
+            for piece in artifacts[name]:
                 digest.update(piece)
                 size += len(piece)
             entries.append({"name": name, "sha256": digest.hexdigest(), "bytes": size})
@@ -398,7 +388,8 @@ class RunManifest:
         }
         if timings is not None:
             doc["timings"] = timings
-        write_atomic(os.path.join(out_dir, "run_manifest.json"), render_json(doc))
+        write_atomic(os.path.join(out_dir, "run_manifest.json"),
+                     [render_json(doc).encode("utf-8")])
 
 
 # =====================================================================
@@ -689,7 +680,8 @@ def run(args, argv: list[str]) -> int:
         return EXIT_OK
     os.makedirs(out, exist_ok=True)
     # each text is encoded once, for its file and its hash
-    artifacts = {name: _pieces(text) for name, text in texts.items()}
+    artifacts = {name: [text.encode("utf-8")] if isinstance(text, str) else text
+                 for name, text in texts.items()}
     for name, pieces in artifacts.items():
         write_atomic(os.path.join(out, name), pieces)
     if timings:

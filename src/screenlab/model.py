@@ -120,6 +120,11 @@ class PayoffParams:
                 f"cutoff c must lie in (-x_u, x_q) = ({-self.x_u}, {self.x_q}), "
                 f"got {self.c}"
             )
+        # beta rounded onto 0 or 1 takes a log of 0; root loops add and subtract taus
+        if not (0.0 < self.beta < 1.0 and math.isfinite(2.0 * (self.x_q + self.x_u))):
+            raise InvalidModelError(f"payoffs too extreme: beta={self.beta!r} must lie in (0, 1) "
+                                    f"and 2 * (x_q + x_u) be finite, got x_q={self.x_q!r}, "
+                                    f"x_u={self.x_u!r}")
 
     @property
     def beta(self) -> float:
@@ -198,6 +203,15 @@ class GaussianSignalModel:
                 f"covariance is not positive definite: rho={self.rho} "
                 "must lie strictly inside (-1, 1)"
             )
+        try:  # a sigma squared past float's range, or rounded to 0
+            finite = all(np.all(np.isfinite(value)) for value in (
+                self.covariance, self.log_ratio_weights, self.log_ratio_intercept,
+                self.theta_slope, self.theta_midpoint, self.conditional_gamma_sd))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise InvalidModelError("signal parameters too extreme: their covariance, log "
+                                    "likelihood ratio and theta marginals must be finite")
 
     # -- derived linear-algebra pieces (cheap, recomputed on demand) ----
 

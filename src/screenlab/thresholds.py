@@ -117,7 +117,8 @@ class TauBarResult:
     m: int | None = None
     seed: int | None = None
     # taus the gap was evaluated at: Brent's values with both ends (plus, by
-    # Monte Carlo, the SE and two probes) or an irregular CONFIRM_GRID
+    # Monte Carlo, two probes; the SE reuses Brent's pass at its root) or an
+    # irregular CONFIRM_GRID
     passes: int | None = None
 
 
@@ -431,6 +432,7 @@ def find_tau_bar(
     if mode not in ("analytic", "mc"):
         raise DomainError(f"mode must be 'analytic' or 'mc', got {mode!r}")
     lo, hi = _scores.clamped_tau_interval(config.payoffs)
+    scale = config.payoffs.x_q + config.payoffs.x_u
     report = classify_environment(config)
 
     if mode == "analytic":
@@ -445,7 +447,6 @@ def find_tau_bar(
                 )
             return TauBarResult(value=None, mode=mode, reason="irregular",
                                 passes=CONFIRM_GRID)
-        scale = config.payoffs.x_q + config.payoffs.x_u
         try:
             root = brent_root(lambda tau: expected_regret_gap(config, tau), lo, hi,
                               xtol=1e-10 * scale)
@@ -461,16 +462,13 @@ def find_tau_bar(
 
     _require_mc_size(m)
     sampled = _sampled_losses(config, m, seed)
-    passes = 0
-
-    def losses(tau: float) -> np.ndarray:
-        nonlocal passes
-        passes += 1
-        return sampled(tau)
+    priced: dict[float, tuple[float, float]] = {}  # tau: (mean gap, its SE), one pass each
 
     def estimate(tau: float) -> tuple[float, float]:
-        diff = losses(tau)
-        return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(len(diff)))
+        if tau not in priced:
+            diff = sampled(tau)
+            priced[tau] = float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(len(diff)))
+        return priced[tau]
 
     if report.classification == "irregular":
         grid = np.linspace(lo, hi, CONFIRM_GRID)
@@ -482,19 +480,19 @@ def find_tau_bar(
                     f"is {value!r} (3*SE={3*se!r}) at tau={t!r}; increase m"
                 )
         return TauBarResult(value=None, mode=mode, reason="irregular", m=m, seed=seed,
-                            passes=passes)
+                            passes=len(priced))
 
-    scale = config.payoffs.x_q + config.payoffs.x_u
     try:
         # resolving the root beyond 1e-8*scale buys nothing: the location is
         # only known to its propagated standard error anyway
-        located = brent_root(lambda t: float(losses(t).mean()), lo, hi, xtol=1e-8 * scale)
+        located = brent_root(lambda t: estimate(t)[0], lo, hi, xtol=1e-8 * scale)
     except BracketError as exc:
         raise InconclusiveResolutionError(
             f"sampled average-regret gap holds one sign on the clamped "
             f"interval; increase m ({exc})"
         ) from exc
     root = located.root
+    # Brent returns a tau it has priced, so its SE is a lookup
     _, se_root = estimate(root)
     delta = 0.01 * scale
     right, left = min(root + delta, hi), max(root - delta, lo)
@@ -522,5 +520,5 @@ def find_tau_bar(
             )
     return TauBarResult(
         value=root, mode=mode, standard_error=standard_error, m=m, seed=seed,
-        passes=passes,
+        passes=len(priced),
     )

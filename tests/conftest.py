@@ -58,6 +58,18 @@ NONMONOTONE_PHI_DOC = {
     "sigma_theta": 1.0, "sigma_gamma": 1.0, "rho": -0.8,
 }
 
+# Finite configs whose derived quantities leave float's range, each with the
+# command that met it: beta rounded onto 1 or 0, a sigma squared overflowing,
+# the prejudice interval's ends summing past float's range, and a log
+# likelihood ratio intercept of inf - inf.
+EXTREME_CONFIGS = {
+    "beta-rounds-to-1": ({"x_q": 1e-300}, ["validate"]),
+    "beta-rounds-to-0": ({"x_q": 1.7e308, "x_u": 1e-320}, ["validate"]),
+    "sigma-squared-overflows": ({"sigma_theta": 1.7e308, "rho": 0.5}, ["validate"]),
+    "tau-interval-overflows": ({"x_q": 1.7e308}, ["tau", "--theta", "3"]),
+    "theta-mean-overflows": ({"mu_q": [1.7e308, 1.0]}, ["tau", "--theta", "40"]),
+}
+
 
 @pytest.fixture(scope="session")
 def baseline() -> ModelConfig:

@@ -38,8 +38,8 @@ from screenlab.cli import main, render_csv
 from screenlab.regret import _regret_values
 from screenlab.scores import ALGOS
 from conftest import (
-    BASELINE_DOC, FLAT_THETA_DOC, HUGE_INT_TEXT, IRREGULAR_DOC, NONMONOTONE_PHI_DOC,
-    WEAK_GAMMA_DOC,
+    BASELINE_DOC, EXTREME_CONFIGS, FLAT_THETA_DOC, HUGE_INT_TEXT, IRREGULAR_DOC,
+    NONMONOTONE_PHI_DOC, WEAK_GAMMA_DOC,
 )
 from test_regret import oracle_expected_regret
 
@@ -188,6 +188,17 @@ class TestValidate:
         path.write_text(HUGE_INT_TEXT)
         assert main(["validate", "--config", str(path)]) == 1
         assert "error: config parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", EXTREME_CONFIGS)
+    def test_derived_quantity_past_float_range_exits_1(self, tmp_path, capsys, name):
+        """Each config failed its command with a traceback or a misleading
+        error (tau=inf, a non-finite theta), a RuntimeWarning under Tier-1."""
+        fields, command = EXTREME_CONFIGS[name]
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({**BASELINE_DOC, **fields}))
+        assert main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error: ") and "too extreme" in err[-1]
 
     def test_flat_theta_posterior_exits_0(self, tmp_path, capsys):
         """The phi = beta breakpoint was searched for, and not found."""

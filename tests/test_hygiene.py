@@ -10,7 +10,7 @@ module that no module there reads, by name, as an attribute or in an
 import: code that only the tests still reach.  The last fails on an
 ``open(...)`` in tests/ or scripts/ that is not the context expression of a
 ``with`` item.  src/ is left out of that one: ``cli._fork_render`` returns
-the pipe it opens, and ``cli._child_text`` closes it.
+the pipe it opens, and ``cli._child_bytes`` closes it.
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from screenlab import (
     require_increasing_phi,
     validate_mlrp,
 )
-from conftest import BASELINE_DOC, HUGE_INT_TEXT, NONMONOTONE_PHI_DOC
+from conftest import BASELINE_DOC, EXTREME_CONFIGS, HUGE_INT_TEXT, NONMONOTONE_PHI_DOC
 
 
 class TestPayoffParams:
@@ -200,6 +200,15 @@ class TestConfigRoundTrip:
         a numeric string or a bool passed as a number."""
         with pytest.raises(InvalidModelError, match=f"{field} must be a number"):
             ModelConfig.from_dict({**BASELINE_DOC, field: value})
+
+    @pytest.mark.parametrize("name", EXTREME_CONFIGS)
+    def test_rejects_derived_quantities_past_float_range(self, name):
+        """Finite fields whose beta rounds onto 0 or 1, or whose covariance,
+        log likelihood ratio or tau interval leaves float's range, passed
+        validation and failed later with a misleading error, a bare
+        OverflowError or a RuntimeWarning."""
+        with pytest.raises(InvalidModelError, match="too extreme"):
+            ModelConfig.from_dict({**BASELINE_DOC, **EXTREME_CONFIGS[name][0]})
 
     def test_int_past_float_range_is_not_finite(self):
         with pytest.raises(InvalidModelError, match="finite, got rho=inf"):

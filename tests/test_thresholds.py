@@ -367,7 +367,7 @@ class TestTauBar:
         assert type(result.value) is float
         assert type(result.standard_error) is float
         assert abs(result.value - analytic) < 4 * result.standard_error
-        # Brent's ~10-15 values plus the SE at the root and two probes;
+        # Brent's ~10-15 values, the SE's among them, plus two probes;
         # bisection to the same width took ~28 plus three
         assert result.passes <= 20
 
@@ -397,6 +397,27 @@ class TestTauBar:
         assert result.value is None
         assert result.reason == "irregular"
         assert result.passes == CONFIRM_GRID
+
+    @pytest.mark.parametrize("doc,passes", [(BASELINE_DOC, None), (IRREGULAR_DOC, CONFIRM_GRID)],
+                             ids=["regular", "irregular"])
+    def test_mc_prices_each_tau_once(self, doc, passes, monkeypatch):
+        """Every pass over the population prices a tau not priced before,
+        Brent's root included, and ``passes`` counts them."""
+        priced = []
+
+        def recorded(*args):
+            losses = _sampled_losses(*args)
+
+            def record(tau):
+                priced.append(tau)
+                return losses(tau)
+            return record
+
+        monkeypatch.setattr(thresholds, "_sampled_losses", recorded)
+        result = find_tau_bar(ModelConfig.from_dict(doc), "mc", m=20_000, seed=5)
+        assert len(set(priced)) == len(priced) == result.passes
+        if passes is not None:
+            assert result.passes == passes
 
     @pytest.mark.parametrize("doc", [BASELINE_DOC, IRREGULAR_DOC], ids=["regular", "irregular"])
     def test_mc_mode_needs_two_applicants(self, doc, monkeypatch):
