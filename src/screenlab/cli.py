@@ -8,8 +8,10 @@ pipeline, and ``classify`` reports the environment class.
 
 Conventions shared by all subcommands:
 
-* numbers are serialized in shortest round-trip decimal form, so reruns
-  with identical inputs produce byte-identical CSV bodies;
+* numbers are serialized in shortest round-trip decimal form, the text
+  ``repr`` gives, so reruns with identical inputs produce byte-identical
+  CSV bodies; CSV floats are written by orjson, and by ``repr`` only
+  where orjson's layout differs from it;
 * a CSV is rendered in one contiguous range of ``CSV_CHUNK_ROWS`` chunks
   per available CPU, or per chunk where it has fewer, by children forked
   on POSIX systems: a table of more than one chunk has all but its last
@@ -46,6 +48,7 @@ from datetime import datetime, timezone
 from time import perf_counter
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .model import (
@@ -183,13 +186,36 @@ def _all_distinct(keys: np.ndarray) -> bool:
     return bool((ordered[1:] != ordered[:-1]).all())
 
 
+def _float_text(values: np.ndarray) -> list[str]:
+    """Shortest round-trip text of each float64 of ``values``, as ``repr``.
+
+    One ``orjson.dumps`` call writes the whole array, with the shortest
+    digits that round-trip, as ``repr`` chooses them, and in ``repr``'s
+    layout where that is positional, 1e-4 <= |v| < 1e16.  Every other
+    value, which orjson writes in another exponent form or as ``null``
+    (NaN, infinities), and the zeros and subnormals, is formatted by
+    ``repr`` itself.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not len(values):
+        return []  # "[]" would split into one empty cell
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    # a NaN fails both comparisons, so it is outside too
+    outside = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))
+    for i, value in zip(outside.tolist(), values[outside].tolist()):
+        text[i] = repr(value)
+    return text
+
+
 def _cells(column: np.ndarray) -> list[str]:
     """Text of each cell of one column chunk; masked cells are empty.
 
     Each distinct value is formatted once and its text gathered by the
     inverse index.  Floats are told apart by their bits, not their value,
-    so ``-0.0`` keeps its sign.  A float chunk in which no bits repeat is
-    formatted in row order: there a gather would only slow the row join.
+    so ``-0.0`` keeps its sign, and written by ``_float_text``.  A float
+    chunk in which no bits repeat is formatted in row order: there a
+    gather would only slow the row join.
     """
     values = np.ma.getdata(column)
     if values.dtype.kind == "b":
@@ -197,11 +223,11 @@ def _cells(column: np.ndarray) -> list[str]:
     floats = values.dtype.kind == "f"
     keys = values.view(np.int64) if floats else values
     if floats and _all_distinct(keys):
-        cells = np.fromiter(map(repr, values.tolist()), dtype=object, count=len(values))
+        cells = np.array(_float_text(values), dtype=object)
     else:
-        fmt = repr if floats else str
         distinct, inverse = np.unique(keys, return_inverse=True)
-        text = [fmt(v) for v in distinct.view(values.dtype).tolist()]
+        text = (_float_text(distinct.view(values.dtype)) if floats
+                else [str(v) for v in distinct.tolist()])
         cells = np.array(text, dtype=object)[inverse]
     cells[np.ma.getmaskarray(column)] = ""
     return cells.tolist()
@@ -234,8 +260,9 @@ def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader
     caller or flushing its stdio: status 0 once the text is written, 1 on
     any exception.  A fork copies only the calling thread, which is safe
     here because the child calls no BLAS (whose threads it would lack),
-    only ``repr``, sorts and ``tolist``; a spawned child would instead pay
-    a fresh import and a copy of the columns.
+    only orjson's single-threaded ``dumps``, ``repr``, sorts and
+    ``tolist``; a spawned child would instead pay a fresh import and a
+    copy of the columns.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -328,12 +355,13 @@ def _start_csv(header: list[str], columns, *, keep_last: bool = False
 def render_csv(header: list[str], columns) -> str:
     """CSV text of equal-length columns under one header line.
 
-    Floats are written in shortest round-trip form (``repr``), integers
-    and bools as integers, strings as given; masked cells and None are
-    empty.  No cell needs quoting: the package writes no commas, quotes
-    or newlines inside a cell.  Rows go out ``CSV_CHUNK_ROWS`` at a time,
-    and each distinct value of a chunk's column is formatted once; floats
-    are told apart by their bits, so ``0.0`` and ``-0.0`` keep their text.
+    Floats are written in shortest round-trip form, as ``repr`` writes
+    them, by ``_float_text``; integers and bools as integers, strings as
+    given; masked cells and None are empty.  No cell needs quoting: the
+    package writes no commas, quotes or newlines inside a cell.  Rows go
+    out ``CSV_CHUNK_ROWS`` at a time, and each distinct value of a chunk's
+    column is formatted once; floats are told apart by their bits, so
+    ``0.0`` and ``-0.0`` keep their text.
 
     A table of more than one chunk is split into one contiguous range of
     chunks per available CPU.  Forked children render all but the last

@@ -40,7 +40,7 @@ from .model import (
     _as_scalar_or_1d,
     marginal_posterior_phi,
 )
-from .population import _require_mc_size, classify_environment, sample_population
+from .population import _draw, _require_mc_size, classify_environment, sample_population
 from .regret import _accepted_payoff, _ex_ante, _losses, expected_regret_gap
 
 # Roots closer to a cell boundary than this multiple of the residual bound
@@ -379,13 +379,16 @@ def _sampled_losses(config: ModelConfig, m: int, seed: int):
     and none outlives its pass.  A failing pass raises the error of the
     first part that fails, once every part is done.
     """
-    population = sample_population(config, m, seed)
-    pay = _accepted_payoff(config.payoffs, population.q)
+    q, signals = _draw(config, m, seed, gamma=False)  # gamma is not needed
+    theta = np.empty(m)
+    for part, theta_part, _ in signals:
+        theta[part] = theta_part
+    pay = _accepted_payoff(config.payoffs, q)
     count = max(1, min(_available_cpus(), m // PART_MIN))
     edges = [m * i // count for i in range(count + 1)]
-    parts = [(_scores._Scores(config, population.theta[a:b]), pay[a:b])
+    parts = [(_scores._Scores(config, theta[a:b]), pay[a:b])
              for a, b in zip(edges[:-1], edges[1:])]
-    del population, pay  # gamma is not needed, and theta lives on in the bindings
+    del q, theta, pay  # theta lives on in the bindings
 
     def part_losses(log_t, bound, pay) -> np.ndarray:
         s1, s2 = bound.at_log_t(log_t)

@@ -777,11 +777,64 @@ class TestCsvByteOracle:
         assert len(repr_calls) <= 5 * chunks
         assert_same_text(got, reference_csv(["f"], ([v] for v in column)))
 
-    def test_distinct_floats_formatted_in_row_order(self, monkeypatch, repr_calls):
+    def test_distinct_floats_formatted_in_row_order(self, monkeypatch):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4096)
+        # every value handed to the float formatter, in call order; a forked
+        # child's calls never reach this list: render in one process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        handed, float_text = [], cli._float_text
+
+        def spying(values):
+            handed.extend(np.asarray(values).tolist())
+            return float_text(values)
+
+        monkeypatch.setattr(cli, "_float_text", spying)
         column = np.linspace(-1.0, 1.0, 10_000) ** 3
         render_csv(["f"], [column])
-        assert repr_calls == column.tolist()
+        assert handed == column.tolist()
+
+    @pytest.mark.parametrize("route", ["row order", "distinct bits"])
+    def test_float_edges_match_the_row_writer(self, route):
+        """Both sides of repr's switch between positional and exponent
+        form, at +-1e-4 and +-1e16, the specials, and one value from every
+        binary exponent, subnormals included."""
+        edges = []
+        for x in (1e-4, -1e-4, 1e16, -1e16):
+            below = above = x
+            for _ in range(3):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                edges += [below, above]
+            edges.append(x)
+        largest = np.finfo(np.float64).max
+        specials = [0.0, -0.0, 5e-324, -5e-324, largest, -largest,
+                    np.nan, NEG_NAN, PAYLOAD_NAN, np.inf, -np.inf]
+        powers = np.ldexp(4 / 3, np.arange(-1074, 1024))
+        column = np.concatenate([edges, specials, powers, -powers])
+        bits = column.view(np.int64)
+        # unique bits take the row-order route; tiled, every bit pattern repeats
+        column = (column[np.unique(bits, return_index=True)[1]] if route == "row order"
+                  else np.tile(column, 2))
+        got = render_csv(["f"], [column])
+        assert_same_text(got, reference_csv(["f"], ([v] for v in column)))
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    def test_raw_bit_patterns_match_the_row_writer(self, bits):
+        column = np.array(bits, dtype=np.uint64).view(np.float64)
+        got = render_csv(["f"], [column])
+        assert_same_text(got, reference_csv(["f"], ([v] for v in column)))
+
+    def test_float_text_of_no_values_is_empty(self):
+        # orjson writes an empty array as "[]", which splits into one empty cell
+        assert cli._float_text(np.array([])) == []
+
+    def test_float_text_formats_float64(self):
+        """A narrower or strided input is widened to contiguous float64
+        first, so its text is that of the float64 value."""
+        narrow = np.array([0.1, 3e-5, 1e20], dtype=np.float32)
+        assert cli._float_text(narrow) == [repr(v) for v in narrow.astype(np.float64).tolist()]
+        strided = np.linspace(0.0, 1.0, 9)[::2]
+        assert cli._float_text(strided) == [repr(v) for v in strided.tolist()]
 
     @needs_fork
     @pytest.mark.parametrize("cpus", [1, 2, 3])

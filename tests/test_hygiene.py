@@ -10,13 +10,19 @@ module that no module there reads, by name, as an attribute or in an
 import: code that only the tests still reach.  The last fails on an
 ``open(...)`` in tests/ or scripts/ that is not the context expression of a
 ``with`` item.  src/ is left out of that one: ``cli._fork_render`` returns
-the pipe it opens, and ``cli._child_bytes`` closes it.
+the pipe it opens, and ``cli._child_bytes`` closes it.  Another fails on
+a top-level module imported under src/screenlab that is neither in the
+standard library, nor screenlab itself, nor named in pyproject.toml's
+``[project] dependencies``: an installed but undeclared package would
+pass here and fail on a clean install.
 """
 from __future__ import annotations
 
 import ast
 import glob
 import os
+import re
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PATTERNS = ("src/screenlab/*.py", "tests/*.py", "scripts/*.py")
@@ -83,6 +89,54 @@ def unclosed_opens(source: str) -> list[int]:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "open" and id(node) not in held
     )
+
+
+def undeclared_imports(source: str, declared) -> list[str]:
+    """Top-level modules that ``source`` imports, absolutely, and that are
+    neither in the standard library, nor ``screenlab``, nor in ``declared``."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.partition(".")[0])
+    known = set(sys.stdlib_module_names) | {"screenlab"} | set(declared)
+    return sorted(modules - known)
+
+
+def declared_dependencies() -> set[str]:
+    """Names of pyproject.toml's ``[project] dependencies``, lower case with
+    ``-`` read as ``_``, as a module is named."""
+    import tomllib  # Python 3.11 on: imported here, the other scans run on 3.10
+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+            for requirement in requirements}
+
+
+def test_scan_finds_an_undeclared_import():
+    source = (
+        "import os, numpy.linalg\nfrom scipy import special\nfrom . import cli\n"
+        "from .model import x\nimport yaml as y\nfrom requests.adapters import a\n"
+        "import screenlab.cli\n"
+    )
+    assert undeclared_imports(source, {"numpy", "scipy"}) == ["requests", "yaml"]
+
+
+def test_src_imports_only_declared_packages():
+    declared = declared_dependencies()
+    assert {"numpy", "scipy"} <= declared
+    paths = sorted(glob.glob(os.path.join(ROOT, "src/screenlab/*.py")))
+    assert len(paths) > 5
+    undeclared = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            modules = undeclared_imports(fh.read(), declared)
+        if modules:
+            undeclared[os.path.relpath(path, ROOT)] = modules
+    assert undeclared == {}
 
 
 def test_scan_finds_an_unused_import():

@@ -425,10 +425,10 @@ class TestTauBar:
         '3*SE=nan' and the irregular confirmation passed every NaN check."""
         from screenlab import thresholds
 
-        def no_draw(*args):
+        def no_draw(*args, **kwargs):
             raise AssertionError("sampled before checking m")
 
-        monkeypatch.setattr(thresholds, "sample_population", no_draw)
+        monkeypatch.setattr(thresholds, "_draw", no_draw)
         with pytest.raises(DomainError, match="needs m >= 2, got 1"):
             find_tau_bar(ModelConfig.from_dict(doc), "mc", m=1, seed=5)
 
@@ -471,15 +471,21 @@ class TestSplitPass:
     def test_failing_part_raises_the_serial_error(self, baseline, monkeypatch, spoiled, named):
         """Of 4,000 applicants in two parts, a worker thread takes the first
         2,000 and the calling thread the rest."""
-        draw = thresholds.sample_population
+        draw = thresholds._draw
 
-        def spoiled_draw(*args):
-            population = draw(*args)
-            for i, theta in spoiled.items():
-                population.theta[i] = theta
-            return population
+        def spoiled_draw(*args, **kwargs):
+            q, signals = draw(*args, **kwargs)
 
-        monkeypatch.setattr(thresholds, "sample_population", spoiled_draw)
+            def spoiled_signals():
+                for part, theta, gamma in signals:
+                    for i, value in spoiled.items():
+                        if part.start <= i < part.stop:
+                            theta[i - part.start] = value
+                    yield part, theta, gamma
+
+            return q, spoiled_signals()
+
+        monkeypatch.setattr(thresholds, "_draw", spoiled_draw)
         messages = []
         for parts in (1, 2):
             split_passes(monkeypatch, parts)
