@@ -12,18 +12,15 @@ Conventions shared by all subcommands:
   ``repr`` gives, so reruns with identical inputs produce byte-identical
   CSV bodies; CSV floats are written by orjson, and by ``repr`` only
   where orjson's layout differs from it;
-* a CSV is rendered in one contiguous range of ``CSV_CHUNK_ROWS`` chunks
-  per available CPU, or per chunk where it has fewer, by children forked
-  on POSIX systems: a table of more than one chunk has all but its last
-  range forked, while ``sweep``'s scores.csv and regret.csv and
-  ``simulate``'s stage1.csv have every range forked as soon as their
-  columns exist, and format while the later stages run (on two CPUs,
-  regret.csv over 21 thetas is three chunks in two ranges).  On one CPU
-  nothing forks; the bytes do not depend on the split, and no option
-  selects it.  Those three tables are collected as UTF-8 pieces, the
-  header and then one per range, which are written and hashed piece by
-  piece: their text is never joined, decoded or encoded again, and every
-  other artifact is encoded once;
+* ``sweep``'s scores.csv and regret.csv and ``simulate``'s stage1.csv are
+  started as soon as their columns exist: on POSIX systems with more
+  than one CPU available, one child per CPU, or per ``CSV_CHUNK_ROWS``
+  chunk where the table has fewer, is forked to format one contiguous
+  range of it while the later stages run.  They are collected as UTF-8
+  pieces, the header and then one per range, which are written and
+  hashed piece by piece, never joined, decoded or encoded again.  Every
+  other CSV is rendered in process, and every other artifact is encoded
+  once.  The bytes do not depend on the split, and no option selects it;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
   recording the config digest, seeds, command line, and output hashes;
@@ -62,6 +59,7 @@ from .model import (
     validate_mlrp,
 )
 from .population import (
+    _require_mc_size,
     classify_environment,
     empirical_scores,
     mc_average_regret,
@@ -215,32 +213,38 @@ def _cells(column: np.ndarray) -> list[str]:
     inverse index.  Floats are told apart by their bits, not their value,
     so ``-0.0`` keeps its sign, and written by ``_float_text``.  A float
     chunk in which no bits repeat is formatted in row order: there a
-    gather would only slow the row join.
+    gather would only slow the row join, and with no masked cell its text
+    is returned as ``_float_text`` gives it.
     """
     values = np.ma.getdata(column)
     if values.dtype.kind == "b":
         values = values.astype(np.int8)
     floats = values.dtype.kind == "f"
     keys = values.view(np.int64) if floats else values
+    mask = np.ma.getmaskarray(column)
     if floats and _all_distinct(keys):
-        cells = np.array(_float_text(values), dtype=object)
+        text = _float_text(values)
+        if not mask.any():
+            return text
+        cells = np.array(text, dtype=object)
     else:
         distinct, inverse = np.unique(keys, return_inverse=True)
         text = (_float_text(distinct.view(values.dtype)) if floats
                 else [str(v) for v in distinct.tolist()])
         cells = np.array(text, dtype=object)[inverse]
-    cells[np.ma.getmaskarray(column)] = ""
+    cells[mask] = ""
     return cells.tolist()
 
 
-def _as_column(values) -> np.ndarray:
-    """A sequence as an array, with None entries masked."""
-    if isinstance(values, np.ndarray):
-        return values
-    missing = [v is None for v in values]
-    return np.ma.masked_array(
-        [0 if gone else v for v, gone in zip(values, missing)], mask=missing
-    )
+def _columns(columns) -> list[np.ndarray]:
+    """CSV columns as arrays, a sequence's None entries masked; ValueError
+    unless their lengths are equal."""
+    arrays = [values if isinstance(values, np.ndarray) else np.ma.masked_array(
+        [0 if v is None else v for v in values], mask=[v is None for v in values]
+    ) for values in columns]
+    if len({len(array) for array in arrays}) > 1:
+        raise ValueError("CSV columns must have equal lengths")
+    return arrays
 
 
 def _render_rows(columns, start: int, stop: int) -> str:
@@ -297,24 +301,20 @@ def _child_bytes(pid: int, pipe: io.BufferedReader) -> bytes | None:
 
 
 @contextmanager
-def _start_csv(header: list[str], columns, *, keep_last: bool = False
-               ) -> Iterator[Callable[[], list[bytes]]]:
+def _start_csv(header: list[str], columns) -> Iterator[Callable[[], list[bytes]]]:
     """Start rendering the CSV text of ``render_csv``; yield its collector.
 
     The table is split into one contiguous range of chunks per available
-    CPU.  Where more than one is available, children are forked here for
-    every range, or for all but the last with ``keep_last``, and format
-    while the caller goes on; the collector renders in process each range
-    not forked, then reads the children's bytes.  It returns the text as
-    UTF-8 pieces, the header line and then one per range, never joined or
-    decoded, so collecting holds the text's bytes about once.  A range whose
-    fork or child fails is rendered in process, so the bytes never depend
-    on the split.  Leaving the ``with`` block, even by a raise, stops and
-    reaps every child not yet collected.
+    CPU.  Where more than one is available, a child is forked here for
+    every range and formats it while the caller goes on.  The collector
+    renders in process each range not forked (every range on one CPU),
+    then reads the children's bytes and renders each range whose child
+    failed, so the bytes never depend on the split.  It returns the text as UTF-8 pieces, the header
+    line and then one per range, never joined or decoded, so collecting
+    holds the text's bytes about once.  Leaving the ``with`` block, even by
+    a raise, stops and reaps every child not yet collected.
     """
-    columns = [_as_column(column) for column in columns]
-    if len({len(column) for column in columns}) > 1:
-        raise ValueError("CSV columns must have equal lengths")
+    columns = _columns(columns)
     rows = len(columns[0])
     chunks = -(-rows // CSV_CHUNK_ROWS)
     cpus = _available_cpus() if hasattr(os, "fork") else 1
@@ -331,13 +331,11 @@ def _start_csv(header: list[str], columns, *, keep_last: bool = False
         for i in sorted(children):
             pieces[i] = _child_bytes(*children[i])
             del children[i]
-        for i, piece in enumerate(pieces):
-            if piece is None:
-                pieces[i] = render(ranges[i])
-        return [(",".join(header) + "\n").encode("utf-8"), *pieces]
+        return [(",".join(header) + "\n").encode("utf-8"),
+                *(render(span) if piece is None else piece for piece, span in zip(pieces, ranges))]
 
     try:
-        for i, (start, stop) in enumerate(ranges[:-1] if keep_last or cpus == 1 else ranges):
+        for i, (start, stop) in enumerate(ranges if cpus > 1 else ()):
             child = _fork_render(columns, start, stop)
             if child is not None:
                 children[i] = child
@@ -353,7 +351,8 @@ def _start_csv(header: list[str], columns, *, keep_last: bool = False
 
 
 def render_csv(header: list[str], columns) -> str:
-    """CSV text of equal-length columns under one header line.
+    """CSV text of equal-length columns under one header line, rendered in
+    process.
 
     Floats are written in shortest round-trip form, as ``repr`` writes
     them, by ``_float_text``; integers and bools as integers, strings as
@@ -362,14 +361,9 @@ def render_csv(header: list[str], columns) -> str:
     out ``CSV_CHUNK_ROWS`` at a time, and each distinct value of a chunk's
     column is formatted once; floats are told apart by their bits, so
     ``0.0`` and ``-0.0`` keep their text.
-
-    A table of more than one chunk is split into one contiguous range of
-    chunks per available CPU.  Forked children render all but the last
-    range, which this process renders; a range whose fork or child fails
-    is rendered here.  No child outlives the call.
     """
-    with _start_csv(header, columns, keep_last=True) as collect:
-        return b"".join(collect()).decode("utf-8")
+    columns = _columns(columns)
+    return ",".join(header) + "\n" + _render_rows(columns, 0, len(columns[0]))
 
 
 def render_json(doc) -> str:
@@ -607,6 +601,8 @@ def cmd_simulate(config, args, lap) -> dict[str, str | list[bytes]]:
     # before any applicant is sampled; the classification is closed form
     report = classify_environment(config)
     log_acceptance_threshold(config.payoffs, tau)
+    require_size("population size", args.m, 1)
+    _require_mc_size(args.m)
     require_size("theta bin count", args.bins, 1)
     if not 0 <= args.seed < 2**128 - 1:  # the MC regret cohort's Philox key is seed + 1
         raise DomainError(f"seed must lie in [0, 2**128), as must seed + 1, the Monte "

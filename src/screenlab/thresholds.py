@@ -40,7 +40,7 @@ from .model import (
     _as_scalar_or_1d,
     marginal_posterior_phi,
 )
-from .population import _draw, _require_mc_size, classify_environment, sample_population
+from .population import _draw, _require_mc_size, classify_environment
 from .regret import _accepted_payoff, _ex_ante, _losses, expected_regret_gap
 
 # Roots closer to a cell boundary than this multiple of the residual bound
@@ -225,7 +225,8 @@ def verify_nonatomic(config: ModelConfig, tau: float, m: int, seed: int) -> Nona
     duplicate counts.  For a continuous theta law every count is expected
     to be zero.
     """
-    thetas = sample_population(config, m, seed).theta
+    # the sampler's parts, in order and without gamma, which is not needed
+    thetas = np.concatenate([theta for _, theta, _ in _draw(config, m, seed, gamma=False)[1]])
     s1, s2 = _scores.score_pair(config, thetas, tau)
     has_d1, tau_d1, tau_d2 = _critical_roots(config, thetas)
 

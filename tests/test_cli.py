@@ -119,7 +119,8 @@ def forked(monkeypatch):
     return with_cpus
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="render_csv forks only on POSIX")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the started renders fork only on POSIX")
 
 
 def assert_no_child_left() -> None:
@@ -581,14 +582,22 @@ class TestSimulate:
          f"cohort's seed; got {2**128 - 1}"),
         (dict(BASELINE_DOC, mu_q=[1e-310, 1.0]), ["--tau", "0.0"], 1,
          "error: the phi = beta breakpoint is not finite"),
+        (BASELINE_DOC, ["--tau", "0.0", "--m", "0"], 1,
+         "error: population size must be at least 1, got 0"),
+        (BASELINE_DOC, ["--tau", "0.0", "--m", "1"], 1,
+         "error: a Monte Carlo standard error needs m >= 2, got 1"),
+        (BASELINE_DOC, ["--tau", "0.0", "--m", str(10**30)], 1,
+         f"error: population size {10**30} is too large to allocate"),
     ], ids=["nonmonotone-phi", "tau-outside-interval", "zero-bins", "last-seed",
-            "subnormal-theta-shift"])
+            "subnormal-theta-shift", "m-0", "m-1", "m-too-large"])
     def test_bad_input_exits_before_sampling(
         self, tmp_path, monkeypatch, capsys, doc, options, code, message
     ):
         """These exited only after sampling; a falling phi, after stage one,
-        binning and the MC regret too, and the last seed and a subnormal
-        theta shift only at or after the MC regret's own draw."""
+        binning and the MC regret too, the last seed and a subnormal theta
+        shift only at or after the MC regret's own draw, and m = 1 only at
+        the MC regret, where m = 0 and a size past the sampler's limit
+        exited in the sampler itself."""
         sampled = []
 
         def spy(draw):
@@ -606,7 +615,8 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main([
-            "simulate", "--config", str(path), *options, "--m", "2000", "--out", str(out),
+            # argparse keeps the last --m: the options' own comes after this one
+            "simulate", "--config", str(path), "--m", "2000", *options, "--out", str(out),
         ]) == code
         assert message in capsys.readouterr().err
         assert sampled == []
@@ -765,8 +775,6 @@ class TestCsvByteOracle:
             return repr(value)
 
         monkeypatch.setattr(cli, "repr", counting, raising=False)
-        # a forked child's calls never reach this list: render in one process
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         return calls
 
     def test_repeated_bits_formatted_once_per_chunk(self, monkeypatch, repr_calls):
@@ -779,9 +787,7 @@ class TestCsvByteOracle:
 
     def test_distinct_floats_formatted_in_row_order(self, monkeypatch):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4096)
-        # every value handed to the float formatter, in call order; a forked
-        # child's calls never reach this list: render in one process
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        # every value handed to the float formatter, in call order
         handed, float_text = [], cli._float_text
 
         def spying(values):
@@ -836,62 +842,14 @@ class TestCsvByteOracle:
         strided = np.linspace(0.0, 1.0, 9)[::2]
         assert cli._float_text(strided) == [repr(v) for v in strided.tolist()]
 
-    @needs_fork
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_chunk_ranges_rendered_by_children(self, forked, cpus):
+    def test_chunk_ranges_rendered_in_process(self, forked, cpus):
+        """render_csv forks no child at any CPU count: only the tables
+        started ahead of their collection do."""
         forks = forked(cpus)
         header, columns, want = mixed_table()
         assert_same_text(render_csv(header, columns), want)
-        assert len(forks) == cpus - 1
-        assert_no_child_left()
-
-    @needs_fork
-    def test_failed_fork_renders_in_process(self, forked, monkeypatch):
-        forked(3)
-
-        def failing():
-            raise OSError("no process left")
-
-        monkeypatch.setattr(os, "fork", failing)
-        header, columns, want = mixed_table()
-        assert_same_text(render_csv(header, columns), want)
-        assert_no_child_left()
-
-    @needs_fork
-    @pytest.mark.parametrize("death", ["raise", "kill"])
-    def test_failed_child_renders_in_process(self, forked, monkeypatch, death):
-        forks = forked(3)
-        parent, cells = os.getpid(), cli._cells
-
-        def failing_in_children(column):
-            if os.getpid() != parent:
-                if death == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("child failed")
-            return cells(column)
-
-        monkeypatch.setattr(cli, "_cells", failing_in_children)
-        header, columns, want = mixed_table()
-        assert_same_text(render_csv(header, columns), want)
-        assert len(forks) == 2
-        assert_no_child_left()
-
-    @needs_fork
-    def test_error_in_own_range_stops_children(self, forked, monkeypatch):
-        forks = forked(3)
-        parent, cells = os.getpid(), cli._cells
-
-        def failing_in_parent(column):
-            if os.getpid() == parent:
-                raise MemoryError("parent failed")
-            return cells(column)
-
-        monkeypatch.setattr(cli, "_cells", failing_in_parent)
-        header, columns, _ = mixed_table()
-        with pytest.raises(MemoryError, match="parent failed"):
-            render_csv(header, columns)
-        assert len(forks) == 2
-        assert_no_child_left()
+        assert forks == []
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
@@ -1035,6 +993,31 @@ class TestStartedCsv:
         header, columns, want = mixed_table()
         assert_same_text(started_csv(header, columns), want)
         assert len(forks) == 3
+        assert_no_child_left()
+
+    def test_error_in_own_range_stops_children(self, forked, monkeypatch):
+        """A range whose fork failed renders at collection, while the other
+        ranges' children run; an error there stops and reaps them."""
+        forks = forked(3)
+        parent, cells, fork, failed = os.getpid(), cli._cells, os.fork, []
+
+        def first_fails():
+            if not failed:
+                failed.append(None)
+                raise OSError("no process left")
+            return fork()
+
+        def failing_in_parent(column):
+            if os.getpid() == parent:
+                raise MemoryError("parent failed")
+            return cells(column)
+
+        monkeypatch.setattr(os, "fork", first_fails)
+        monkeypatch.setattr(cli, "_cells", failing_in_parent)
+        header, columns, _ = mixed_table()
+        with pytest.raises(MemoryError, match="parent failed"):
+            started_csv(header, columns)
+        assert len(forks) == 2
         assert_no_child_left()
 
     def test_sweep_regret_table_splits_over_two_cpus(self, forked, monkeypatch):

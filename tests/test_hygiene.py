@@ -1,5 +1,6 @@
 """Every module uses each name it imports, src/screenlab reads every private
-name it defines, and the tests and scripts close every file they open.
+name it defines, the tests and scripts close every file they open, and
+only two functions of the package fork or start threads.
 
 The repository has no linter configured, so these tests parse the modules
 with ``ast``.  One fails on an imported name that its module never
@@ -14,7 +15,11 @@ the pipe it opens, and ``cli._child_bytes`` closes it.  Another fails on
 a top-level module imported under src/screenlab that is neither in the
 standard library, nor screenlab itself, nor named in pyproject.toml's
 ``[project] dependencies``: an installed but undeclared package would
-pass here and fail on a clean install.
+pass here and fail on a clean install.  One more pins the package's two
+measured kinds of concurrency to their one site each: only
+``cli._fork_render`` calls ``os.fork``, and only
+``thresholds._sampled_losses`` builds a ``ThreadPoolExecutor`` (no function
+builds a ``threading.Thread``).
 """
 from __future__ import annotations
 
@@ -114,6 +119,64 @@ def declared_dependencies() -> set[str]:
         requirements = tomllib.load(fh)["project"]["dependencies"]
     return {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
             for requirement in requirements}
+
+
+CONCURRENCY = {"os.fork", "concurrent.futures.ThreadPoolExecutor", "threading.Thread"}
+
+
+def concurrency_sites(source: str, module: str) -> set[tuple[str, str]]:
+    """(owner, callee) of each call in ``source`` to a name of
+    ``CONCURRENCY``, read through the module's imports; the owner is
+    ``module.name`` of the top-level function or class holding the call,
+    nested functions included, or ``module`` for module-level code."""
+    tree = ast.parse(source)
+    full = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            full.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            full.update({alias.asname or alias.name: f"{node.module}.{alias.name}"
+                         for alias in node.names})
+    sites = set()
+    for top in tree.body:
+        owner = (f"{module}.{top.name}" if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else module)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            parts, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                parts.insert(0, func.attr)
+                func = func.value
+            if isinstance(func, ast.Name):
+                callee = ".".join([full.get(func.id, func.id), *parts])
+                if callee in CONCURRENCY:
+                    sites.add((owner, callee))
+    return sites
+
+
+def test_scan_finds_concurrency_sites():
+    source = (
+        "import os, threading as th\nfrom concurrent.futures import ThreadPoolExecutor as P\n"
+        "from os import fork\n"
+        "def a():\n    def inner():\n        return os.fork()\n    return inner\n"
+        "class B:\n    def run(self):\n        th.Thread(target=print).start()\n"
+        "def c():\n    with P(2) as pool:\n        return fork(), os.getpid(), pool\n"
+        "thread = th.Thread\nos.forkpty()\n"
+    )
+    assert concurrency_sites(source, "m") == {
+        ("m.a", "os.fork"), ("m.B", "threading.Thread"),
+        ("m.c", "concurrent.futures.ThreadPoolExecutor"), ("m.c", "os.fork"),
+    }
+
+
+def test_only_the_measured_sites_fork_or_start_threads():
+    sites = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src/screenlab/*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sites |= concurrency_sites(fh.read(), os.path.basename(path)[:-3])
+    assert sites == {("cli._fork_render", "os.fork"),
+                     ("thresholds._sampled_losses", "concurrent.futures.ThreadPoolExecutor")}
 
 
 def test_scan_finds_an_undeclared_import():

@@ -28,6 +28,7 @@ from screenlab.population import (
     ScoreBin,
     empirical_scores,
 )
+from screenlab import scores
 from screenlab.regret import _regret_values
 from screenlab.scores import log_acceptance_threshold, score_pair
 from conftest import BASELINE_DOC, FLAT_THETA_DOC, NONMONOTONE_PHI_DOC
@@ -467,3 +468,20 @@ class TestNonatomic:
         phi = np.asarray(marginal_posterior_phi(baseline, pop.theta))
         assert report.defined["tau_d1"] == int((phi < baseline.beta).sum())
         assert report.defined["tau_d2"] == 20_000
+
+    def test_scores_the_sampled_thetas_without_gamma(self, baseline, monkeypatch):
+        """The thetas come from the sampler's stream without gamma, over
+        more than one sampling part: the same bits as sample_population's."""
+        calls, score = [], scores.score_pair
+
+        def spy(config, theta, tau):
+            calls.append((np.array(theta), tau))
+            return score(config, theta, tau)
+
+        monkeypatch.setattr(scores, "score_pair", spy)
+        m = PART_STRADDLING[-2]
+        verify_nonatomic(baseline, tau=0.3, m=m, seed=14)
+        # the first call scores the sample at tau; the critical roots follow
+        theta, tau = calls[0]
+        assert tau == 0.3
+        assert same_bits(theta, sample_population(baseline, m, seed=14).theta)
