@@ -211,10 +211,12 @@ def _cells(column: np.ndarray) -> list[str]:
 
     Each distinct value is formatted once and its text gathered by the
     inverse index.  Floats are told apart by their bits, not their value,
-    so ``-0.0`` keeps its sign, and written by ``_float_text``.  A float
-    chunk in which no bits repeat is formatted in row order: there a
-    gather would only slow the row join, and with no masked cell its text
-    is returned as ``_float_text`` gives it.
+    so ``-0.0`` keeps its sign, and written by ``_float_text``.  An
+    unmasked float chunk in which no bits repeat is returned as
+    ``_float_text`` formats it in row order: there a gather would only
+    slow the row join.  A masked chunk always takes the gather, which
+    loses nothing: the masked cells of a column given with None all hold
+    the bits of 0.0, so no two of them are distinct.
     """
     values = np.ma.getdata(column)
     if values.dtype.kind == "b":
@@ -222,16 +224,12 @@ def _cells(column: np.ndarray) -> list[str]:
     floats = values.dtype.kind == "f"
     keys = values.view(np.int64) if floats else values
     mask = np.ma.getmaskarray(column)
-    if floats and _all_distinct(keys):
-        text = _float_text(values)
-        if not mask.any():
-            return text
-        cells = np.array(text, dtype=object)
-    else:
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        text = (_float_text(distinct.view(values.dtype)) if floats
-                else [str(v) for v in distinct.tolist()])
-        cells = np.array(text, dtype=object)[inverse]
+    if floats and not mask.any() and _all_distinct(keys):
+        return _float_text(values)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = (_float_text(distinct.view(values.dtype)) if floats
+            else [str(v) for v in distinct.tolist()])
+    cells = np.array(text, dtype=object)[inverse]
     cells[mask] = ""
     return cells.tolist()
 
@@ -307,12 +305,13 @@ def _start_csv(header: list[str], columns) -> Iterator[Callable[[], list[bytes]]
     The table is split into one contiguous range of chunks per available
     CPU.  Where more than one is available, a child is forked here for
     every range and formats it while the caller goes on.  The collector
-    renders in process each range not forked (every range on one CPU),
-    then reads the children's bytes and renders each range whose child
-    failed, so the bytes never depend on the split.  It returns the text as UTF-8 pieces, the header
-    line and then one per range, never joined or decoded, so collecting
-    holds the text's bytes about once.  Leaving the ``with`` block, even by
-    a raise, stops and reaps every child not yet collected.
+    walks the ranges in order: each takes its child's bytes, and a range
+    with no child (one CPU, or a failed fork) or whose child failed is
+    rendered in process, so the bytes never depend on the split.  It
+    returns the text as UTF-8 pieces, the header line and then one per
+    range, never joined or decoded, so collecting holds the text's bytes
+    about once.  Leaving the ``with`` block, even by a raise, stops and
+    reaps every child not yet collected.
     """
     columns = _columns(columns)
     rows = len(columns[0])
@@ -321,30 +320,26 @@ def _start_csv(header: list[str], columns) -> Iterator[Callable[[], list[bytes]]
     parts = max(1, min(cpus, chunks))
     bounds = [CSV_CHUNK_ROWS * (chunks * i // parts) for i in range(parts)] + [rows]
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    children: dict[int, tuple[int, io.BufferedReader]] = {}
-
-    def render(span) -> bytes:
-        return _render_rows(columns, *span).encode("utf-8")
+    children: list[tuple[int, io.BufferedReader] | None] = [None] * len(ranges)
 
     def collect() -> list[bytes]:
-        pieces = [None if i in children else render(span) for i, span in enumerate(ranges)]
-        for i in sorted(children):
-            pieces[i] = _child_bytes(*children[i])
-            del children[i]
-        return [(",".join(header) + "\n").encode("utf-8"),
-                *(render(span) if piece is None else piece for piece, span in zip(pieces, ranges))]
+        pieces = [(",".join(header) + "\n").encode("utf-8")]
+        for i, span in enumerate(ranges):
+            piece = _child_bytes(*children[i]) if children[i] else None
+            children[i] = None  # reaped
+            pieces.append(_render_rows(columns, *span).encode("utf-8") if piece is None
+                          else piece)
+        return pieces
 
     try:
         for i, (start, stop) in enumerate(ranges if cpus > 1 else ()):
-            child = _fork_render(columns, start, stop)
-            if child is not None:
-                children[i] = child
+            children[i] = _fork_render(columns, start, stop)
         yield collect
     finally:
         # only a raise or an uncalled collector leaves children: stop, reap
-        if children:
+        if any(children):
             from signal import SIGKILL
-            for pid, pipe in children.values():
+            for pid, pipe in filter(None, children):
                 pipe.close()
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)

@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Any
 
 import numpy as np
@@ -332,17 +332,9 @@ class ModelConfig:
         return cls(payoffs=PayoffParams(*fields[:4]), signal=GaussianSignalModel(*fields[4:]))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "pi": self.payoffs.pi,
-            "x_q": self.payoffs.x_q,
-            "x_u": self.payoffs.x_u,
-            "c": self.payoffs.c,
-            "mu_q": list(self.signal.mu_q),
-            "mu_u": list(self.signal.mu_u),
-            "sigma_theta": self.signal.sigma_theta,
-            "sigma_gamma": self.signal.sigma_gamma,
-            "rho": self.signal.rho,
-        }
+        values = astuple(self.payoffs) + astuple(self.signal)
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in zip(self._FIELDS, values)}
 
     @classmethod
     def from_json_path(cls, path) -> "ModelConfig":

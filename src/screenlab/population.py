@@ -106,6 +106,18 @@ def _require_mc_size(m: int) -> None:
         raise DomainError(f"a Monte Carlo standard error needs m >= 2, got {m}")
 
 
+def _mean_and_se(u: np.ndarray) -> tuple[float, float]:
+    """The sample mean of ``u`` and its standard error, the sample standard
+    deviation over sqrt(n); ``u`` is overwritten.  These are the bits of
+    ``u.mean()`` and ``u.std(ddof=1) / np.sqrt(n)``: numpy's variance takes
+    the same steps, in a temporary of u's size that this one does without.
+    """
+    mean = u.mean()
+    u -= mean
+    u *= u
+    return float(mean), float(np.sqrt(u.sum() / (len(u) - 1)) / np.sqrt(len(u)))
+
+
 # =====================================================================
 # First stage and selective labels
 # =====================================================================
@@ -265,12 +277,12 @@ def mc_average_regret(
 
     The population is drawn independently of any first-stage dataset (a
     second-stage cohort) and shared by both scores, which are the analytic
-    curves; the standard error is the sample standard deviation over
-    sqrt(m), so m >= 2.  Each part of _MC_PART applicants is scored as
-    ``_draw`` gives it, into one row of losses per score, so only q and the
-    losses are held for the whole cohort; each estimate reduces a whole
-    row, so the parts do not change its bits.  Returns one estimate per
-    score, in ``ALGOS`` order.
+    curves; the estimate and its standard error, the sample standard
+    deviation over sqrt(m), so m >= 2, come from ``_mean_and_se``.  Each
+    part of _MC_PART applicants is scored as ``_draw`` gives it, into one
+    row of losses per score, so only q and the losses are held for the
+    whole cohort; each estimate reduces a whole row, so the parts do not
+    change its bits.  Returns one estimate per score, in ``ALGOS`` order.
     """
     _require_mc_size(m)
     q, signals = _draw(config, m, seed, gamma=False)
@@ -280,14 +292,7 @@ def mc_average_regret(
         for row, s in zip(losses, _scores.score_pair(config, theta, tau)):
             row[part] = _losses(config.payoffs, s, pay)
     return [
-        McRegretEstimate(
-            value=float(u.mean()),
-            standard_error=float(u.std(ddof=1) / np.sqrt(m)),
-            algo=algo,
-            tau=float(tau),
-            m=int(m),
-            seed=int(seed),
-        )
+        McRegretEstimate(*_mean_and_se(u), algo=algo, tau=float(tau), m=int(m), seed=int(seed))
         for algo, u in zip(_scores.ALGOS, losses)
     ]
 

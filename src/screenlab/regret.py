@@ -24,7 +24,7 @@ theta and is integrated by an adaptive Gauss-Legendre panel scheme: every
 tau's initial panels come from one evaluation of s1, and only a tau whose
 error estimate misses the tolerance refines its own panels, one at a time.
 Each score rises in theta, so the applicants accepted are those above one
-breakpoint, one bisection per score for a whole grid, and the mean of p is
+breakpoint, one root search per score for a whole grid, and the mean of p is
 the class tail masses above it, in closed form.
 """
 from __future__ import annotations
@@ -311,7 +311,7 @@ def expected_regret(config: ModelConfig, tau):
     results = []
     for k, (s_lo, s_hi) in enumerate(ends):
         # the rule accepts above one breakpoint: lo when it accepts everyone,
-        # hi when no one, else the root of s - beta, all taus in one bisection;
+        # hi when no one, else the root of s - beta, all taus in one batch;
         # a lone tau stays 0-d, on numpy's scalar paths (as a (1,) batch it
         # doubles the time of each gap value in find_tau_bar's Brent search)
         gap_lo, gap_hi = s_lo - beta, s_hi - beta

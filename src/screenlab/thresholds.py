@@ -15,10 +15,11 @@ curve that is strictly monotone in tau on the clamped interval:
 * ``tau_bar``: where the population-average regrets of the two scores
   meet, which exists exactly in regular environments.
 
-The per-theta roots come from bisection to floating-point resolution
-(see _roots), with residual tolerances checked afterwards; tau_bar, in
-both modes, from Brent's method, on the quadrature gap or on a sampled
-population bound once to the terms of its scores that do not depend on tau.
+The per-theta roots come from _roots' safeguarded regula falsi, run to
+floating-point resolution, with residual tolerances checked afterwards;
+tau_bar, in both modes, from Brent's method, on the quadrature gap or on a
+sampled population bound once to the terms of its scores that do not
+depend on tau.
 A population of at least 2 * PART_MIN applicants is bound in parts, which
 threads evaluate side by side in each pass with the same bits as one thread.
 """
@@ -40,7 +41,7 @@ from .model import (
     _as_scalar_or_1d,
     marginal_posterior_phi,
 )
-from .population import _draw, _require_mc_size, classify_environment
+from .population import _draw, _mean_and_se, _require_mc_size, classify_environment
 from .regret import _accepted_payoff, _ex_ante, _losses, expected_regret_gap
 
 # Roots closer to a cell boundary than this multiple of the residual bound
@@ -123,7 +124,7 @@ class TauBarResult:
 
 
 def _tau_roots(config: ModelConfig, gap, thetas: np.ndarray, what: str) -> np.ndarray:
-    """One root of ``gap`` per theta on the clamped interval, in one bisection;
+    """One root of ``gap`` per theta on the clamped interval, in one batch;
     a theta without a sign change raises EndpointResolutionError: ``what``."""
     lo, hi = _scores.clamped_tau_interval(config.payoffs)
     try:
@@ -143,9 +144,9 @@ def find_tau_star(config: ModelConfig, theta):
     """The unique tau where both scores agree, per theta.
 
     The score gap s1 - s2 is strictly increasing in tau and changes sign
-    across the open interval, so bisection on the clamped interval finds
-    the root unless it sits inside the clamp margin.  A scalar theta gives
-    a float, a 1-D array one root per theta from one batch bisection.
+    across the open interval, so the root loop on the clamped interval
+    finds the root unless it sits inside the clamp margin.  A scalar theta
+    gives a float, a 1-D array one root per theta from one batch.
     """
     thetas = _as_scalar_or_1d(theta, "theta")
     roots = _tau_roots(
@@ -169,7 +170,7 @@ def find_critical_prejudices(config: ModelConfig, theta):
     the outcome-trained score stays strictly above phi, hence above beta,
     and its regret curve never jumps.  The knife edge phi(theta) == beta
     is folded into the absent case.  A 1-D theta array gives two lists,
-    one entry per theta, each score's roots from one batch bisection.
+    one entry per theta, each score's roots from one batch of the root loop.
     """
     thetas = _as_scalar_or_1d(theta, "theta")
     has_d1, tau_d1, tau_d2 = _critical_roots(config, thetas)
@@ -251,7 +252,7 @@ def threshold_report(config: ModelConfig, theta):
     regret-curve crossings for both qualification bits.
 
     A 1-D theta array gives a list of reports, with each kind of root
-    found for every theta in one batch bisection.
+    found for every theta in one batch of the root loop.
     """
     flat = _as_scalar_or_1d(theta, "theta").reshape(-1)
     tau_star = find_tau_star(config, flat)
@@ -289,7 +290,7 @@ def find_regret_crossings(config: ModelConfig, theta, q: int):
     landing within the boundary window of a critical prejudice are
     reported with a flag: the curves are discontinuous there, so equality
     holds only as a one-sided limit.  A 1-D theta array gives a list of
-    reports, the cells of every theta bisected in one batch.
+    reports, the cells of every theta rooted in one batch.
     """
     if q not in (0, 1):
         raise DomainError(f"qualification bit must be 0 or 1, got {q!r}")
@@ -303,7 +304,7 @@ def find_regret_crossings(config: ModelConfig, theta, q: int):
 
 def _crossings(config, thetas, q, tau_d1, tau_d2) -> list[CrossingReport]:
     """find_regret_crossings for each theta, given its critical prejudices;
-    the cells of every theta are bisected in one batch."""
+    the cells of every theta are rooted in one batch of the root loop."""
     if not len(thetas):
         return []
     payoffs = config.payoffs
@@ -381,9 +382,7 @@ def _sampled_losses(config: ModelConfig, m: int, seed: int):
     first part that fails, once every part is done.
     """
     q, signals = _draw(config, m, seed, gamma=False)  # gamma is not needed
-    theta = np.empty(m)
-    for part, theta_part, _ in signals:
-        theta[part] = theta_part
+    theta = np.concatenate([theta for _, theta, _ in signals])
     pay = _accepted_payoff(config.payoffs, q)
     count = max(1, min(_available_cpus(), m // PART_MIN))
     edges = [m * i // count for i in range(count + 1)]
@@ -470,8 +469,7 @@ def find_tau_bar(
 
     def estimate(tau: float) -> tuple[float, float]:
         if tau not in priced:
-            diff = sampled(tau)
-            priced[tau] = float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(len(diff)))
+            priced[tau] = _mean_and_se(sampled(tau))
         return priced[tau]
 
     if report.classification == "irregular":

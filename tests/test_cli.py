@@ -799,6 +799,22 @@ class TestCsvByteOracle:
         render_csv(["f"], [column])
         assert handed == column.tolist()
 
+    @pytest.mark.parametrize("chunk_rows", [4, 64])
+    def test_one_none_among_distinct_floats(self, monkeypatch, chunk_rows):
+        """A float column with one None, its other values all distinct and
+        none of them 0.0, the bits the None is masked over: the masked chunk
+        is gathered by distinct value, as scores_empirical.csv's s1_hat
+        column is when one bin has no accepted applicant."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        values = (np.linspace(-1.0, 1.0, 17) ** 3).tolist()
+        values[8] = None  # the one 0.0
+        values += [-0.0, 5e-324, np.inf, 1e16]
+        assert len({float(v).hex() for v in values if v is not None}) == len(values) - 1
+        rows = np.arange(len(values)) / 7
+        got = render_csv(["row", "f"], [rows, values])
+        assert_same_text(got, reference_csv(["row", "f"], zip(rows.tolist(), values)))
+        assert "\n" + repr(8 / 7) + ",\n" in got
+
     @pytest.mark.parametrize("route", ["row order", "distinct bits"])
     def test_float_edges_match_the_row_writer(self, route):
         """Both sides of repr's switch between positional and exponent
@@ -975,6 +991,23 @@ class TestStartedCsv:
         monkeypatch.setattr(os, "fork", failing)
         header, columns, want = mixed_table()
         assert_same_text(started_csv(header, columns), want)
+        assert_no_child_left()
+
+    def test_failed_last_fork_renders_in_process(self, forked, monkeypatch):
+        """The range whose fork failed renders in its turn, after the
+        children of the ranges before it are read."""
+        forks = forked(3)
+        fork = os.fork
+
+        def last_fails():
+            if len(forks) == 2:
+                raise OSError("no process left")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", last_fails)
+        header, columns, want = mixed_table()
+        assert_same_text(started_csv(header, columns), want)
+        assert len(forks) == 2
         assert_no_child_left()
 
     @pytest.mark.parametrize("death", ["raise", "kill"])

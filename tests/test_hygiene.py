@@ -1,6 +1,7 @@
 """Every module uses each name it imports, src/screenlab reads every private
-name it defines, the tests and scripts close every file they open, and
-only two functions of the package fork or start threads.
+name it defines, the tests and scripts close every file they open, only
+two functions of the package fork or start threads, and only one takes a
+sample's spread.
 
 The repository has no linter configured, so these tests parse the modules
 with ``ast``.  One fails on an imported name that its module never
@@ -19,7 +20,9 @@ pass here and fail on a clean install.  One more pins the package's two
 measured kinds of concurrency to their one site each: only
 ``cli._fork_render`` calls ``os.fork``, and only
 ``thresholds._sampled_losses`` builds a ``ThreadPoolExecutor`` (no function
-builds a ``threading.Thread``).
+builds a ``threading.Thread``).  The last pins the Monte Carlo estimate
+to its one site: no function but ``population._mean_and_se`` calls a
+``std`` or ``var`` method or numpy's ``std`` or ``var``.
 """
 from __future__ import annotations
 
@@ -124,11 +127,12 @@ def declared_dependencies() -> set[str]:
 CONCURRENCY = {"os.fork", "concurrent.futures.ThreadPoolExecutor", "threading.Thread"}
 
 
-def concurrency_sites(source: str, module: str) -> set[tuple[str, str]]:
-    """(owner, callee) of each call in ``source`` to a name of
-    ``CONCURRENCY``, read through the module's imports; the owner is
-    ``module.name`` of the top-level function or class holding the call,
-    nested functions included, or ``module`` for module-level code."""
+def call_sites(source: str, module: str) -> set[tuple[str, str]]:
+    """(owner, callee) of each call in ``source``; the callee is dotted and
+    read through the module's imports, with ``<expr>`` for a receiver that
+    is no name, as in ``(a - b).std()``; the owner is ``module.name`` of the
+    top-level function or class holding the call, nested functions
+    included, or ``module`` for module-level code."""
     tree = ast.parse(source)
     full = {}
     for node in ast.walk(tree):
@@ -148,10 +152,28 @@ def concurrency_sites(source: str, module: str) -> set[tuple[str, str]]:
             while isinstance(func, ast.Attribute):
                 parts.insert(0, func.attr)
                 func = func.value
-            if isinstance(func, ast.Name):
-                callee = ".".join([full.get(func.id, func.id), *parts])
-                if callee in CONCURRENCY:
-                    sites.add((owner, callee))
+            head = full.get(func.id, func.id) if isinstance(func, ast.Name) else "<expr>"
+            sites.add((owner, ".".join([head, *parts])))
+    return sites
+
+
+def concurrency_sites(source: str, module: str) -> set[tuple[str, str]]:
+    """The call sites of ``source`` whose callee is a name of ``CONCURRENCY``."""
+    return {site for site in call_sites(source, module) if site[1] in CONCURRENCY}
+
+
+def spread_sites(source: str, module: str) -> set[tuple[str, str]]:
+    """The call sites of ``source`` that take a standard deviation or a
+    variance: a ``std`` or ``var`` method, numpy's functions included."""
+    return {site for site in call_sites(source, module)
+            if site[1].rpartition(".")[2] in ("std", "var")}
+
+
+def src_sites(scan) -> set[tuple[str, str]]:
+    sites = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src/screenlab/*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sites |= scan(fh.read(), os.path.basename(path)[:-3])
     return sites
 
 
@@ -171,12 +193,31 @@ def test_scan_finds_concurrency_sites():
 
 
 def test_only_the_measured_sites_fork_or_start_threads():
-    sites = set()
-    for path in sorted(glob.glob(os.path.join(ROOT, "src/screenlab/*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            sites |= concurrency_sites(fh.read(), os.path.basename(path)[:-3])
-    assert sites == {("cli._fork_render", "os.fork"),
-                     ("thresholds._sampled_losses", "concurrent.futures.ThreadPoolExecutor")}
+    assert src_sites(concurrency_sites) == {
+        ("cli._fork_render", "os.fork"),
+        ("thresholds._sampled_losses", "concurrent.futures.ThreadPoolExecutor"),
+    }
+
+
+def test_scan_finds_spread_sites():
+    source = (
+        "import numpy as np\nfrom numpy import var as v\n"
+        "def a(u):\n    def inner():\n        return u.std(ddof=1)\n    return inner\n"
+        "def b(x, y):\n    return np.var(x) + (x - y).std() + v(y) + x[0].var()\n"
+        "def c(u):\n    return u.mean(), np.sqrt(u.sum()), u.stdev(), standard(u)\n"
+        "spread = np.std(np.ones(2))\n"
+    )
+    assert spread_sites(source, "m") == {
+        ("m.a", "u.std"), ("m.b", "numpy.var"), ("m.b", "<expr>.std"),
+        ("m.b", "<expr>.var"), ("m", "numpy.std"),
+    }
+
+
+def test_one_monte_carlo_standard_error():
+    """Every sample spread in the package comes from one function, so the
+    Monte Carlo mean and its standard error are written once."""
+    owners = {owner for owner, _ in src_sites(spread_sites)}
+    assert owners <= {"population._mean_and_se"}
 
 
 def test_scan_finds_an_undeclared_import():

@@ -180,6 +180,11 @@ class TestConfigRoundTrip:
         again = ModelConfig.from_dict(baseline.to_dict())
         assert again.to_dict() == baseline.to_dict()
 
+    def test_to_dict_keys_are_the_fields(self, baseline):
+        """to_dict writes from_dict's keys, in the same order."""
+        assert list(baseline.to_dict()) == list(ModelConfig._FIELDS)
+        assert baseline.to_dict() == BASELINE_DOC
+
     @pytest.mark.parametrize("field,value", [
         ("pi", float("nan")), ("x_q", float("inf")), ("x_u", float("nan")),
         ("c", float("-inf")), ("mu_q", [float("nan"), 1.0]),

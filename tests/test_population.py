@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from screenlab import (
     DomainError,
@@ -26,6 +27,7 @@ from screenlab.population import (
     McRegretEstimate,
     Population,
     ScoreBin,
+    _mean_and_se,
     empirical_scores,
 )
 from screenlab import scores
@@ -375,6 +377,53 @@ class TestMcAverageRegret:
         scoring a whole sampled population peaked at 50 bytes per applicant."""
         m = 1_000_000
         assert traced_peak(mc_average_regret, baseline, 0.1, m, 3) <= 30 * m
+
+
+def assert_numpy_mean_and_se(u: np.ndarray) -> None:
+    """_mean_and_se(u) has the bits of u.mean() and u.std(ddof=1) / sqrt(n)."""
+    want = float(u.mean()), float(u.std(ddof=1) / np.sqrt(len(u)))
+    got = _mean_and_se(u.copy())
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class TestMeanAndSe:
+    """The one Monte Carlo estimate: a sample mean and its standard error,
+    with numpy's bits and without its temporary."""
+
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=300),
+           offset=st.sampled_from([0.0, 1e6, -1e6]))
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    def test_generated_arrays(self, values, offset):
+        assert_numpy_mean_and_se(np.array(values) + offset)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 127, 128, 129, 1000, 65_537])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+    def test_sampled_arrays(self, n, offset):
+        """Sizes on both sides of numpy's blocks of 8 and 128 summands."""
+        rng = np.random.default_rng(n)
+        assert_numpy_mean_and_se(rng.standard_normal(n) + offset)
+
+    def test_two_values(self):
+        assert_numpy_mean_and_se(np.array([0.1, 0.7]))
+        assert _mean_and_se(np.array([1.0, 3.0])) == (2.0, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 7, 1000])
+    def test_constant_array_has_no_spread(self, n):
+        assert_numpy_mean_and_se(np.full(n, 0.3))
+        assert _mean_and_se(np.full(n, -1e6))[1] == 0.0
+
+    def test_rows_of_mixed_sign(self):
+        """Rows of a 2-D array, as mc_average_regret passes its losses: each
+        row's estimate is numpy's, and the row is left holding its squared
+        deviations from the mean."""
+        rng = np.random.default_rng(11)
+        losses = rng.standard_normal((2, 5_000)) * [[0.5], [3.0]] - [[0.1], [-0.2]]
+        assert (losses < 0).any(axis=1).all() and (losses > 0).any(axis=1).all()
+        before = losses.copy()
+        for row, kept in zip(losses, before):
+            assert_numpy_mean_and_se(row)
+            mean, _ = _mean_and_se(row)
+            assert np.array_equal(row, (kept - mean) ** 2)
 
 
 def assert_estimates_of_the_one_shot_cohort(config, tau: float, m: int, seed: int) -> None:

@@ -2,6 +2,7 @@
 levels, regret-curve crossings, and the population indifference level."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from screenlab import (
     DomainError,
@@ -259,6 +261,51 @@ class TestThetaBatch:
         for q in (0, 1):
             batch = find_regret_crossings(engineered, np.array(thetas), q)
             assert batch == [getattr(r, f"crossings_q{q}") for r in reports]
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    def test_batch_invariance(self, random_table, data):
+        """Generated property: over baseline, irregular and the 50 frozen
+        configs and 1-9 thetas from each config's standard theta range,
+        every batched root equals its lone call bit for bit, and a permuted
+        batch returns the permuted results."""
+        k = data.draw(st.integers(0, len(random_table) + 1), label="config")
+        if k < 2:
+            config = ModelConfig.from_dict((BASELINE_DOC, IRREGULAR_DOC)[k])
+            signal, pi = config.signal, config.payoffs.pi
+            shift = signal.mu_q[0] - signal.mu_u[0]
+            mean = signal.mu_u[0] + pi * shift
+            sd = float(np.sqrt(signal.sigma_theta**2 + pi * (1.0 - pi) * shift**2))
+            lo, hi = mean - 2.5 * sd, mean + 2.5 * sd
+        else:
+            record = random_table[k - 2]
+            config, lo, hi = record.config, record.theta_grid[0], record.theta_grid[-1]
+        thetas = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=9), label="thetas")
+        order = data.draw(st.permutations(range(len(thetas))), label="order")
+
+        def batched(thetas):
+            thetas = np.array(thetas)
+            return (find_tau_star(config, thetas).tolist(),
+                    list(zip(*find_critical_prejudices(config, thetas))),
+                    find_regret_crossings(config, thetas, 0),
+                    find_regret_crossings(config, thetas, 1),
+                    threshold_report(config, thetas))
+
+        def bits(value):
+            if isinstance(value, float):
+                return value.hex()
+            if dataclasses.is_dataclass(value):
+                value = dataclasses.astuple(value)
+            return [bits(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+        whole = batched(thetas)
+        lone = [[f(config, t) for t in thetas] for f in (
+            find_tau_star, find_critical_prejudices,
+            lambda c, t: find_regret_crossings(c, t, 0),
+            lambda c, t: find_regret_crossings(c, t, 1), threshold_report)]
+        assert bits(whole) == bits(lone)
+        assert bits(batched([thetas[i] for i in order])) == bits(
+            [[field[i] for i in order] for field in whole])
 
     def test_error_names_the_offending_theta(self, baseline):
         with pytest.raises(EndpointResolutionError, match="theta=50.0"):
