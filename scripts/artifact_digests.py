@@ -1,22 +1,27 @@
-"""Print the sha256 of every artifact and stdout of a fixed set of CLI runs,
-then the Monte Carlo tau_bar at a fixed set of seeds.
+"""Print the sha256 of every artifact and stdout of a fixed set of CLI runs
+and of a regenerated frozen config table, then the Monte Carlo tau_bar at a
+fixed set of seeds.
 
 Each run goes through ``screenlab.cli.main`` inside a temporary directory.
 A run that writes to ``--out`` contributes every file it writes except
 ``run_manifest.json``, which holds timestamps; a run without ``--out``
 contributes what it printed.  Lines read ``sha256  run/artifact``, in run
-order and then by artifact name.  After them, one line per seed of
+order and then by artifact name.  Then ``scripts/gen_random_configs.py``
+regenerates the frozen config table in the same temporary directory, and
+its line reads ``sha256  gen-random-configs/random_configs.json``: it equals
+the sha256 of the committed ``tests/data/random_configs.json`` exactly when
+the package still reproduces that table.  After them, one line per seed of
 MC_SEEDS reads ``value standard_error passes  mc-tau-bar/seed-N``, the
 ``repr`` of each float of ``find_tau_bar(baseline, "mc", m=100_000)``.
 
 Running this at two commits and diffing the output shows whether a change
-kept every CLI artifact byte-identical, and every Monte Carlo root and
-standard error bit-identical:
+kept every CLI artifact and the config table byte-identical, and every
+Monte Carlo root and standard error bit-identical:
 
     PYTHONPATH=src python3 scripts/artifact_digests.py > after.txt
     diff before.txt after.txt
 
-The 1e6-row simulate takes most of the few seconds a run needs.
+The config table takes ~4 s of the few seconds a run needs.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -32,6 +38,7 @@ BASELINE = os.path.join(ROOT, "configs", "baseline.json")
 IRREGULAR = os.path.join(ROOT, "configs", "irregular.json")
 OUT = "{out}"  # replaced by the run's own output directory
 MANIFEST = "run_manifest.json"
+GENERATOR = os.path.join(ROOT, "scripts", "gen_random_configs.py")
 
 # run name -> argv; simulate-1m is the benchmark's simulate-1m input at seed 1
 RUNS = {
@@ -80,6 +87,18 @@ def digests(work: str) -> list[str]:
     return lines
 
 
+def config_table(work: str) -> str:
+    """``sha256  gen-random-configs/random_configs.json`` of the table that
+    GENERATOR writes, run by this interpreter with this environment."""
+    path = os.path.join(work, "random_configs.json")
+    done = subprocess.run([sys.executable, GENERATOR, "--out", path],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{GENERATOR} exited {done.returncode}:\n{done.stderr}")
+    with open(path, "rb") as fh:
+        return f"{_sha256(fh.read())}  gen-random-configs/random_configs.json"
+
+
 def mc_tau_bars() -> list[str]:
     """``value standard_error passes  mc-tau-bar/seed-N`` for each seed."""
     from screenlab import ModelConfig, find_tau_bar
@@ -97,6 +116,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for line in digests(work):
             print(line)
+        print(config_table(work))
     for line in mc_tau_bars():
         print(line)
     return 0

@@ -98,8 +98,11 @@ def _require_finite(**fields) -> None:
 class PayoffParams:
     """Payoff environment: prior, hire payoffs, and second-stage cutoff.
 
-    ``beta`` is the score level at which the ex ante payoff equals the
-    cutoff; it is always recomputed from the other fields, never stored.
+    Derived when the instance is built, never passed in:
+
+    - ``beta``: the critical score, the s whose ex ante payoff is exactly c
+    - ``tau_min``, ``tau_max``: the ends of the open prejudice interval
+    - ``log_odds_prior``: log(pi / (1 - pi))
     """
 
     pi: float
@@ -120,30 +123,16 @@ class PayoffParams:
                 f"cutoff c must lie in (-x_u, x_q) = ({-self.x_u}, {self.x_q}), "
                 f"got {self.c}"
             )
+        beta = (self.x_u + self.c) / (self.x_q + self.x_u)
         # beta rounded onto 0 or 1 takes a log of 0; root loops add and subtract taus
-        if not (0.0 < self.beta < 1.0 and math.isfinite(2.0 * (self.x_q + self.x_u))):
-            raise InvalidModelError(f"payoffs too extreme: beta={self.beta!r} must lie in (0, 1) "
+        if not (0.0 < beta < 1.0 and math.isfinite(2.0 * (self.x_q + self.x_u))):
+            raise InvalidModelError(f"payoffs too extreme: beta={beta!r} must lie in (0, 1) "
                                     f"and 2 * (x_q + x_u) be finite, got x_q={self.x_q!r}, "
                                     f"x_u={self.x_u!r}")
-
-    @property
-    def beta(self) -> float:
-        """Critical score: the s with ex ante payoff exactly c."""
-        return (self.x_u + self.c) / (self.x_q + self.x_u)
-
-    @property
-    def tau_min(self) -> float:
-        """Lower endpoint of the open prejudice interval."""
-        return -self.x_u
-
-    @property
-    def tau_max(self) -> float:
-        """Upper endpoint of the open prejudice interval."""
-        return self.x_q
-
-    @property
-    def log_odds_prior(self) -> float:
-        return float(np.log(self.pi) - np.log1p(-self.pi))
+        derived = {"beta": beta, "tau_min": -self.x_u, "tau_max": self.x_q,
+                   "log_odds_prior": float(np.log(self.pi) - np.log1p(-self.pi))}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -178,6 +167,15 @@ class GaussianSignalModel:
     ``mu_q`` and ``mu_u`` are the (theta, gamma) means given Q=1 and Q=0.
     The shared covariance is parameterized by the two standard deviations
     and the correlation ``rho``.
+
+    Derived when the instance is built:
+
+    - ``log_ratio_weights``, ``log_ratio_intercept``: the affine slopes
+      (w_theta, w_gamma) and intercept of the log likelihood ratio
+    - ``theta_slope``, ``theta_midpoint``: the theta-marginal log likelihood
+      ratio is theta_slope * (theta - theta_midpoint)
+    - ``conditional_gamma_sd``: the sd of gamma given theta, the same in
+      both classes
     """
 
     mu_q: tuple[float, float]
@@ -203,56 +201,38 @@ class GaussianSignalModel:
                 f"covariance is not positive definite: rho={self.rho} "
                 "must lie strictly inside (-1, 1)"
             )
+        d_theta, d_gamma = self.mu_q[0] - self.mu_u[0], self.mu_q[1] - self.mu_u[1]
+        mid_theta = 0.5 * (self.mu_q[0] + self.mu_u[0])
+        mid_gamma = 0.5 * (self.mu_q[1] + self.mu_u[1])
+        one_minus = 1.0 - self.rho**2
         try:  # a sigma squared past float's range, or rounded to 0
-            finite = all(np.all(np.isfinite(value)) for value in (
-                self.covariance, self.log_ratio_weights, self.log_ratio_intercept,
-                self.theta_slope, self.theta_midpoint, self.conditional_gamma_sd))
+            cross = self.sigma_theta * self.sigma_gamma
+            w_theta = (d_theta / self.sigma_theta**2 - self.rho * d_gamma / cross) / one_minus
+            w_gamma = (d_gamma / self.sigma_gamma**2 - self.rho * d_theta / cross) / one_minus
+            derived = {
+                "log_ratio_weights": (w_theta, w_gamma),
+                "log_ratio_intercept": -(w_theta * mid_theta + w_gamma * mid_gamma),
+                "theta_slope": d_theta / self.sigma_theta**2,
+                "theta_midpoint": mid_theta,
+                "conditional_gamma_sd": self.sigma_gamma * float(np.sqrt(one_minus)),
+            }
+            finite = all(np.all(np.isfinite(value))
+                         for value in (self.covariance, *derived.values()))
         except (OverflowError, ZeroDivisionError):
             finite = False
         if not finite:
             raise InvalidModelError("signal parameters too extreme: their covariance, log "
                                     "likelihood ratio and theta marginals must be finite")
-
-    # -- derived linear-algebra pieces (cheap, recomputed on demand) ----
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def covariance(self) -> np.ndarray:
+        """The shared 2x2 covariance, a new array on each read."""
         off = self.rho * self.sigma_theta * self.sigma_gamma
         return np.array(
             [[self.sigma_theta**2, off], [off, self.sigma_gamma**2]]
         )
-
-    @property
-    def log_ratio_weights(self) -> tuple[float, float]:
-        """Affine slopes (w_theta, w_gamma) of the log likelihood ratio."""
-        d_theta = self.mu_q[0] - self.mu_u[0]
-        d_gamma = self.mu_q[1] - self.mu_u[1]
-        one_minus = 1.0 - self.rho**2
-        w_theta = (
-            d_theta / self.sigma_theta**2
-            - self.rho * d_gamma / (self.sigma_theta * self.sigma_gamma)
-        ) / one_minus
-        w_gamma = (
-            d_gamma / self.sigma_gamma**2
-            - self.rho * d_theta / (self.sigma_theta * self.sigma_gamma)
-        ) / one_minus
-        return w_theta, w_gamma
-
-    @property
-    def log_ratio_intercept(self) -> float:
-        w_theta, w_gamma = self.log_ratio_weights
-        mid_theta = 0.5 * (self.mu_q[0] + self.mu_u[0])
-        mid_gamma = 0.5 * (self.mu_q[1] + self.mu_u[1])
-        return -(w_theta * mid_theta + w_gamma * mid_gamma)
-
-    @property
-    def theta_slope(self) -> float:
-        """Slope of the theta-marginal log likelihood ratio."""
-        return (self.mu_q[0] - self.mu_u[0]) / self.sigma_theta**2
-
-    @property
-    def theta_midpoint(self) -> float:
-        return 0.5 * (self.mu_q[0] + self.mu_u[0])
 
     def log_likelihood_ratio(self, theta, gamma) -> np.ndarray:
         """log of the joint density ratio h_q / h_u, affine in the signals."""
@@ -272,11 +252,6 @@ class GaussianSignalModel:
         theta = np.asarray(theta, dtype=float)
         return mu[1] + self.rho * (self.sigma_gamma / self.sigma_theta) * (theta - mu[0])
 
-    @property
-    def conditional_gamma_sd(self) -> float:
-        """Standard deviation of gamma given theta (class-independent)."""
-        return self.sigma_gamma * float(np.sqrt(1.0 - self.rho**2))
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -292,10 +267,7 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         validate_mlrp(self.signal).require()
-
-    @property
-    def beta(self) -> float:
-        return self.payoffs.beta
+        object.__setattr__(self, "beta", self.payoffs.beta)  # the payoffs' critical score
 
     # -- serialization (flat JSON document) -----------------------------
 
@@ -387,8 +359,8 @@ def validate_mlrp(signal: GaussianSignalModel) -> MlrpCertificate:
     be strictly positive.
     """
     cov = signal.covariance
-    # The type invariants already force positive definiteness; this guard
-    # protects against a hand-built instance that bypassed them.
+    # The field checks make it positive definite in exact arithmetic, but its
+    # determinant can still round to 0: sigmas of 1e-100 give 1e-400.
     if np.linalg.det(cov) <= 0.0 or cov[0, 0] <= 0.0:
         raise InvalidModelError("signal covariance is not positive definite")
     w_theta, w_gamma = signal.log_ratio_weights

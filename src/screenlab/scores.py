@@ -87,15 +87,11 @@ def acceptance_threshold_T(payoffs: PayoffParams, tau) -> np.ndarray:
 
 
 def log_acceptance_threshold(payoffs: PayoffParams, tau) -> np.ndarray:
-    """log T(tau), assembled term by term so the endpoints do not overflow."""
+    """log T(tau), assembled term by term so the endpoints do not overflow:
+    minus the stored prior log odds, plus log(x_u + tau), minus log(x_q - tau)."""
     tau = np.asarray(tau, dtype=float)
     _require_open_interval(payoffs, tau)
-    return (
-        np.log1p(-payoffs.pi)
-        - np.log(payoffs.pi)
-        + np.log(payoffs.x_u + tau)
-        - np.log(payoffs.x_q - tau)
-    )
+    return -payoffs.log_odds_prior + np.log(payoffs.x_u + tau) - np.log(payoffs.x_q - tau)
 
 
 def gamma1(config: ModelConfig, theta, tau) -> np.ndarray:

@@ -1230,11 +1230,13 @@ def test_readme_python_example_runs(monkeypatch, capsys):
 
 def test_artifact_digest_runs_parse(tmp_path):
     """Every run of scripts/artifact_digests.py is a valid invocation with
-    an existing config, so the byte-identity check cannot rot."""
+    an existing config, and the config table generator it runs exists, so
+    the byte-identity check cannot rot."""
     path = os.path.join(ROOT, "scripts", "artifact_digests.py")
     spec = importlib.util.spec_from_file_location("artifact_digests", path)
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
+    assert os.path.isfile(digests.GENERATOR)
     parser = cli.build_parser()
     for name, template in digests.RUNS.items():
         args = parser.parse_args([str(tmp_path) if a == digests.OUT else a for a in template])

@@ -1,7 +1,7 @@
 """Every module uses each name it imports, src/screenlab reads every private
 name it defines, the tests and scripts close every file they open, only
-two functions of the package fork or start threads, and only one takes a
-sample's spread.
+two functions of the package fork or start threads, only one takes a
+sample's spread, and the model's types hold no recomputing property.
 
 The repository has no linter configured, so these tests parse the modules
 with ``ast``.  One fails on an imported name that its module never
@@ -22,7 +22,11 @@ measured kinds of concurrency to their one site each: only
 ``thresholds._sampled_losses`` builds a ``ThreadPoolExecutor`` (no function
 builds a ``threading.Thread``).  The last pins the Monte Carlo estimate
 to its one site: no function but ``population._mean_and_se`` calls a
-``std`` or ``var`` method or numpy's ``std`` or ``var``.
+``std`` or ``var`` method or numpy's ``std`` or ``var``.  And the model's
+three types compute their derived constants once, when they are built:
+none of ``PayoffParams``, ``GaussianSignalModel`` and ``ModelConfig``
+defines a property but ``GaussianSignalModel.covariance``, which returns a
+new array on each read.
 """
 from __future__ import annotations
 
@@ -298,3 +302,51 @@ def test_tests_and_scripts_open_files_only_in_with_items():
         if lines:
             unclosed[os.path.relpath(path, ROOT)] = lines
     assert unclosed == {}
+
+
+def class_properties(source: str) -> set[tuple[str, str]]:
+    """(class, name) of each property a top-level class of ``source``
+    defines: a method under a decorator, or a name assigned a call, whose
+    last dotted part is ``property`` or ``cached_property``."""
+    kinds = {"property", "cached_property"}
+
+    def kind(node) -> str | None:
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = set()
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.ClassDef):
+            continue
+        for node in top.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(kind(decorator) in kinds for decorator in node.decorator_list):
+                    found.add((top.name, node.name))
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if kind(node.value) in kinds:
+                    found.update((top.name, target.id) for target in node.targets
+                                 if isinstance(target, ast.Name))
+    return found
+
+
+def test_scan_finds_properties():
+    source = (
+        "import functools\nfrom functools import cached_property\n"
+        "class A:\n    @property\n    def a(self):\n        return 1\n"
+        "    @functools.cached_property\n    def b(self):\n        return 2\n"
+        "    @staticmethod\n    def c():\n        return 3\n"
+        "    d = property(lambda self: 4)\n    e = len([5])\n"
+        "class B:\n    @cached_property\n    def f(self):\n        return 6\n"
+        "@property\ndef g():\n    return 7\n"
+    )
+    assert class_properties(source) == {("A", "a"), ("A", "b"), ("A", "d"), ("B", "f")}
+
+
+def test_model_types_derive_their_constants_once():
+    """Every derived constant of the three model types is stored when the
+    instance is built, so no score call re-derives one on each read."""
+    with open(os.path.join(ROOT, "src/screenlab/model.py"), encoding="utf-8") as fh:
+        found = class_properties(fh.read())
+    model_types = {"PayoffParams", "GaussianSignalModel", "ModelConfig"}
+    assert {site for site in found if site[0] in model_types} == {
+        ("GaussianSignalModel", "covariance")}

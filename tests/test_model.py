@@ -1,7 +1,10 @@
 """Config validation, the likelihood-ratio certificate, and posteriors."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,13 +17,16 @@ from screenlab import (
     ModelConfig,
     PayoffParams,
     UnsupportedModelError,
+    expected_regret,
     likelihood_ratio,
     marginal_posterior_phi,
     posterior_kappa,
     require_increasing_phi,
     validate_mlrp,
 )
-from conftest import BASELINE_DOC, EXTREME_CONFIGS, HUGE_INT_TEXT, NONMONOTONE_PHI_DOC
+from conftest import (
+    BASELINE_DOC, EXTREME_CONFIGS, HUGE_INT_TEXT, IRREGULAR_DOC, NONMONOTONE_PHI_DOC,
+)
 
 
 class TestPayoffParams:
@@ -127,6 +133,110 @@ class TestSignalModel:
             signal.conditional_gamma_sd,
             atol=0.025,
         )
+
+
+def accessor_values(config: ModelConfig) -> dict:
+    """Each derived constant of ``config``'s three types, keyed by (type,
+    name), written as the accessors that recomputed it on every read wrote
+    it, so a stored value can be checked bit for bit."""
+    p, s = config.payoffs, config.signal
+    d_theta = s.mu_q[0] - s.mu_u[0]
+    d_gamma = s.mu_q[1] - s.mu_u[1]
+    one_minus = 1.0 - s.rho**2
+    w_theta = (
+        d_theta / s.sigma_theta**2 - s.rho * d_gamma / (s.sigma_theta * s.sigma_gamma)
+    ) / one_minus
+    w_gamma = (
+        d_gamma / s.sigma_gamma**2 - s.rho * d_theta / (s.sigma_theta * s.sigma_gamma)
+    ) / one_minus
+    mid_theta = 0.5 * (s.mu_q[0] + s.mu_u[0])
+    mid_gamma = 0.5 * (s.mu_q[1] + s.mu_u[1])
+    beta = (p.x_u + p.c) / (p.x_q + p.x_u)
+    return {
+        ("PayoffParams", "beta"): beta,
+        ("PayoffParams", "tau_min"): -p.x_u,
+        ("PayoffParams", "tau_max"): p.x_q,
+        ("PayoffParams", "log_odds_prior"): float(np.log(p.pi) - np.log1p(-p.pi)),
+        ("GaussianSignalModel", "log_ratio_weights"): (w_theta, w_gamma),
+        ("GaussianSignalModel", "log_ratio_intercept"): -(w_theta * mid_theta + w_gamma * mid_gamma),
+        ("GaussianSignalModel", "theta_slope"): (s.mu_q[0] - s.mu_u[0]) / s.sigma_theta**2,
+        ("GaussianSignalModel", "theta_midpoint"): 0.5 * (s.mu_q[0] + s.mu_u[0]),
+        ("GaussianSignalModel", "conditional_gamma_sd"):
+            s.sigma_gamma * float(np.sqrt(1.0 - s.rho**2)),
+        ("ModelConfig", "beta"): beta,
+    }
+
+
+def owners(config: ModelConfig) -> dict:
+    """``config`` and its two parts by type name."""
+    return {type(obj).__name__: obj for obj in (config.payoffs, config.signal, config)}
+
+
+def stored_values(config: ModelConfig) -> dict:
+    """The values ``config``'s three types hold, keyed as accessor_values."""
+    return {(owner, name): getattr(owners(config)[owner], name)
+            for owner, name in accessor_values(config)}
+
+
+def bits(value) -> bytes:
+    """The float64 bytes of a float or a tuple of floats: 0.0 and -0.0 differ."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestDerivedOnce:
+    """Each type computes its derived constants once, when it is built, and
+    stores them beside its fields."""
+
+    def test_stored_values_equal_the_closed_forms_bit_for_bit(self, baseline, random_table):
+        configs = [baseline, ModelConfig.from_dict(IRREGULAR_DOC)]
+        configs += [record.config for record in random_table]
+        for config in configs:
+            stored = stored_values(config)
+            for key, value in accessor_values(config).items():
+                assert type(stored[key]) is type(value), key
+                assert bits(stored[key]) == bits(value), (key, config)
+
+    def test_stored_beside_the_fields_and_not_as_fields(self, baseline):
+        for (owner, name), value in stored_values(baseline).items():
+            instance = owners(baseline)[owner]
+            assert name in vars(instance), (owner, name)
+            assert name not in {field.name for field in dataclasses.fields(instance)}
+            assert not isinstance(value, np.ndarray), (owner, name)
+
+    def test_fields_alone_make_equality_hash_repr_and_tuple(self, baseline):
+        payoffs = baseline.payoffs
+        assert dataclasses.astuple(payoffs) == (0.4, 1.0, 1.0, 0.0)
+        assert repr(payoffs) == "PayoffParams(pi=0.4, x_q=1.0, x_u=1.0, c=0.0)"
+        twin = ModelConfig.from_dict(BASELINE_DOC)
+        assert twin == baseline and hash(twin) == hash(baseline)
+        assert baseline.to_dict() == BASELINE_DOC
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_the_stored_values(self, baseline, copier):
+        clone = copier(baseline)
+        assert clone == baseline
+        assert {key: bits(v) for key, v in stored_values(clone).items()} == {
+            key: bits(v) for key, v in stored_values(baseline).items()}
+
+    def test_replace_derives_afresh(self, baseline):
+        signal = dataclasses.replace(baseline.signal, rho=0.3)
+        payoffs = dataclasses.replace(baseline.payoffs, c=0.2)
+        config = ModelConfig(payoffs, signal)
+        assert payoffs.beta == 0.6 and config.beta == 0.6
+        assert signal.log_ratio_weights != baseline.signal.log_ratio_weights
+        assert signal.conditional_gamma_sd != baseline.signal.conditional_gamma_sd
+        for key, value in accessor_values(config).items():
+            assert bits(stored_values(config)[key]) == bits(value), key
+
+    def test_covariance_is_a_new_array_on_each_read(self, baseline):
+        signal = baseline.signal
+        assert signal.covariance is not signal.covariance
+        certificate, regret = validate_mlrp(signal), expected_regret(baseline, 0.1)
+        signal.covariance[:] = [[1.0, 5.0], [5.0, 1.0]]  # indefinite, were it kept
+        assert validate_mlrp(signal) == certificate
+        assert bits(expected_regret(baseline, 0.1)) == bits(regret)
+        np.testing.assert_array_equal(signal.covariance, np.eye(2))
 
 
 class TestCertificate:

@@ -15,6 +15,7 @@ from scipy.stats import norm
 from screenlab import (
     DomainError,
     ModelConfig,
+    PayoffParams,
     acceptance_threshold_T,
     bisect_monotone,
     clamped_tau_interval,
@@ -55,6 +56,24 @@ class TestAcceptanceThreshold:
             [acceptance_threshold_T(baseline.payoffs, t) for t in taus]
         )
         assert np.all(np.diff(values) > 0)
+
+    def test_log_threshold_equals_its_four_terms_bit_for_bit(self):
+        """log T reads the stored prior log odds; negating them gives the
+        bits of log(1 - pi) - log(pi), so every cutoff keeps its bits."""
+        rng = np.random.default_rng(28)
+        pis = np.concatenate([rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-300, -1, 100),
+                              1.0 - 10.0 ** rng.uniform(-16, -1, 100)])
+        for pi in pis:
+            x_q, x_u = 10.0 ** rng.uniform(-3, 3, 2)
+            payoffs = PayoffParams(pi=pi, x_q=x_q, x_u=x_u,
+                                   c=rng.uniform(0.05, 0.95) * (x_q + x_u) - x_u)
+            taus = -x_u + (x_q + x_u) * rng.uniform(1e-6, 1.0 - 1e-6, 16)
+            for tau in (taus, float(taus[0]), taus[1:2].reshape(())):
+                terms = (np.log1p(-payoffs.pi) - np.log(payoffs.pi)
+                         + np.log(payoffs.x_u + tau) - np.log(payoffs.x_q - tau))
+                got = log_acceptance_threshold(payoffs, tau)
+                assert type(got) is type(terms)
+                assert np.asarray(got).tobytes() == np.asarray(terms).tobytes(), (payoffs, tau)
 
     def test_clamp_interval_scales_with_payoffs(self):
         config = ModelConfig.from_dict({**BASELINE_DOC, "x_q": 3.0, "x_u": 2.0})
