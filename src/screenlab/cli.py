@@ -12,15 +12,23 @@ Conventions shared by all subcommands:
   ``repr`` gives, so reruns with identical inputs produce byte-identical
   CSV bodies; CSV floats are written by orjson, and by ``repr`` only
   where orjson's layout differs from it;
+* CSV rows are rendered as UTF-8 bytes, ``CSV_CHUNK_ROWS`` at a time, each
+  chunk one join of tokens that carry their own separators: a float
+  column's cells in row order, or the distinct texts of a coded column
+  (ints, bools, strings, masked cells and floats whose bits repeat),
+  adjacent coded columns merged into one token per row while their
+  distinct texts are few.  A stage1.csv row is theta's digits and one of
+  at most six suffixes, such as ``,1,0\\n``;
 * ``sweep``'s scores.csv and regret.csv and ``simulate``'s stage1.csv are
   started as soon as their columns exist: on POSIX systems with more
   than one CPU available, one child per CPU, or per ``CSV_CHUNK_ROWS``
   chunk where the table has fewer, is forked to format one contiguous
-  range of it while the later stages run.  They are collected as UTF-8
-  pieces, the header and then one per range, which are written and
-  hashed piece by piece, never joined, decoded or encoded again.  Every
-  other CSV is rendered in process, and every other artifact is encoded
-  once.  The bytes do not depend on the split, and no option selects it;
+  range of it while the later stages run.  They are collected as the
+  bytes pieces rendered, the header and then one per range, which are
+  written and hashed piece by piece, never joined, decoded or encoded.
+  Every other CSV is rendered in process and decoded once, and every
+  other artifact is encoded once.  The bytes do not depend on the split,
+  and no option selects it;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
   recording the config digest, seeds, command line, and output hashes;
@@ -184,54 +192,69 @@ def _all_distinct(keys: np.ndarray) -> bool:
     return bool((ordered[1:] != ordered[:-1]).all())
 
 
-def _float_text(values: np.ndarray) -> list[str]:
-    """Shortest round-trip text of each float64 of ``values``, as ``repr``.
+def _float_text(values: np.ndarray, sep: bytes) -> list[bytes]:
+    """Shortest round-trip text of each float64 of ``values``, as ``repr``
+    writes it, each followed by ``sep``, as UTF-8 bytes.
 
     One ``orjson.dumps`` call writes the whole array, with the shortest
     digits that round-trip, as ``repr`` chooses them, and in ``repr``'s
-    layout where that is positional, 1e-4 <= |v| < 1e16.  Every other
-    value, which orjson writes in another exponent form or as ``null``
-    (NaN, infinities), and the zeros and subnormals, is formatted by
-    ``repr`` itself.
+    layout where that is positional, 1e-4 <= |v| < 1e16.  One replace puts
+    ``sep`` and a NUL after every cell and one split on the NULs cuts the
+    cells out; with no ``sep``, one split on the commas.  Every other value,
+    which orjson writes in another exponent form or as ``null`` (NaN,
+    infinities), and the zeros and subnormals, is formatted by ``repr``
+    itself.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not len(values):
         return []  # "[]" would split into one empty cell
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    blob = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    text = (blob.replace(b",", sep + b"\0") + sep).split(b"\0") if sep else blob.split(b",")
     size = np.abs(values)
     # a NaN fails both comparisons, so it is outside too
     outside = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))
-    for i, value in zip(outside.tolist(), values[outside].tolist()):
-        text[i] = repr(value)
+    if len(outside):
+        # joined and encoded once, and cut as the orjson text is
+        end = sep.decode()
+        fixed = ((end + "\0").join(map(repr, values[outside].tolist())) + end).encode()
+        for i, cell in zip(outside.tolist(), fixed.split(b"\0")):
+            text[i] = cell
     return text
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """Text of each cell of one column chunk; masked cells are empty.
+def _cells(column: np.ndarray, sep: bytes) -> tuple[list[bytes], np.ndarray | None]:
+    """Text of each cell of one column chunk, followed by ``sep``: as
+    (texts, None), one text per row, or coded, as (texts, codes), the text
+    of row i being ``texts[codes[i]]``.  A masked cell is the bare ``sep``.
 
-    Each distinct value is formatted once and its text gathered by the
-    inverse index.  Floats are told apart by their bits, not their value,
-    so ``-0.0`` keeps its sign, and written by ``_float_text``.  An
-    unmasked float chunk in which no bits repeat is returned as
-    ``_float_text`` formats it in row order: there a gather would only
-    slow the row join.  A masked chunk always takes the gather, which
-    loses nothing: the masked cells of a column given with None all hold
-    the bits of 0.0, so no two of them are distinct.
+    An unmasked float chunk in which no bits repeat is formatted by
+    ``_float_text`` in row order.  Every other chunk is coded: each
+    distinct value is formatted once.  Floats are told apart by their bits,
+    not their value, so ``-0.0`` keeps its sign.  A one-byte integer or
+    bool chunk is coded by its offset from its least value, with no sort.
+    A masked chunk always takes a code, which loses nothing: the masked
+    cells of a column given with None all hold the bits of 0.0, so no two
+    of them are distinct.
     """
     values = np.ma.getdata(column)
-    if values.dtype.kind == "b":
-        values = values.astype(np.int8)
     floats = values.dtype.kind == "f"
     keys = values.view(np.int64) if floats else values
     mask = np.ma.getmaskarray(column)
     if floats and not mask.any() and _all_distinct(keys):
-        return _float_text(values)
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    text = (_float_text(distinct.view(values.dtype)) if floats
-            else [str(v) for v in distinct.tolist()])
-    cells = np.array(text, dtype=object)[inverse]
-    cells[mask] = ""
-    return cells.tolist()
+        return _float_text(values, sep), None
+    if values.dtype.kind in "biu" and values.dtype.itemsize == 1:
+        codes = values.astype(np.intp)
+        least = int(codes.min())
+        codes -= least
+        texts = [b"%d" % v + sep for v in range(least, least + int(codes.max()) + 1)]
+    else:
+        distinct, codes = np.unique(keys, return_inverse=True)
+        texts = (_float_text(distinct.view(values.dtype), sep) if floats
+                 else [str(v).encode() + sep for v in distinct.tolist()])
+    if mask.any():
+        codes += mask * (len(texts) - codes)  # a third of a boolean setitem's time
+        texts.append(sep)
+    return texts, codes
 
 
 def _columns(columns) -> list[np.ndarray]:
@@ -245,17 +268,49 @@ def _columns(columns) -> list[np.ndarray]:
     return arrays
 
 
-def _render_rows(columns, start: int, stop: int) -> str:
-    """CSV lines of rows [start, stop), formatted ``CSV_CHUNK_ROWS`` at a time."""
+def _render_rows(columns, start: int, stop: int) -> bytes:
+    """CSV lines of rows [start, stop) as UTF-8, formatted ``CSV_CHUNK_ROWS``
+    at a time.
+
+    A chunk is one join of tokens, each the text of a cell and its
+    separator, row by row.  The chunk's columns are formatted right to
+    left: a column followed by a coded one of few texts leaves its
+    separator to the front of those texts, where it costs one concatenation
+    per text, not one per row.  Adjacent coded columns are merged into one
+    token per row while the product of their distinct texts stays small:
+    stage1.csv's ``accepted`` and ``q_label`` are one of at most six
+    suffixes, such as ``,1,0\\n``, after each theta's bare digits.
+    """
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    # the most texts a coded run may have to take a separator or a merge:
+    # a merged run's texts are built whether or not they occur
+    few = 1024
     chunks = []
     for lo in range(start, stop, CSV_CHUNK_ROWS):
-        cells = [_cells(column[lo:min(lo + CSV_CHUNK_ROWS, stop)]) for column in columns]
-        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(chunks)
+        hi = min(lo + CSV_CHUNK_ROWS, stop)
+        runs: list[tuple[list[bytes], np.ndarray | None]] = []  # right to left
+        for column, sep in zip(reversed(columns), reversed(seps)):
+            coded_next = bool(runs) and runs[-1][1] is not None and len(runs[-1][0]) <= few
+            texts, codes = _cells(column[lo:hi], b"" if coded_next else sep)
+            if coded_next:
+                tail, tail_codes = runs.pop()
+                tail = [sep + text for text in tail]
+                if codes is not None and len(texts) * len(tail) <= few:
+                    texts, codes = ([text + end for text in texts for end in tail],
+                                    codes * len(tail) + tail_codes)
+                else:
+                    runs.append((tail, tail_codes))
+            runs.append((texts, codes))
+        tokens = [b""] * (len(runs) * (hi - lo))
+        for i, (texts, codes) in enumerate(reversed(runs)):
+            tokens[i::len(runs)] = (texts if codes is None
+                                    else np.array(texts, dtype=object)[codes].tolist())
+        chunks.append(b"".join(tokens))
+    return b"".join(chunks)
 
 
 def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader] | None:
-    """Fork a child that writes rows [start, stop) to a pipe as UTF-8.
+    """Fork a child that writes the bytes of rows [start, stop) to a pipe.
 
     Returns the child's pid and the pipe's read end, or None when the fork
     fails.  The child leaves by ``os._exit``, never returning into the
@@ -278,7 +333,7 @@ def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(_render_rows(columns, start, stop).encode("utf-8"))
+                pipe.write(_render_rows(columns, start, stop))
             status = 0
         finally:
             os._exit(status)
@@ -327,8 +382,7 @@ def _start_csv(header: list[str], columns) -> Iterator[Callable[[], list[bytes]]
         for i, span in enumerate(ranges):
             piece = _child_bytes(*children[i]) if children[i] else None
             children[i] = None  # reaped
-            pieces.append(_render_rows(columns, *span).encode("utf-8") if piece is None
-                          else piece)
+            pieces.append(_render_rows(columns, *span) if piece is None else piece)
         return pieces
 
     try:
@@ -352,13 +406,14 @@ def render_csv(header: list[str], columns) -> str:
     Floats are written in shortest round-trip form, as ``repr`` writes
     them, by ``_float_text``; integers and bools as integers, strings as
     given; masked cells and None are empty.  No cell needs quoting: the
-    package writes no commas, quotes or newlines inside a cell.  Rows go
-    out ``CSV_CHUNK_ROWS`` at a time, and each distinct value of a chunk's
-    column is formatted once; floats are told apart by their bits, so
-    ``0.0`` and ``-0.0`` keep their text.
+    package writes no commas, quotes or newlines inside a cell.  Rows are
+    rendered as bytes ``CSV_CHUNK_ROWS`` at a time by ``_render_rows`` and
+    decoded once, and each distinct value of a chunk's column is formatted
+    once; floats are told apart by their bits, so ``0.0`` and ``-0.0``
+    keep their text.
     """
     columns = _columns(columns)
-    return ",".join(header) + "\n" + _render_rows(columns, 0, len(columns[0]))
+    return ",".join(header) + "\n" + _render_rows(columns, 0, len(columns[0])).decode()
 
 
 def render_json(doc) -> str:

@@ -279,6 +279,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ModelConfig":
+        if not isinstance(doc, dict):
+            raise InvalidModelError("config document must be a JSON object")
         missing = [k for k in cls._FIELDS if k not in doc]
         if missing:
             raise InvalidModelError(f"config is missing keys: {', '.join(missing)}")
@@ -342,8 +344,6 @@ def load_config(path) -> tuple[ModelConfig, str]:
         ) from exc
     except ValueError as exc:  # e.g. an integer past int's digit limit
         raise InvalidModelError(f"config parse error in {path!r}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidModelError("config document must be a JSON object")
     return ModelConfig.from_dict(doc), hashlib.sha256(raw).hexdigest()
 
 

@@ -790,9 +790,9 @@ class TestCsvByteOracle:
         # every value handed to the float formatter, in call order
         handed, float_text = [], cli._float_text
 
-        def spying(values):
+        def spying(values, sep):
             handed.extend(np.asarray(values).tolist())
-            return float_text(values)
+            return float_text(values, sep)
 
         monkeypatch.setattr(cli, "_float_text", spying)
         column = np.linspace(-1.0, 1.0, 10_000) ** 3
@@ -848,15 +848,72 @@ class TestCsvByteOracle:
 
     def test_float_text_of_no_values_is_empty(self):
         # orjson writes an empty array as "[]", which splits into one empty cell
-        assert cli._float_text(np.array([])) == []
+        for sep in (b",", b"\n", b""):
+            assert cli._float_text(np.array([]), sep) == []
 
     def test_float_text_formats_float64(self):
         """A narrower or strided input is widened to contiguous float64
-        first, so its text is that of the float64 value."""
+        first, so its text is that of the float64 value, followed by the
+        separator."""
         narrow = np.array([0.1, 3e-5, 1e20], dtype=np.float32)
-        assert cli._float_text(narrow) == [repr(v) for v in narrow.astype(np.float64).tolist()]
         strided = np.linspace(0.0, 1.0, 9)[::2]
-        assert cli._float_text(strided) == [repr(v) for v in strided.tolist()]
+        for sep in (b",", b"\n", b""):
+            assert cli._float_text(narrow, sep) == [
+                repr(v).encode() + sep for v in narrow.astype(np.float64).tolist()]
+            assert cli._float_text(strided, sep) == [
+                repr(v).encode() + sep for v in strided.tolist()]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 4, 64])
+    def test_adjacent_coded_columns_merged(self, monkeypatch, chunk_rows):
+        """Adjacent coded columns, a string, a bool, a masked int8, an int
+        spanning -7 to 2**40 and floats whose bits repeat, share one token
+        per row while the product of their distinct texts stays small."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        floats, ints, flags, labels, _, names = mixed_table()[1]
+        rows = zip(names, flags, [None if gone else int(v) for v, gone in
+                                  zip(labels.data, labels.mask)], ints, floats)
+        got = render_csv(["name", "b", "label", "i", "f"], [names, flags, labels, ints, floats])
+        assert_same_text(got, reference_csv(["name", "b", "label", "i", "f"], rows))
+        assert "\ns2,0,,-7,-0.0\n" in got
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    def test_coded_last_column(self, monkeypatch, chunk_rows):
+        """The newline rides the last column's coded texts, and a masked
+        last cell leaves the bare newline."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        floats = np.linspace(-1.0, 1.0, 7) ** 3
+        labels = np.ma.MaskedArray(np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.int8),
+                                   mask=[False, True, False, False, True, False, True])
+        got = render_csv(["f", "label"], [floats, labels])
+        want = reference_csv(["f", "label"], zip(
+            floats, [None if gone else int(v) for v, gone in zip(labels.data, labels.mask)]))
+        assert_same_text(got, want)
+        assert got.endswith(repr(1.0) + ",\n")
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    def test_all_columns_coded(self, monkeypatch, chunk_rows):
+        """A table with no row-order column: strings, bools, a masked int8,
+        wide ints and a float column whose bits repeat."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        _, ints, flags, labels, _, names = mixed_table()[1]
+        repeated = np.tile([0.5, -0.0, np.nan], 4)[:len(ints)]
+        rows = zip(repeated, ints, flags,
+                   [None if gone else int(v) for v, gone in zip(labels.data, labels.mask)],
+                   names)
+        header = ["r", "i", "b", "label", "name"]
+        got = render_csv(header, [repeated, ints, flags, labels, names])
+        assert_same_text(got, reference_csv(header, rows))
+
+    def test_one_row_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1)
+        header, columns, want = mixed_table()
+        assert_same_text(render_csv(header, columns), want)
+
+    def test_header_only_table(self):
+        header = ["f", "i", "name", "opt"]
+        columns = [np.array([]), np.array([], dtype=np.int64), np.array([], dtype=str), []]
+        assert render_csv(header, columns) == reference_csv(header, []) == "f,i,name,opt\n"
+        assert cli._render_rows(cli._columns(columns), 0, 0) == b""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_chunk_ranges_rendered_in_process(self, forked, cpus):
@@ -1015,12 +1072,12 @@ class TestStartedCsv:
         forks = forked(3)
         parent, cells = os.getpid(), cli._cells
 
-        def failing_in_children(column):
+        def failing_in_children(column, sep):
             if os.getpid() != parent:
                 if death == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError("child failed")
-            return cells(column)
+            return cells(column, sep)
 
         monkeypatch.setattr(cli, "_cells", failing_in_children)
         header, columns, want = mixed_table()
@@ -1040,10 +1097,10 @@ class TestStartedCsv:
                 raise OSError("no process left")
             return fork()
 
-        def failing_in_parent(column):
+        def failing_in_parent(column, sep):
             if os.getpid() == parent:
                 raise MemoryError("parent failed")
-            return cells(column)
+            return cells(column, sep)
 
         monkeypatch.setattr(os, "fork", first_fails)
         monkeypatch.setattr(cli, "_cells", failing_in_parent)
@@ -1071,7 +1128,8 @@ class TestStartedCsv:
         with cli._start_csv(header, columns) as collect:
             assert len(forks) == 2
             got = joined(collect())
-        assert_same_text(got, ",".join(header) + "\n" + cli._render_rows(columns, 0, rows))
+        want = ",".join(header) + "\n" + cli._render_rows(columns, 0, rows).decode()
+        assert_same_text(got, want)
         assert_no_child_left()
 
     def test_simulate_stage1_splits_over_two_cpus(self, forked, monkeypatch, config_path,
@@ -1122,10 +1180,13 @@ class TestStartedCsv:
 
 class TestEntryPoint:
     def test_console_script_runs(self, config_path):
+        # the checkout's src/ first, so the module runs without an install
+        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "screenlab.cli", "validate",
              "--config", config_path],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "accepted" in proc.stdout

@@ -8,8 +8,12 @@ failure:``.  No other exception and no RuntimeWarning may escape.
 
 The configs are the baseline with one to three fields, or entries of a
 mean pair, replaced by extreme finite floats or by values of the wrong
-type, and whole documents that are no config at all.  The examples are
-derandomized, so every run tries the same configs.
+type, and whole documents that are no config at all.  The same contract
+holds at the API: ``ModelConfig.from_dict`` returns a config or raises a
+ScreeningError, also on values no JSON document holds (ints past float's
+range, NaN, numpy scalars, bytes, tuples, complex numbers) and on a
+document that is no mapping.  The examples are derandomized, so every run
+tries the same configs.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from screenlab import ScreeningError
+from screenlab import InvalidModelError, ModelConfig, ScreeningError
 from screenlab.cli import main
 from screenlab.model import load_config
 from conftest import BASELINE_DOC, EXTREME_CONFIGS, HUGE_INT_TEXT
@@ -35,6 +39,10 @@ SLOTS = [(key, None) for key in BASELINE_DOC] + [
 EXTREMES = [1e-320, -1e-320, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308, 0.0, 1.0]
 WRONG_TYPES = ["1.0", True, None, [1.0]]
 THETAS = ["0", "3", "40", "-40"]
+# values a Python caller can pass and a JSON document cannot hold
+PYTHON_ONLY = [10**400, -10**400, math.inf, math.nan, np.float64("nan"), np.int64(3),
+               b"1", {"theta": 1.0}, (0.5, 0.25), 1 + 2j]
+NON_MAPPINGS = [None, 3, [], "x"]
 
 WHOLE_DOCUMENTS = {
     "list": b"[1, 2]",
@@ -116,3 +124,29 @@ def test_whole_documents_keep_the_contract(config_file, name):
     with pytest.raises(ScreeningError):
         load_config(config_file)
     check_contract(config_file, "0")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(doc=st.lists(
+    st.tuples(st.sampled_from(SLOTS), st.sampled_from(EXTREMES + WRONG_TYPES + PYTHON_ONLY)),
+    min_size=1, max_size=3,
+).map(replaced) | st.sampled_from(NON_MAPPINGS))
+@example(doc=None)
+@example(doc=3)
+@example(doc=[])
+@example(doc="x")
+def test_from_dict_keeps_the_contract(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            config = ModelConfig.from_dict(doc)
+        except ScreeningError:
+            return
+    assert 0.0 < config.beta < 1.0
+    assert np.all(np.isfinite(config.signal.log_ratio_weights))
+
+
+@pytest.mark.parametrize("doc", NON_MAPPINGS, ids=repr)
+def test_from_dict_refuses_a_document_that_is_no_mapping(doc):
+    with pytest.raises(InvalidModelError, match="config document must be a JSON object"):
+        ModelConfig.from_dict(doc)

@@ -321,6 +321,75 @@ def oracle_expected_regret(config, algo, tau: float, tol=1e-8, max_panels=200):
     return float(integral - expected_p), accepted, panels
 
 
+def mp_expected_regret_s1(config, tau: float, mp):
+    """E[u(s1)] at one tau to 30 digits, with ``mp`` mpmath's context: the
+    model rebuilt in mpmath from the config's fields, its integral of
+    N(s1) times the mixture density by ``mp.quad`` over the package's 9
+    double edges, less E[p] above a breakpoint bisected to 30 digits.
+
+    Where the theta step over which a class's z-score moves by one is under
+    1/512 of the range, points are added around the crossing of the cutoff
+    and each class's gamma mean, up to 8 steps out: on WEAK_GAMMA_DOC the
+    step is 1e-3, and tanh-sinh over the 8 panels alone misses the
+    integral there by ~1e-6."""
+    with mp.workdps(30):
+        payoffs, signal = config.payoffs, config.signal
+        pi, x_q, x_u, c, tau, sd_theta, sd_gamma, rho = map(mp.mpf, (
+            payoffs.pi, payoffs.x_q, payoffs.x_u, payoffs.c, tau,
+            signal.sigma_theta, signal.sigma_gamma, signal.rho))
+        means = [[mp.mpf(v) for v in mu] for mu in (signal.mu_q, signal.mu_u)]
+        beta = (x_u + c) / (x_q + x_u)
+        det = (sd_theta * sd_gamma) ** 2 * (1 - rho**2)
+        inv = mp.matrix([[sd_gamma**2, -rho * sd_theta * sd_gamma],
+                         [-rho * sd_theta * sd_gamma, sd_theta**2]]) / det
+        mu_q, mu_u = (mp.matrix(mu) for mu in means)
+        w = inv * (mu_q - mu_u)
+        b = -((mu_q.T * inv * mu_q)[0] - (mu_u.T * inv * mu_u)[0]) / 2
+        log_t = mp.log((1 - pi) * (x_u + tau)) - mp.log(pi * (x_q - tau))
+        slope = rho * sd_gamma / sd_theta  # of gamma's conditional mean in theta
+        sd = sd_gamma * mp.sqrt(1 - rho**2)
+
+        def s1_and_mixture(theta):
+            cutoff = (log_t - b - w[0] * theta) / w[1]
+            dens = [pk * mp.npdf(theta, mu[0], sd_theta)
+                    for pk, mu in ((pi, means[0]), (1 - pi, means[1]))]
+            tails = [d * mp.ncdf((mu[1] + slope * (theta - mu[0]) - cutoff) / sd)
+                     for d, mu in zip(dens, means)]
+            return tails[0] / (tails[0] + tails[1]), dens[0] + dens[1]
+
+        def integrand(theta):
+            s1, mixture = s1_and_mixture(theta)
+            return (s1 * x_q - (1 - s1) * x_u) * mixture
+
+        lo = min(signal.mu_q[0], signal.mu_u[0]) - 10.0 * signal.sigma_theta
+        hi = max(signal.mu_q[0], signal.mu_u[0]) + 10.0 * signal.sigma_theta
+        edges = [mp.mpf(e) for e in np.linspace(lo, hi, 9)]
+        rate = slope + w[0] / w[1]  # of the cutoff's gap to a class's gamma mean
+        step = sd / rate  # the theta step that moves a z-score by one
+        crossings = [((log_t - b) / w[1] - mu[1] + slope * mu[0]) / rate for mu in means]
+        points = sorted(set(edges) | {
+            x for cross in crossings for j in (-8, -4, -2, -1, 0, 1, 2, 4, 8)
+            if step < (hi - lo) / 512 and edges[0] < (x := cross + j * step) < edges[-1]})
+        integral = mp.quad(integrand, points)
+
+        def gap(theta):
+            return s1_and_mixture(theta)[0] - beta
+
+        left, right = edges[0], edges[-1]
+        if gap(left) > 0:
+            point = left
+        elif gap(right) <= 0:
+            point = right
+        else:
+            for _ in range(110):  # 2**-110 of the range: past 30 digits
+                mid = (left + right) / 2
+                left, right = (left, mid) if gap(mid) > 0 else (mid, right)
+            point = left
+        mass_q, mass_u = (mp.ncdf((edges[-1] - mu[0]) / sd_theta)
+                          - mp.ncdf((point - mu[0]) / sd_theta) for mu in means)
+        return integral - (x_q * pi * mass_q - x_u * (1 - pi) * mass_u)
+
+
 class TestExpectedRegret:
     def test_reference_values(self, baseline):
         s1, s2 = expected_regret(baseline, 0.0)
@@ -479,3 +548,33 @@ class TestExpectedRegret:
         config = ModelConfig.from_dict(NONMONOTONE_PHI_DOC)
         with pytest.raises(UnsupportedModelError):
             expected_regret(config, 0.0)
+
+    def test_s1_average_matches_a_30_digit_route(self, baseline, irregular_config,
+                                                  monkeypatch):
+        """E[u(s1)] against ``mp_expected_regret_s1`` at four taus of
+        baseline and irregular, whose eight panels meet the tolerance, and
+        at two weak-gamma taus that refine.  The bounds are the measured
+        errors, rounded up: 8.5e-16 over the first eight, and 4.2e-10 and
+        5.5e-11 at the refining taus, whose panels stop once their error
+        estimates sum below QUAD_TOL = 1e-8."""
+        mp = pytest.importorskip("mpmath").mp
+        refined = []
+        refine = regret._refine
+
+        def counting(f, tau, panels):
+            refined.append(tau)
+            return refine(f, tau, panels)
+
+        monkeypatch.setattr(regret, "_refine", counting)
+        weak_gamma = ModelConfig.from_dict(WEAK_GAMMA_DOC)
+        taus = np.linspace(*clamped_tau_interval(weak_gamma.payoffs), 41)[[5, 30]]
+        assert taus[1] == REFINING[1]
+        cases = [(config, tau, 1e-15) for config in (baseline, irregular_config)
+                 for tau in (-0.9, -0.4, 0.0, 0.6)]
+        cases += [(weak_gamma, tau, 5e-10) for tau in taus]
+        for config, tau, bound in cases:
+            refined.clear()
+            got = expected_regret(config, tau)[0]
+            assert bool(refined) == (config is weak_gamma), tau
+            error = abs(mp.mpf(got) - mp_expected_regret_s1(config, tau, mp))
+            assert error <= bound, (tau, error)
