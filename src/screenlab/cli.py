@@ -12,23 +12,24 @@ Conventions shared by all subcommands:
   ``repr`` gives, so reruns with identical inputs produce byte-identical
   CSV bodies; CSV floats are written by orjson, and by ``repr`` only
   where orjson's layout differs from it;
-* CSV rows are rendered as UTF-8 bytes, ``CSV_CHUNK_ROWS`` at a time, each
-  chunk one join of tokens that carry their own separators: a float
-  column's cells in row order, or the distinct texts of a coded column
-  (ints, bools, strings, masked cells and floats whose bits repeat),
-  adjacent coded columns merged into one token per row while their
-  distinct texts are few.  A stage1.csv row is theta's digits and one of
-  at most six suffixes, such as ``,1,0\\n``;
+* CSV rows are rendered as UTF-8 bytes, ``CSV_CHUNK_ROWS`` at a time.  A
+  chunk whose first column is a float and whose other columns merge into
+  one coded run of few texts, as stage1.csv's do, is one orjson blob whose
+  separators become the row's text: theta's digits and one of at most six
+  suffixes, such as ``,1,0\\n``.  Every other chunk is one join of tokens
+  that carry their own separators: a float column's cells in row order, or
+  the distinct texts of a coded column (ints, bools, strings, masked cells
+  and floats whose bits repeat), adjacent coded columns merged into one
+  token per row while their distinct texts are few;
 * ``sweep``'s scores.csv and regret.csv and ``simulate``'s stage1.csv are
   started as soon as their columns exist: on POSIX systems with more
-  than one CPU available, one child per CPU, or per ``CSV_CHUNK_ROWS``
-  chunk where the table has fewer, is forked to format one contiguous
-  range of it while the later stages run.  They are collected as the
-  bytes pieces rendered, the header and then one per range, which are
-  written and hashed piece by piece, never joined, decoded or encoded.
-  Every other CSV is rendered in process and decoded once, and every
-  other artifact is encoded once.  The bytes do not depend on the split,
-  and no option selects it;
+  than one CPU available, one child per table is forked to render it,
+  write it to its temp file in ``--out`` and hash exactly those bytes
+  while the later stages run, and it sends back only their sha256 and
+  size.  Where the fork or the child fails, the table is rendered, written
+  and hashed in process; the bytes are the same, and no option selects
+  either.  Every other CSV is rendered in process and decoded once, and
+  every other artifact is encoded once, for its file and its hash;
 * files are written atomically (temp file, then rename) and every output
   directory receives exactly one ``run_manifest.json``, written last,
   recording the config digest, seeds, command line, and output hashes;
@@ -47,7 +48,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from time import perf_counter
@@ -171,25 +172,38 @@ SCHEMAS: dict[str, list[tuple[str, str]]] = {
 # Small serialization helpers
 # =====================================================================
 
-def write_atomic(path: str, pieces: list[bytes]) -> None:
-    """Write the bytes ``pieces``, in order, to a temp file and rename it to ``path``."""
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp file and rename it to ``path``."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.writelines(pieces)
+        fh.write(data)
     os.replace(tmp, path)
 
 
 # Rows are formatted this many at a time, so a 1e6-row file never holds a
-# Python string per cell for the whole table at once; and a range holds
-# whole chunks, so this is also the least a forked range renders: sweep's
-# 33,600-row regret.csv (21 thetas) is three chunks, split over two CPUs.
+# Python string per cell for the whole table at once, and a started table's
+# child writes and hashes each chunk as it is rendered: at most one chunk's
+# text is held.
 CSV_CHUNK_ROWS = 16_384
+
+# the most texts a coded run after a float column may have for the chunk to
+# take the blob route: each is a control byte, 0x01 to 0x08, while the blob
+# is assembled
+_BLOB_CODES = 8
 
 
 def _all_distinct(keys: np.ndarray) -> bool:
     """Whether no key repeats: one sort and a neighbour compare."""
     ordered = np.sort(keys)
     return bool((ordered[1:] != ordered[:-1]).all())
+
+
+def _repr_outside(values: np.ndarray) -> np.ndarray:
+    """Indices of the floats orjson does not write as ``repr`` does: all
+    but 1e-4 <= |v| < 1e16, so the zeros, subnormals, NaNs (which fail both
+    comparisons) and infinities too."""
+    size = np.abs(values)
+    return np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))
 
 
 def _float_text(values: np.ndarray, sep: bytes) -> list[bytes]:
@@ -210,9 +224,7 @@ def _float_text(values: np.ndarray, sep: bytes) -> list[bytes]:
         return []  # "[]" would split into one empty cell
     blob = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     text = (blob.replace(b",", sep + b"\0") + sep).split(b"\0") if sep else blob.split(b",")
-    size = np.abs(values)
-    # a NaN fails both comparisons, so it is outside too
-    outside = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))
+    outside = _repr_outside(values)
     if len(outside):
         # joined and encoded once, and cut as the orjson text is
         end = sep.decode()
@@ -220,6 +232,42 @@ def _float_text(values: np.ndarray, sep: bytes) -> list[bytes]:
         for i, cell in zip(outside.tolist(), fixed.split(b"\0")):
             text[i] = cell
     return text
+
+
+def _blob_rows(values: np.ndarray, texts: list[bytes], codes: np.ndarray) -> bytes:
+    """CSV lines of a chunk whose first column is the floats ``values`` and
+    whose other columns are one coded run: row i is the text of
+    ``values[i]`` followed by ``texts[codes[i]]``, which starts with the
+    first column's separator.
+
+    One ``orjson.dumps`` writes the floats as ``[v0,v1,...]``.  The byte
+    after each cell, a ``,`` or the closing ``]``, is set to its row's code
+    plus one, a control byte orjson never writes; the ``repr`` text of each
+    cell ``_float_text`` would fix up is spliced in between the bytes that
+    bound it; then one ``bytes.replace`` per code that occurs puts in its
+    text.  ``texts`` holds at most ``_BLOB_CODES`` texts.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    buf = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY),
+                        dtype=np.uint8).copy()
+    buf[-1] = ord(",")
+    ends = np.flatnonzero(buf == ord(","))  # the byte after each cell
+    buf[ends] = codes + 1
+    body = buf[1:].tobytes()  # no "["; a cell's end is one byte earlier here
+    outside = _repr_outside(values)
+    if len(outside):
+        stops = ends[outside] - 1
+        starts = np.where(outside > 0, ends[outside - 1], 0)
+        pieces, done = [], 0
+        for start, stop, value in zip(starts.tolist(), stops.tolist(),
+                                      values[outside].tolist()):
+            pieces += (body[done:start], repr(value).encode())
+            done = stop
+        pieces.append(body[done:])
+        body = b"".join(pieces)
+    for code in np.flatnonzero(np.bincount(codes, minlength=len(texts))).tolist():
+        body = body.replace(bytes((code + 1,)), texts[code])
+    return body
 
 
 def _cells(column: np.ndarray, sep: bytes) -> tuple[list[bytes], np.ndarray | None]:
@@ -268,30 +316,39 @@ def _columns(columns) -> list[np.ndarray]:
     return arrays
 
 
-def _render_rows(columns, start: int, stop: int) -> bytes:
-    """CSV lines of rows [start, stop) as UTF-8, formatted ``CSV_CHUNK_ROWS``
-    at a time.
+def _render_rows(columns) -> Iterator[bytes]:
+    """CSV lines of every row of ``columns`` as UTF-8, one bytes per
+    ``CSV_CHUNK_ROWS`` chunk, in row order.
 
-    A chunk is one join of tokens, each the text of a cell and its
-    separator, row by row.  The chunk's columns are formatted right to
-    left: a column followed by a coded one of few texts leaves its
-    separator to the front of those texts, where it costs one concatenation
-    per text, not one per row.  Adjacent coded columns are merged into one
-    token per row while the product of their distinct texts stays small:
-    stage1.csv's ``accepted`` and ``q_label`` are one of at most six
-    suffixes, such as ``,1,0\\n``, after each theta's bare digits.
+    A chunk's columns are formatted right to left: a column followed by a
+    coded one of few texts leaves its separator to the front of those
+    texts, where it costs one concatenation per text, not one per row.
+    Adjacent coded columns are merged into one token per row while the
+    product of their distinct texts stays small: stage1.csv's ``accepted``
+    and ``q_label`` are one of at most six suffixes, such as ``,1,0\\n``.
+    A chunk whose first column is an unmasked float and whose other
+    columns merge into one run of at most ``_BLOB_CODES`` texts, as
+    stage1.csv's do, is assembled from one orjson blob by ``_blob_rows``.
+    Every other chunk is one join of tokens, each the text of a cell, or of
+    a merged run, and its separator, row by row.
     """
     seps = [b","] * (len(columns) - 1) + [b"\n"]
     # the most texts a coded run may have to take a separator or a merge:
     # a merged run's texts are built whether or not they occur
     few = 1024
-    chunks = []
-    for lo in range(start, stop, CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, stop)
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         runs: list[tuple[list[bytes], np.ndarray | None]] = []  # right to left
-        for column, sep in zip(reversed(columns), reversed(seps)):
+        for i in reversed(range(len(columns))):
+            column, sep = columns[i][lo:lo + CSV_CHUNK_ROWS], seps[i]
             coded_next = bool(runs) and runs[-1][1] is not None and len(runs[-1][0]) <= few
-            texts, codes = _cells(column[lo:hi], b"" if coded_next else sep)
+            if (i == 0 and coded_next and len(runs) == 1
+                    and len(runs[0][0]) <= _BLOB_CODES
+                    and column.dtype.kind == "f" and not np.ma.is_masked(column)):
+                tail, tail_codes = runs[0]
+                yield _blob_rows(np.ma.getdata(column), [sep + text for text in tail],
+                                 tail_codes)
+                break
+            texts, codes = _cells(column, b"" if coded_next else sep)
             if coded_next:
                 tail, tail_codes = runs.pop()
                 tail = [sep + text for text in tail]
@@ -301,24 +358,40 @@ def _render_rows(columns, start: int, stop: int) -> bytes:
                 else:
                     runs.append((tail, tail_codes))
             runs.append((texts, codes))
-        tokens = [b""] * (len(runs) * (hi - lo))
-        for i, (texts, codes) in enumerate(reversed(runs)):
-            tokens[i::len(runs)] = (texts if codes is None
-                                    else np.array(texts, dtype=object)[codes].tolist())
-        chunks.append(b"".join(tokens))
-    return b"".join(chunks)
+        else:  # no blob: the token route
+            tokens = [b""] * (len(runs) * len(column))
+            for i, (texts, codes) in enumerate(reversed(runs)):
+                tokens[i::len(runs)] = (texts if codes is None
+                                        else np.array(texts, dtype=object)[codes].tolist())
+            yield b"".join(tokens)
 
 
-def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader] | None:
-    """Fork a child that writes the bytes of rows [start, stop) to a pipe.
+def _write_csv(path: str, head: bytes, columns) -> tuple[str, int]:
+    """Write ``head`` and then the CSV lines of ``columns`` to ``path``,
+    each chunk as it is rendered; the sha256 hex digest and size of exactly
+    the bytes written."""
+    digest, size = hashlib.sha256(head), len(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for chunk in _render_rows(columns):
+            fh.write(chunk)
+            digest.update(chunk)
+            size += len(chunk)
+    return digest.hexdigest(), size
+
+
+def _fork_write(path: str, head: bytes, columns) -> tuple[int, io.BufferedReader] | None:
+    """Fork a child that writes a CSV to ``path`` by ``_write_csv`` and
+    sends its report down a pipe: the 32-byte sha256 and the size as 8
+    big-endian bytes.
 
     Returns the child's pid and the pipe's read end, or None when the fork
     fails.  The child leaves by ``os._exit``, never returning into the
-    caller or flushing its stdio: status 0 once the text is written, 1 on
+    caller or flushing its stdio: status 0 once the report is sent, 1 on
     any exception.  A fork copies only the calling thread, which is safe
     here because the child calls no BLAS (whose threads it would lack),
-    only orjson's single-threaded ``dumps``, ``repr``, sorts and
-    ``tolist``; a spawned child would instead pay a fresh import and a
+    only orjson's single-threaded ``dumps``, ``repr``, sorts, ``tolist``
+    and hashlib; a spawned child would instead pay a fresh import and a
     copy of the columns.
     """
     read_fd, write_fd = os.pipe()
@@ -332,71 +405,67 @@ def _fork_render(columns, start: int, stop: int) -> tuple[int, io.BufferedReader
         status = 1
         try:
             os.close(read_fd)
+            digest, size = _write_csv(path, head, columns)
             with open(write_fd, "wb") as pipe:
-                pipe.write(_render_rows(columns, start, stop))
+                pipe.write(bytes.fromhex(digest) + size.to_bytes(8, "big"))
             status = 0
         finally:
             os._exit(status)
-    # closed before the next fork, so only this child holds the write end
-    # and the parent sees EOF when it exits
+    # closed here, so the parent sees EOF when the child exits
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
 
-def _child_bytes(pid: int, pipe: io.BufferedReader) -> bytes | None:
-    """The bytes a forked child sent, read to EOF, or None when it failed.
-
-    Reaps the child.
-    """
+def _child_report(pid: int, pipe: io.BufferedReader) -> tuple[str, int] | None:
+    """The (sha256 hex digest, size) a forked child sent, or None when it
+    failed or its report is short.  Reaps the child."""
     with pipe:
-        data = pipe.read()
-    return data if os.waitpid(pid, 0)[1] == 0 else None
+        report = pipe.read()
+    if os.waitpid(pid, 0)[1] != 0 or len(report) != 40:
+        return None
+    return report[:32].hex(), int.from_bytes(report[32:], "big")
 
 
 @contextmanager
-def _start_csv(header: list[str], columns) -> Iterator[Callable[[], list[bytes]]]:
-    """Start rendering the CSV text of ``render_csv``; yield its collector.
+def _start_csv(path: str, header: list[str],
+               columns) -> Iterator[Callable[[], tuple[str, int]]]:
+    """Start writing the CSV text of ``render_csv`` to ``path + ".tmp"``;
+    yield its collector.
 
-    The table is split into one contiguous range of chunks per available
-    CPU.  Where more than one is available, a child is forked here for
-    every range and formats it while the caller goes on.  The collector
-    walks the ranges in order: each takes its child's bytes, and a range
-    with no child (one CPU, or a failed fork) or whose child failed is
-    rendered in process, so the bytes never depend on the split.  It
-    returns the text as UTF-8 pieces, the header line and then one per
-    range, never joined or decoded, so collecting holds the text's bytes
-    about once.  Leaving the ``with`` block, even by a raise, stops and
-    reaps every child not yet collected.
+    Where more than one CPU is available, one child is forked here, which
+    renders every row, writes the temp file and hashes exactly those bytes
+    while the caller goes on, and sends back only their sha256 and size.
+    The collector returns that (hex digest, size) once the temp file is
+    seen to have that size.  With one CPU, a failed fork, or a child that
+    raised, was killed or sent a short or bad report, it renders, writes
+    and hashes in process instead: the bytes are the same either way.
+    Leaving the ``with`` block, even by a raise, stops and reaps a child
+    not yet collected; the caller removes or renames the temp file.
     """
     columns = _columns(columns)
-    rows = len(columns[0])
-    chunks = -(-rows // CSV_CHUNK_ROWS)
-    cpus = _available_cpus() if hasattr(os, "fork") else 1
-    parts = max(1, min(cpus, chunks))
-    bounds = [CSV_CHUNK_ROWS * (chunks * i // parts) for i in range(parts)] + [rows]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    children: list[tuple[int, io.BufferedReader] | None] = [None] * len(ranges)
+    tmp = path + ".tmp"
+    head = (",".join(header) + "\n").encode("utf-8")
+    child = (_fork_write(tmp, head, columns)
+             if hasattr(os, "fork") and _available_cpus() > 1 else None)
 
-    def collect() -> list[bytes]:
-        pieces = [(",".join(header) + "\n").encode("utf-8")]
-        for i, span in enumerate(ranges):
-            piece = _child_bytes(*children[i]) if children[i] else None
-            children[i] = None  # reaped
-            pieces.append(_render_rows(columns, *span) if piece is None else piece)
-        return pieces
+    def collect() -> tuple[str, int]:
+        nonlocal child
+        report = _child_report(*child) if child else None
+        child = None  # reaped
+        if report is None or os.path.getsize(tmp) != report[1]:
+            report = _write_csv(tmp, head, columns)
+        return report
 
     try:
-        for i, (start, stop) in enumerate(ranges if cpus > 1 else ()):
-            children[i] = _fork_render(columns, start, stop)
         yield collect
     finally:
-        # only a raise or an uncalled collector leaves children: stop, reap
-        if any(children):
+        # only a raise or an uncalled collector leaves the child: stop, reap
+        if child:
             from signal import SIGKILL
-            for pid, pipe in filter(None, children):
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+            pid, pipe = child
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def render_csv(header: list[str], columns) -> str:
@@ -412,8 +481,7 @@ def render_csv(header: list[str], columns) -> str:
     once; floats are told apart by their bits, so ``0.0`` and ``-0.0``
     keep their text.
     """
-    columns = _columns(columns)
-    return ",".join(header) + "\n" + _render_rows(columns, 0, len(columns[0])).decode()
+    return ",".join(header) + "\n" + b"".join(_render_rows(_columns(columns))).decode()
 
 
 def render_json(doc) -> str:
@@ -433,20 +501,20 @@ class RunManifest:
     )
 
     def write(
-        self, out_dir: str, artifacts: dict[str, list[bytes]],
+        self, out_dir: str, artifacts: dict[str, bytes | tuple[str, int]],
         timings: dict | None = None,
     ) -> None:
-        """Hash ``artifacts``, the bytes pieces just written to ``out_dir``
-        by name, into ``run_manifest.json``, piece by piece as
-        ``write_atomic`` wrote them, and write it as UTF-8 JSON; ``timings``
-        maps a stage name to its seconds and is recorded when given."""
+        """Record ``artifacts``, the files just written to ``out_dir`` by
+        name, in ``run_manifest.json``, written as UTF-8 JSON: each as the
+        sha256 hex digest and size of its bytes, or of a started table, as
+        the (digest, size) its writer reported.  ``timings`` maps a stage
+        name to its seconds and is recorded when given."""
         entries = []
         for name in sorted(artifacts):
-            digest, size = hashlib.sha256(), 0
-            for piece in artifacts[name]:
-                digest.update(piece)
-                size += len(piece)
-            entries.append({"name": name, "sha256": digest.hexdigest(), "bytes": size})
+            data = artifacts[name]
+            digest, size = ((hashlib.sha256(data).hexdigest(), len(data))
+                            if isinstance(data, bytes) else data)
+            entries.append({"name": name, "sha256": digest, "bytes": size})
         doc = {
             "tool": "screenlab",
             "version": __version__,
@@ -461,7 +529,7 @@ class RunManifest:
         if timings is not None:
             doc["timings"] = timings
         write_atomic(os.path.join(out_dir, "run_manifest.json"),
-                     [render_json(doc).encode("utf-8")])
+                     render_json(doc).encode("utf-8"))
 
 
 # =====================================================================
@@ -543,6 +611,11 @@ def _csv(name: str, columns) -> str:
     return render_csv(_header(name), columns)
 
 
+def _started(args, name: str, columns):
+    """``_start_csv`` of artifact ``name`` of ``--out``."""
+    return _start_csv(os.path.join(args.out, name), _header(name), columns)
+
+
 def _field_columns(name: str, records) -> list[list]:
     """Columns of ``name`` read from the same-named fields of ``records``."""
     return [[getattr(r, column) for r in records] for column, _ in SCHEMAS[name]]
@@ -550,7 +623,7 @@ def _field_columns(name: str, records) -> list[list]:
 
 # =====================================================================
 # Subcommands: each maps (config, args, lap) to {artifact name: text},
-# a rendered-ahead CSV's text given as its UTF-8 pieces.
+# a started CSV given as the (sha256, size) of the temp file it wrote.
 # lap(stage) records the seconds since the previous lap; a command that
 # laps gets a ``timings`` block in its manifest.
 # =====================================================================
@@ -611,7 +684,7 @@ def cmd_regret(config, args, lap) -> dict[str, str]:
     }
 
 
-def cmd_sweep(config, args, lap) -> dict[str, str | list[bytes]]:
+def cmd_sweep(config, args, lap) -> dict[str, str | tuple[str, int]]:
     thetas = _theta_values(args)
     tau_grid = _tau_grid(config, args.tau_grid)
     # tau_bar and the average regret need phi rising in theta: fail before
@@ -619,14 +692,14 @@ def cmd_sweep(config, args, lap) -> dict[str, str | list[bytes]]:
     env_doc = asdict(classify_environment(config))
     with ExitStack() as renders:
         scores = renders.enter_context(
-            _start_csv(_header("scores.csv"), score_table(config, thetas, tau_grid))
+            _started(args, "scores.csv", score_table(config, thetas, tau_grid))
         )
         # every theta's thresholds are rooted once, and its curves jump there
         reports = threshold_report(config, np.array(thetas))
         critical = ([r.tau_d1 for r in reports], [r.tau_d2 for r in reports])
         regret_columns, jump_docs = _regret_outputs(config, thetas, (0, 1), tau_grid, critical)
-        regret = renders.enter_context(_start_csv(_header("regret.csv"), regret_columns))
-        # the children format both tables while these run
+        regret = renders.enter_context(_started(args, "regret.csv", regret_columns))
+        # the children write both tables while these run
         bar = find_tau_bar(config, "analytic")
         averages = expected_regret(config, tau_grid)
         return {
@@ -645,7 +718,7 @@ def cmd_sweep(config, args, lap) -> dict[str, str | list[bytes]]:
         }
 
 
-def cmd_simulate(config, args, lap) -> dict[str, str | list[bytes]]:
+def cmd_simulate(config, args, lap) -> dict[str, str | tuple[str, int]]:
     tau = _required(args, "tau")
     # the checks of the later stages' inputs, with their messages, made
     # before any applicant is sampled; the classification is closed form
@@ -663,9 +736,8 @@ def cmd_simulate(config, args, lap) -> dict[str, str | list[bytes]]:
     # the MC regret stage below is the run's memory peak, and it samples
     # its own cohort: the first one is not needed past stage one
     del population
-    # the children format stage1.csv while binning and MC regret run
-    with _start_csv(_header("stage1.csv"),
-                    [data.theta, data.accepted, data.q_label]) as stage1:
+    # the child writes stage1.csv while binning and MC regret run
+    with _started(args, "stage1.csv", [data.theta, data.accepted, data.q_label]) as stage1:
         lap("stage_one_s")
         bins = empirical_scores(data, args.bins)
         lap("binning_s")
@@ -727,10 +799,33 @@ COMMANDS = {
 }
 
 
+def _make_out(out: str) -> list[str]:
+    """Create the directory ``out`` and any missing parents; return the
+    directories this made, deepest first.  DomainError when ``out`` names a
+    file or cannot be created."""
+    made, path = [], os.path.abspath(out)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot create output directory {out!r}: "
+                          f"{exc.strerror or exc}") from exc
+    return made
+
+
 def run(args, argv: list[str]) -> int:
     """Print schemas, or load the config, run the command and print its
     artifact or write every artifact and the manifest, which records
-    ``argv``, to ``--out``."""
+    ``argv``, to ``--out``.
+
+    ``--out`` is created before the command runs, since a started table's
+    child writes its temp file there; each temp file is renamed into place
+    with the other artifacts.  A failed or interrupted run removes every
+    temp file of the command's artifacts, and a directory it created, with
+    what it wrote there; a directory that existed keeps its earlier files.
+    """
     command = COMMANDS[args.command]
     if command.artifacts and args.schema:
         _print_schema(command.artifacts)
@@ -747,20 +842,35 @@ def run(args, argv: list[str]) -> int:
         clock.append(perf_counter())
         timings[stage] = clock[-1] - clock[-2]
 
-    texts = command.fn(config, args, lap)
     if not out:
-        for text in texts.values():
+        for text in command.fn(config, args, lap).values():
             print(text, end="")
         return EXIT_OK
-    os.makedirs(out, exist_ok=True)
-    # each text is encoded once, for its file and its hash
-    artifacts = {name: [text.encode("utf-8")] if isinstance(text, str) else text
-                 for name, text in texts.items()}
-    for name, pieces in artifacts.items():
-        write_atomic(os.path.join(out, name), pieces)
-    if timings:
-        lap("write_s")
-    manifest.write(out, artifacts, timings or None)
+    made = _make_out(out)
+    try:
+        artifacts = {}
+        for name, text in command.fn(config, args, lap).items():
+            path = os.path.join(out, name)
+            if isinstance(text, str):
+                # encoded once, for its file and its hash
+                artifacts[name] = text.encode("utf-8")
+                write_atomic(path, artifacts[name])
+            else:
+                os.replace(path + ".tmp", path)
+                artifacts[name] = text
+        if timings:
+            lap("write_s")
+        manifest.write(out, artifacts, timings or None)
+    except BaseException:
+        for name in (*command.artifacts, "run_manifest.json"):
+            path = os.path.join(out, name)
+            for stale in (path + ".tmp", path) if made else (path + ".tmp",):
+                if os.path.lexists(stale):
+                    os.remove(stale)
+        for path in made:
+            with suppress(OSError):  # not empty: another process wrote there
+                os.rmdir(path)
+        raise
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -126,6 +127,23 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def existing_out(tmp_path):
+    """An output directory that holds an earlier run's stage1.csv and
+    scores.csv and a file of the user's."""
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for name in ("stage1.csv", "scores.csv", "notes.txt"):
+        (kept / name).write_bytes(b"earlier " + name.encode())
+    return kept
+
+
+def assert_left_as_found(kept) -> None:
+    """``existing_out``'s directory holds its earlier files and no temp file."""
+    assert sorted(os.listdir(kept)) == ["notes.txt", "scores.csv", "stage1.csv"]
+    for name in os.listdir(kept):
+        assert read_bytes(kept / name) == b"earlier " + name.encode()
 
 
 def run_failing(argv, error) -> None:
@@ -495,14 +513,17 @@ class TestSweep:
             raise error("stopped")
 
         monkeypatch.setattr(cli, "find_tau_bar", failing)
-        out = tmp_path / "out"
-        run_failing([
-            "sweep", "--config", config_path, "--theta=-0.5,0.5",
-            "--tau-grid=-0.8:0.8:9", "--out", str(out),
-        ], error)
+        argv = ["sweep", "--config", config_path, "--theta=-0.5,0.5", "--tau-grid=-0.8:0.8:9"]
+        out = tmp_path / "new" / "out"
+        run_failing(argv + ["--out", str(out)], error)
+        assert len(forks) == 2  # one child per started table
+        assert_no_child_left()
+        assert not (tmp_path / "new").exists()
+        kept = existing_out(tmp_path)
+        run_failing(argv + ["--out", str(kept)], error)
         assert len(forks) == 4
         assert_no_child_left()
-        assert not out.exists()
+        assert_left_as_found(kept)
 
     def test_irregular_tau_bar_null(self, tmp_path):
         path = tmp_path / "irr.json"
@@ -634,20 +655,24 @@ class TestSimulate:
             raise error("stopped")
 
         monkeypatch.setattr(cli, "mc_average_regret", failing)
-        out = tmp_path / "out"
-        run_failing([
-            "simulate", "--config", config_path, "--tau", "0.0",
-            "--m", "2000", "--seed", "1", "--out", str(out),
-        ], error)
+        argv = ["simulate", "--config", config_path, "--tau", "0.0", "--m", "2000",
+                "--seed", "1"]
+        out = tmp_path / "new" / "out"
+        run_failing(argv + ["--out", str(out)], error)
+        assert len(forks) == 1  # stage1.csv's one child
+        assert_no_child_left()
+        assert not (tmp_path / "new").exists()
+        kept = existing_out(tmp_path)
+        run_failing(argv + ["--out", str(kept)], error)
         assert len(forks) == 2
         assert_no_child_left()
-        assert not out.exists()
+        assert_left_as_found(kept)
 
     @needs_fork
     def test_manifest_hashes_every_file_written(self, config_path, tmp_path, monkeypatch,
                                                 forked):
-        """stage1.csv is written and hashed from the children's pieces, the
-        small tables and the JSON from their texts; each entry is the file's."""
+        """stage1.csv is written and hashed by its child, the small tables
+        and the JSON from their texts; each entry is the file's."""
         forks = forked(2)
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
         out = tmp_path / "out"
@@ -655,7 +680,7 @@ class TestSimulate:
             "simulate", "--config", config_path, "--tau", "0.0", "--m", "40000",
             "--seed", "4", "--out", str(out),
         ]) == 0
-        assert len(forks) == 2
+        assert len(forks) == 1
         manifest = json.loads(read_text(out / "run_manifest.json"))
         artifacts = sorted(cli.COMMANDS["simulate"].artifacts)
         assert sorted(os.listdir(out)) == sorted([*artifacts, "run_manifest.json"])
@@ -708,6 +733,17 @@ def mixed_table():
         optional, names,
     )
     return header, [floats, ints, flags, labels, optional, names], reference_csv(header, rows)
+
+
+def stage1_table(theta, accepted, qualified):
+    """(header, columns, reference text) of a stage1.csv-shaped table: the
+    float ``theta``, the bool ``accepted`` and an int8 label masked where
+    not accepted."""
+    labels = np.ma.MaskedArray(qualified.astype(np.int8), mask=~accepted)
+    rows = zip(theta, accepted, [int(q) if hired else None
+                                 for q, hired in zip(qualified, accepted)])
+    header = ["theta", "accepted", "q_label"]
+    return header, [theta, accepted, labels], reference_csv(header, rows)
 
 
 class TestCsvByteOracle:
@@ -909,11 +945,88 @@ class TestCsvByteOracle:
         header, columns, want = mixed_table()
         assert_same_text(render_csv(header, columns), want)
 
+    @pytest.fixture()
+    def blob_chunks(self, monkeypatch):
+        """The rows of every chunk rendered by the blob route, in call order."""
+        rows, blob_rows = [], cli._blob_rows
+
+        def counting(values, texts, codes):
+            rows.append(len(values))
+            return blob_rows(values, texts, codes)
+
+        monkeypatch.setattr(cli, "_blob_rows", counting)
+        return rows
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 64])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.5e-05, 2e+16, np.nan, np.inf])
+    def test_blob_fix_ups_match_the_row_writer(self, monkeypatch, blob_chunks, value,
+                                               chunk_rows):
+        """Each value that ``repr`` writes in another form than orjson does,
+        at the first, a middle and the last row of every chunk of a
+        stage1.csv-shaped table, is spliced in by the blob route."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        rows = 21
+        theta = np.linspace(0.25, 2.5, rows) * np.where(np.arange(rows) % 3, 1.0, -1.0)
+        for lo in range(0, rows, chunk_rows):
+            hi = min(lo + chunk_rows, rows)
+            theta[[lo, (lo + hi) // 2, hi - 1]] = value
+        accepted = np.arange(rows) % 4 != 1
+        header, columns, want = stage1_table(theta, accepted, np.arange(rows) % 3 == 0)
+        assert_same_text(render_csv(header, columns), want)
+        assert blob_chunks == [min(chunk_rows, rows - lo) for lo in range(0, rows, chunk_rows)]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5])
+    def test_blob_all_rejected_chunk(self, monkeypatch, blob_chunks, chunk_rows):
+        """A chunk of rejected applicants has one suffix, ``,0,\\n``; so has
+        one of accepted qualified ones, ``,1,1\\n``."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        theta = np.linspace(-1.5, 1.5, 15) ** 3
+        accepted = np.arange(15) >= 10
+        header, columns, want = stage1_table(theta, accepted, accepted)
+        got = render_csv(header, columns)
+        assert_same_text(got, want)
+        assert got.count(",0,\n") == 10 and got.count(",1,1\n") == 5
+        assert sum(blob_chunks) == 15
+
+    @pytest.mark.parametrize("rows", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                      2 * CHUNK_ROWS])
+    def test_blob_chunk_edges(self, blob_chunks, rows):
+        """At the package's chunk size, tables one row short of, at and past
+        a chunk edge: every chunk takes the blob route."""
+        config = ModelConfig.from_dict(BASELINE_DOC)
+        data = run_stage_one(config, sample_population(config, rows, 21), 0.0)
+        header, columns, want = stage1_table(data.theta, data.accepted, data.q_label.data == 1)
+        assert_same_text(render_csv(header, columns), want)
+        assert blob_chunks == [min(CHUNK_ROWS, rows - lo) for lo in range(0, rows, CHUNK_ROWS)]
+
+    @pytest.mark.parametrize("distinct", [8, 9])
+    def test_blob_route_takes_at_most_eight_texts(self, monkeypatch, blob_chunks, distinct):
+        """A float column followed by one coded run of eight texts takes
+        the blob route, codes 0x01 to 0x08; of nine, the token route."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 64)
+        floats = np.linspace(-3.0, 3.0, 40) ** 3
+        ints = (np.arange(40) * 7 % distinct).astype(np.int8)
+        got = render_csv(["f", "i"], [floats, ints])
+        assert_same_text(got, reference_csv(["f", "i"], zip(floats, ints)))
+        assert blob_chunks == ([40] if distinct <= cli._BLOB_CODES else [])
+
+    @given(rows=st.lists(st.tuples(FLOATS, st.booleans(), st.booleans()), min_size=1,
+                         max_size=200),
+           chunk=st.integers(1, 8))
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    def test_stage1_tables_match_the_row_writer(self, rows, chunk):
+        theta, accepted, qualified = (np.array(column) for column in zip(*rows))
+        header, columns, want = stage1_table(theta.astype(np.float64), accepted, qualified)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+            got = render_csv(header, columns)
+        assert_same_text(got, want)
+
     def test_header_only_table(self):
         header = ["f", "i", "name", "opt"]
         columns = [np.array([]), np.array([], dtype=np.int64), np.array([], dtype=str), []]
         assert render_csv(header, columns) == reference_csv(header, []) == "f,i,name,opt\n"
-        assert cli._render_rows(cli._columns(columns), 0, 0) == b""
+        assert list(cli._render_rows(cli._columns(columns))) == []
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_chunk_ranges_rendered_in_process(self, forked, cpus):
@@ -1006,40 +1119,44 @@ class TestCsvByteOracle:
             assert_same_text(read_text(os.path.join(out, name)), reference_csv(header, rows))
 
 
-def joined(pieces: list[bytes]) -> str:
-    """The text of a started render's UTF-8 pieces."""
-    assert all(isinstance(piece, bytes) for piece in pieces)
-    return b"".join(pieces).decode("utf-8")
+def started_csv(path, header, columns) -> str:
+    """The text a table started to ``path`` wrote to its temp file, whose
+    sha256 and size its collector reports."""
+    with cli._start_csv(str(path), header, columns) as collect:
+        report = collect()
+    return reported_text(path, report)
 
 
-def started_csv(header, columns) -> str:
-    with cli._start_csv(header, columns) as collect:
-        return joined(collect())
+def reported_text(path, report) -> str:
+    """The text of ``path``'s temp file, once ``report`` is its sha256 and size."""
+    blob = read_bytes(str(path) + ".tmp")
+    assert report == (hashlib.sha256(blob).hexdigest(), len(blob))
+    return blob.decode("utf-8")
 
 
 @needs_fork
 class TestStartedCsv:
-    """A render started ahead of its collection writes render_csv's bytes."""
+    """A table started ahead of its collection writes render_csv's bytes to
+    its temp file and reports their sha256 and size."""
 
-    @pytest.mark.parametrize("cpus,chunk_rows,ranges", [
-        (1, 3, 0), (2, 3, 2), (3, 3, 3), (1, 64, 0), (2, 64, 1),
-    ])
-    def test_every_range_forked_at_start(self, forked, monkeypatch, cpus, chunk_rows,
-                                         ranges):
+    @pytest.mark.parametrize("cpus,chunk_rows", [(1, 3), (2, 3), (3, 3), (1, 64), (2, 64)])
+    def test_one_child_per_table_at_start(self, forked, monkeypatch, tmp_path, cpus,
+                                          chunk_rows):
+        """One child writes the whole table, whatever the CPU and chunk
+        counts; with one CPU none is forked."""
         forks = forked(cpus)
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         header, columns, want = mixed_table()
-        with cli._start_csv(header, columns) as collect:
-            assert len(forks) == ranges
-            pieces = collect()
-        # the header, then one piece per range
-        assert len(pieces) == 1 + max(ranges, 1)
-        got = joined(pieces)
+        path = tmp_path / "t.csv"
+        with cli._start_csv(str(path), header, columns) as collect:
+            assert len(forks) == (cpus > 1)
+            report = collect()
+        got = reported_text(path, report)
         assert_same_text(got, want)
         assert_same_text(got, render_csv(header, columns))
         assert_no_child_left()
 
-    def test_failed_fork_renders_in_process(self, forked, monkeypatch):
+    def test_failed_fork_renders_in_process(self, forked, monkeypatch, tmp_path):
         forked(3)
 
         def failing():
@@ -1047,28 +1164,35 @@ class TestStartedCsv:
 
         monkeypatch.setattr(os, "fork", failing)
         header, columns, want = mixed_table()
-        assert_same_text(started_csv(header, columns), want)
+        assert_same_text(started_csv(tmp_path / "t.csv", header, columns), want)
         assert_no_child_left()
 
-    def test_failed_last_fork_renders_in_process(self, forked, monkeypatch):
-        """The range whose fork failed renders in its turn, after the
-        children of the ranges before it are read."""
+    def test_failed_last_fork_renders_in_process(self, forked, monkeypatch, tmp_path):
+        """Of two tables started as the sweep starts them, the one whose
+        fork failed renders in process at its collection, after the other
+        table's child is read."""
         forks = forked(3)
         fork = os.fork
 
         def last_fails():
-            if len(forks) == 2:
+            if len(forks) == 1:
                 raise OSError("no process left")
             return fork()
 
         monkeypatch.setattr(os, "fork", last_fails)
         header, columns, want = mixed_table()
-        assert_same_text(started_csv(header, columns), want)
-        assert len(forks) == 2
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        with ExitStack() as started:
+            collectors = [started.enter_context(cli._start_csv(str(path), header, columns))
+                          for path in paths]
+            reports = [collect() for collect in collectors]
+        for path, report in zip(paths, reports):
+            assert_same_text(reported_text(path, report), want)
+        assert len(forks) == 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("death", ["raise", "kill"])
-    def test_failed_child_renders_in_process(self, forked, monkeypatch, death):
+    def test_failed_child_renders_in_process(self, forked, monkeypatch, tmp_path, death):
         forks = forked(3)
         parent, cells = os.getpid(), cli._cells
 
@@ -1081,13 +1205,36 @@ class TestStartedCsv:
 
         monkeypatch.setattr(cli, "_cells", failing_in_children)
         header, columns, want = mixed_table()
-        assert_same_text(started_csv(header, columns), want)
-        assert len(forks) == 3
+        assert_same_text(started_csv(tmp_path / "t.csv", header, columns), want)
+        assert len(forks) == 1
         assert_no_child_left()
 
-    def test_error_in_own_range_stops_children(self, forked, monkeypatch):
-        """A range whose fork failed renders at collection, while the other
-        ranges' children run; an error there stops and reaps them."""
+    @pytest.mark.parametrize("report", ["short", "wrong size"])
+    def test_bad_report_renders_in_process(self, forked, monkeypatch, tmp_path, report):
+        """A child that writes its table but sends a short report, or one
+        whose size its temp file does not have, is not believed: the table
+        is rendered, written and hashed again in process."""
+        forks = forked(2)
+        parent, write_csv, in_parent = os.getpid(), cli._write_csv, []
+
+        def lying_in_children(path, head, columns):
+            digest, size = write_csv(path, head, columns)
+            if os.getpid() == parent:
+                in_parent.append(path)
+                return digest, size
+            return (digest[:-2], size) if report == "short" else (digest, size + 1)
+
+        monkeypatch.setattr(cli, "_write_csv", lying_in_children)
+        header, columns, want = mixed_table()
+        assert_same_text(started_csv(tmp_path / "t.csv", header, columns), want)
+        assert in_parent == [str(tmp_path / "t.csv.tmp")]
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_error_in_own_range_stops_children(self, forked, monkeypatch, tmp_path):
+        """Of two tables started as the sweep starts them, the first's fork
+        failed, so it renders at its collection while the second's child
+        runs; an error there stops and reaps that child."""
         forks = forked(3)
         parent, cells, fork, failed = os.getpid(), cli._cells, os.fork, []
 
@@ -1106,75 +1253,81 @@ class TestStartedCsv:
         monkeypatch.setattr(cli, "_cells", failing_in_parent)
         header, columns, _ = mixed_table()
         with pytest.raises(MemoryError, match="parent failed"):
-            started_csv(header, columns)
-        assert len(forks) == 2
+            with ExitStack() as started:
+                first = started.enter_context(
+                    cli._start_csv(str(tmp_path / "a.csv"), header, columns))
+                started.enter_context(cli._start_csv(str(tmp_path / "b.csv"), header, columns))
+                first()
+        assert len(forks) == 1
         assert_no_child_left()
 
-    def test_sweep_regret_table_splits_over_two_cpus(self, forked, monkeypatch):
-        """At the package's chunk size, a table of the sweep's regret.csv
-        size over 21 thetas (33,600 rows) is three chunks, formatted by two
-        children."""
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    @pytest.mark.parametrize("route", ["child", "fallback"])
+    def test_started_tables_manifest_entries_match_files(
+        self, forked, monkeypatch, config_path, tmp_path, route, command
+    ):
+        """Each started table's manifest sha256 and byte count, sent by its
+        child or computed in process after a failed fork, are its file's,
+        and no temp file is left.  The sweep's regret.csv over 21 thetas
+        is 33,600 rows, three chunks; the 40,000-row stage1.csv is three."""
         forks = forked(2)
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
-        rows = 21 * 2 * len(ALGOS) * 400
-        header = ["theta", "q", "tau", "algo", "u"]
-        columns = [
-            np.repeat(np.linspace(-2.0, 2.0, 21), rows // 21),
-            np.tile(np.repeat([0, 1], rows // 42), 21),
-            np.tile(np.linspace(-0.9, 0.9, 400), rows // 400),
-            np.tile(np.repeat(np.array(ALGOS), 400), rows // 800),
-            np.sin(0.37 * np.arange(rows)),
-        ]
-        with cli._start_csv(header, columns) as collect:
-            assert len(forks) == 2
-            got = joined(collect())
-        want = ",".join(header) + "\n" + cli._render_rows(columns, 0, rows).decode()
-        assert_same_text(got, want)
-        assert_no_child_left()
+        if route == "fallback":
+            def failing():
+                raise OSError("no process left")
 
-    def test_simulate_stage1_splits_over_two_cpus(self, forked, monkeypatch, config_path,
-                                                   tmp_path):
-        """stage1.csv of more than one chunk takes one child per CPU; the
-        small tables render in process."""
-        forks = forked(2)
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
-        assert main([
-            "simulate", "--config", config_path, "--tau", "0.0", "--m", "40000",
-            "--seed", "1", "--out", str(tmp_path / "out"),
-        ]) == 0
-        assert len(forks) == 2
+            monkeypatch.setattr(os, "fork", failing)
+        options, started = {
+            "sweep": (["--theta-grid=-2:2:21"], ["regret.csv", "scores.csv"]),
+            "simulate": (["--tau", "0.0", "--m", "40000", "--seed", "1"], ["stage1.csv"]),
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", config_path, *options, "--out", str(out)]) == 0
+        assert len(forks) == (len(started) if route == "child" else 0)
         assert_no_child_left()
+        artifacts = sorted(cli.COMMANDS[command].artifacts)
+        assert sorted(os.listdir(out)) == sorted([*artifacts, "run_manifest.json"])
+        manifest = json.loads(read_text(out / "run_manifest.json"))
+        entries = {entry["name"]: entry for entry in manifest["outputs"]}
+        assert sorted(entries) == artifacts
+        for name in started:
+            blob = read_bytes(out / name)
+            assert len(blob) > 500_000
+            assert entries[name]["sha256"] == hashlib.sha256(blob).hexdigest()
+            assert entries[name]["bytes"] == len(blob)
 
-    def test_collection_holds_the_text_about_once(self, forked, monkeypatch):
-        """Collecting a 200,000-row stage1.csv from two children keeps their
-        bytes as pieces: decoding and joining them held the text twice."""
+    def test_collection_holds_the_text_about_once(self, forked, monkeypatch, tmp_path):
+        """Collecting a 200,000-row stage1.csv from its child holds none of
+        its text: the child wrote and hashed it and sent 40 bytes.  (Two
+        children's pieces held it about once, and decoding and joining them
+        held it twice.)"""
         forks = forked(2)
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", CHUNK_ROWS)
         config = ModelConfig.from_dict(BASELINE_DOC)
         data = run_stage_one(config, sample_population(config, 200_000, 8), 0.0)
-        with cli._start_csv(["theta", "accepted", "q_label"],
+        path = tmp_path / "stage1.csv"
+        with cli._start_csv(str(path), ["theta", "accepted", "q_label"],
                             [data.theta, data.accepted, data.q_label]) as collect:
-            assert len(forks) == 2
+            assert len(forks) == 1
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                pieces = collect()
+                _, size = collect()
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-        size = sum(map(len, pieces))
-        assert size > 4_000_000
-        assert peak <= 1.25 * size
+        assert size == os.path.getsize(str(path) + ".tmp") > 4_000_000
+        assert peak <= size // 100
         assert_no_child_left()
 
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
-    def test_error_before_collection_stops_children(self, forked, error):
+    def test_error_before_collection_stops_children(self, forked, tmp_path, error):
         forks = forked(3)
         header, columns, _ = mixed_table()
         with pytest.raises(error):
-            with cli._start_csv(header, columns):
+            with cli._start_csv(str(tmp_path / "t.csv"), header, columns):
                 raise error()
-        assert len(forks) == 3
+        assert len(forks) == 1
         assert_no_child_left()
 
 
@@ -1251,6 +1404,35 @@ class TestEntryPoint:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith("error: ") and "too large to allocate" in err[-1]
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("where", ["file", "under a file"])
+    @pytest.mark.parametrize("command", [name for name, command in cli.COMMANDS.items()
+                                         if command.artifacts])
+    def test_out_that_cannot_be_a_directory_exits_1(
+        self, config_path, tmp_path, monkeypatch, capsys, command, where
+    ):
+        """An --out that names a file, or a path under one, exits 1 with an
+        error line before any work; os.makedirs raised a bare
+        FileExistsError traceback, for simulate after the whole run."""
+        drawn, draw = [], population._draw
+
+        def spy(*args, **options):
+            drawn.append(args)
+            return draw(*args, **options)
+
+        monkeypatch.setattr(population, "_draw", spy)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"a file")
+        out = taken if where == "file" else taken / "out"
+        options = {"scores": ["--theta", "0"], "tau": ["--theta", "0"],
+                   "regret": ["--theta", "0", "--q", "1"], "sweep": ["--theta", "0"],
+                   "simulate": ["--tau", "0", "--m", "2000"], "classify": []}[command]
+        assert main([command, "--config", config_path, *options, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {str(out)!r}: ")
+        assert drawn == []
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
+        assert read_bytes(taken) == b"a file"
 
     def test_global_schema_dump(self, capsys):
         assert main(["--schema"]) == 0

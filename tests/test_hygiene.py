@@ -11,14 +11,15 @@ function, class or assigned name at the top level of a src/screenlab
 module that no module there reads, by name, as an attribute or in an
 import: code that only the tests still reach.  The last fails on an
 ``open(...)`` in tests/ or scripts/ that is not the context expression of a
-``with`` item.  src/ is left out of that one: ``cli._fork_render`` returns
-the pipe it opens, and ``cli._child_bytes`` closes it.  Another fails on
+``with`` item.  src/ is left out of that one: ``cli._fork_write`` returns
+the pipe it opens, and ``cli._child_report`` closes it.  Another fails on
 a top-level module imported under src/screenlab that is neither in the
 standard library, nor screenlab itself, nor named in pyproject.toml's
 ``[project] dependencies``: an installed but undeclared package would
 pass here and fail on a clean install.  One more pins the package's two
 measured kinds of concurrency to their one site each: only
-``cli._fork_render`` calls ``os.fork``, and only
+``cli._fork_write`` calls ``os.fork``, once per started CSV table, to
+render, write and hash it in a child, and only
 ``thresholds._sampled_losses`` builds a ``ThreadPoolExecutor`` (no function
 builds a ``threading.Thread``).  The last pins the Monte Carlo estimate
 to its one site: no function but ``population._mean_and_se`` calls a
@@ -198,7 +199,7 @@ def test_scan_finds_concurrency_sites():
 
 def test_only_the_measured_sites_fork_or_start_threads():
     assert src_sites(concurrency_sites) == {
-        ("cli._fork_render", "os.fork"),
+        ("cli._fork_write", "os.fork"),
         ("thresholds._sampled_losses", "concurrent.futures.ThreadPoolExecutor"),
     }
 
