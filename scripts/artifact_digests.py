@@ -51,6 +51,10 @@ RUNS = {
     "scores": ["scores", "--config", BASELINE, "--theta=-1,0,1", "--out", OUT],
     "regret": ["regret", "--config", BASELINE, "--theta", "0.3", "--q", "1",
                "--tau-grid=-0.9:0.9:101", "--out", OUT],
+    # tables of more than one CSV chunk (16,384 rows): 40,000 and 16,400 rows
+    "regret-long": ["regret", "--config", BASELINE, "--theta", "0.3", "--q", "0",
+                    "--tau-grid=-0.9:0.9:20000", "--out", OUT],
+    "scores-grid": ["scores", "--config", BASELINE, "--theta-grid=-2:2:41", "--out", OUT],
     "tau-theta0": ["tau", "--config", BASELINE, "--theta", "0.0"],
     "tau-grid-q1": ["tau", "--config", BASELINE, "--theta-grid=-2:2:21", "--q", "1"],
     "classify-irregular": ["classify", "--config", IRREGULAR],

@@ -13,14 +13,15 @@ Conventions shared by all subcommands:
   CSV bodies; CSV floats are written by orjson, and by ``repr`` only
   where orjson's layout differs from it;
 * CSV rows are rendered as UTF-8 bytes, ``CSV_CHUNK_ROWS`` at a time.  A
-  chunk whose first column is a float and whose other columns merge into
-  one coded run of few texts, as stage1.csv's do, is one orjson blob whose
-  separators become the row's text: theta's digits and one of at most six
-  suffixes, such as ``,1,0\\n``.  Every other chunk is one join of tokens
-  that carry their own separators: a float column's cells in row order, or
-  the distinct texts of a coded column (ints, bools, strings, masked cells
-  and floats whose bits repeat), adjacent coded columns merged into one
-  token per row while their distinct texts are few;
+  chunk whose first column is a float without empty cells, as every
+  package table but regret_mc.csv's is, is one orjson blob of all such
+  float columns, row by row; the byte after each float cell is set to a
+  code for the text up to the next float cell, which carries the other
+  columns' cells, such as stage1.csv's ``,1,0\\n``.  A chunk whose texts
+  between float cells are too many for the 30 codes, as
+  scores_empirical.csv's ``n`` and ``n_accepted`` make them, and a chunk
+  led by another column are rendered cell by cell, each distinct text of
+  a column formatted once;
 * ``sweep``'s scores.csv and regret.csv and ``simulate``'s stage1.csv are
   started as soon as their columns exist: on POSIX systems with more
   than one CPU available, one child per table is forked to render it,
@@ -186,131 +187,119 @@ def write_atomic(path: str, data: bytes) -> None:
 # text is held.
 CSV_CHUNK_ROWS = 16_384
 
-# the most texts a coded run after a float column may have for the chunk to
-# take the blob route: each is a control byte, 0x01 to 0x08, while the blob
-# is assembled
-_BLOB_CODES = 8
+# the bytes the text between two float cells of a blob is set to: a bare
+# separator keeps its own byte, and any other text takes one of 30 control
+# bytes, none of which orjson writes in a float array
+_BARE = {b",": ord(","), b"\n": ord("\n")}
+_CODES = bytes(code for code in range(1, 32) if code != ord("\n"))
 
 
-def _all_distinct(keys: np.ndarray) -> bool:
-    """Whether no key repeats: one sort and a neighbour compare."""
-    ordered = np.sort(keys)
-    return bool((ordered[1:] != ordered[:-1]).all())
+def _coded(column: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The distinct texts of one column chunk and each row's index into
+    them: row i reads ``texts[codes[i]]``.
 
-
-def _repr_outside(values: np.ndarray) -> np.ndarray:
-    """Indices of the floats orjson does not write as ``repr`` does: all
-    but 1e-4 <= |v| < 1e16, so the zeros, subnormals, NaNs (which fail both
-    comparisons) and infinities too."""
-    size = np.abs(values)
-    return np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))
-
-
-def _float_text(values: np.ndarray, sep: bytes) -> list[bytes]:
-    """Shortest round-trip text of each float64 of ``values``, as ``repr``
-    writes it, each followed by ``sep``, as UTF-8 bytes.
-
-    One ``orjson.dumps`` call writes the whole array, with the shortest
-    digits that round-trip, as ``repr`` chooses them, and in ``repr``'s
-    layout where that is positional, 1e-4 <= |v| < 1e16.  One replace puts
-    ``sep`` and a NUL after every cell and one split on the NULs cuts the
-    cells out; with no ``sep``, one split on the commas.  Every other value,
-    which orjson writes in another exponent form or as ``null`` (NaN,
-    infinities), and the zeros and subnormals, is formatted by ``repr``
-    itself.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if not len(values):
-        return []  # "[]" would split into one empty cell
-    blob = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-    text = (blob.replace(b",", sep + b"\0") + sep).split(b"\0") if sep else blob.split(b",")
-    outside = _repr_outside(values)
-    if len(outside):
-        # joined and encoded once, and cut as the orjson text is
-        end = sep.decode()
-        fixed = ((end + "\0").join(map(repr, values[outside].tolist())) + end).encode()
-        for i, cell in zip(outside.tolist(), fixed.split(b"\0")):
-            text[i] = cell
-    return text
-
-
-def _blob_rows(values: np.ndarray, texts: list[bytes], codes: np.ndarray) -> bytes:
-    """CSV lines of a chunk whose first column is the floats ``values`` and
-    whose other columns are one coded run: row i is the text of
-    ``values[i]`` followed by ``texts[codes[i]]``, which starts with the
-    first column's separator.
-
-    One ``orjson.dumps`` writes the floats as ``[v0,v1,...]``.  The byte
-    after each cell, a ``,`` or the closing ``]``, is set to its row's code
-    plus one, a control byte orjson never writes; the ``repr`` text of each
-    cell ``_float_text`` would fix up is spliced in between the bytes that
-    bound it; then one ``bytes.replace`` per code that occurs puts in its
-    text.  ``texts`` holds at most ``_BLOB_CODES`` texts.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    buf = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY),
-                        dtype=np.uint8).copy()
-    buf[-1] = ord(",")
-    ends = np.flatnonzero(buf == ord(","))  # the byte after each cell
-    buf[ends] = codes + 1
-    body = buf[1:].tobytes()  # no "["; a cell's end is one byte earlier here
-    outside = _repr_outside(values)
-    if len(outside):
-        stops = ends[outside] - 1
-        starts = np.where(outside > 0, ends[outside - 1], 0)
-        pieces, done = [], 0
-        for start, stop, value in zip(starts.tolist(), stops.tolist(),
-                                      values[outside].tolist()):
-            pieces += (body[done:start], repr(value).encode())
-            done = stop
-        pieces.append(body[done:])
-        body = b"".join(pieces)
-    for code in np.flatnonzero(np.bincount(codes, minlength=len(texts))).tolist():
-        body = body.replace(bytes((code + 1,)), texts[code])
-    return body
-
-
-def _cells(column: np.ndarray, sep: bytes) -> tuple[list[bytes], np.ndarray | None]:
-    """Text of each cell of one column chunk, followed by ``sep``: as
-    (texts, None), one text per row, or coded, as (texts, codes), the text
-    of row i being ``texts[codes[i]]``.  A masked cell is the bare ``sep``.
-
-    An unmasked float chunk in which no bits repeat is formatted by
-    ``_float_text`` in row order.  Every other chunk is coded: each
-    distinct value is formatted once.  Floats are told apart by their bits,
-    not their value, so ``-0.0`` keeps its sign.  A one-byte integer or
-    bool chunk is coded by its offset from its least value, with no sort.
-    A masked chunk always takes a code, which loses nothing: the masked
-    cells of a column given with None all hold the bits of 0.0, so no two
-    of them are distinct.
+    Floats are told apart by their bits, not their value, so ``-0.0`` keeps
+    its sign, and the distinct ones are written as one column by ``_blob``.
+    A one-byte integer or bool chunk is coded by its offset from its least
+    value, with no sort.  A masked cell takes one more text, the empty one.
     """
     values = np.ma.getdata(column)
-    floats = values.dtype.kind == "f"
-    keys = values.view(np.int64) if floats else values
-    mask = np.ma.getmaskarray(column)
-    if floats and not mask.any() and _all_distinct(keys):
-        return _float_text(values, sep), None
     if values.dtype.kind in "biu" and values.dtype.itemsize == 1:
         codes = values.astype(np.intp)
         least = int(codes.min())
         codes -= least
-        texts = [b"%d" % v + sep for v in range(least, least + int(codes.max()) + 1)]
+        texts = [b"%d" % v for v in range(least, least + int(codes.max()) + 1)]
+    elif values.dtype.kind == "f":
+        distinct, codes = np.unique(values.view(np.int64), return_inverse=True)
+        texts = _blob([distinct.view(np.float64)]).split(b"\n")[:-1]
     else:
-        distinct, codes = np.unique(keys, return_inverse=True)
-        texts = (_float_text(distinct.view(values.dtype), sep) if floats
-                 else [str(v).encode() + sep for v in distinct.tolist()])
+        distinct, codes = np.unique(values, return_inverse=True)
+        texts = [str(v).encode() for v in distinct.tolist()]
+    mask = np.ma.getmaskarray(column)
     if mask.any():
         codes += mask * (len(texts) - codes)  # a third of a boolean setitem's time
-        texts.append(sep)
+        texts.append(b"")
     return texts, codes
 
 
+def _blob(chunk: list[np.ndarray]) -> bytes | None:
+    """CSV lines of a chunk whose first column is an unmasked float, or
+    None when the chunk cannot be assembled this way.
+
+    One ``orjson.dumps`` writes every unmasked float column, row by row, as
+    ``[v0,v1,...]``, with the shortest digits that round-trip, as ``repr``
+    chooses them, and in ``repr``'s layout where that is positional,
+    1e-4 <= |v| < 1e16, or a zero.  The other columns ride the separators:
+    the byte after each float cell, a ``,`` or the closing ``]``, is set to
+    the byte of the text up to the next float cell (a ``,`` before each cell
+    between, then a ``,`` or the newline), whose texts are the product of
+    those columns' ``_coded`` texts.  The ``repr`` text of every other
+    float, once per distinct bit pattern, is spliced in between the bytes
+    that bound it; then one ``bytes.replace`` per control byte given out
+    puts in its text.  None past 30 texts that need a control byte, or when
+    one of them holds such a byte.
+    """
+    floats = [i for i, column in enumerate(chunk)
+              if column.dtype.kind == "f" and not np.ma.is_masked(column)]
+    if floats[:1] != [0]:
+        return None
+    seps = np.empty((len(chunk[0]), len(floats)), dtype=np.uint8)
+    coded: dict[bytes, int] = {}  # each text past _BARE -> its control byte
+    for k, (i, j) in enumerate(zip(floats, floats[1:] + [len(chunk)])):
+        texts, codes = [b""], 0
+        for column in chunk[i + 1:j]:
+            cells, column_codes = _coded(column)
+            if len(texts) * len(cells) > len(_CODES):
+                return None
+            texts = [text + b"," + cell for text in texts for cell in cells]
+            column_codes += codes * len(cells)
+            codes = column_codes
+        end = b"," if j < len(chunk) else b"\n"
+        texts = [text + end for text in texts]
+        for text in texts:
+            if text not in _BARE and text not in coded:
+                if len(coded) == len(_CODES) or not set(text).isdisjoint(_CODES):
+                    return None
+                coded[text] = _CODES[len(coded)]
+        seps[:, k] = np.array([_BARE.get(text) or coded[text] for text in texts],
+                              dtype=np.uint8)[codes]
+    values = (np.ascontiguousarray(np.ma.getdata(chunk[0])) if len(floats) == 1  # no copy
+              else np.stack([np.ma.getdata(chunk[i]) for i in floats], axis=1).ravel())
+    buf = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY),
+                        dtype=np.uint8).copy()
+    buf[-1] = ord(",")
+    ends = np.flatnonzero(buf == ord(","))  # the byte after each cell
+    buf[ends] = seps.ravel()
+    body = buf[1:].tobytes()  # no "["; a cell's end is one byte earlier here
+    size = np.abs(values)
+    outside = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0))
+    if len(outside):
+        stops = ends[outside] - 1
+        starts = np.where(outside > 0, ends[outside - 1], 0)
+        pieces, done, fixed = [], 0, {}  # fixed: the text of each bit pattern
+        for start, stop, bits, value in zip(starts.tolist(), stops.tolist(),
+                                            values[outside].view(np.int64).tolist(),
+                                            values[outside].tolist()):
+            if bits not in fixed:
+                fixed[bits] = repr(value).encode()
+            pieces += (body[done:start], fixed[bits])
+            done = stop
+        pieces.append(body[done:])
+        body = b"".join(pieces)
+    for text, code in coded.items():
+        body = body.replace(bytes((code,)), text)  # one scan where it does not occur
+    return body
+
+
 def _columns(columns) -> list[np.ndarray]:
-    """CSV columns as arrays, a sequence's None entries masked; ValueError
-    unless their lengths are equal."""
+    """CSV columns as arrays, a sequence's None entries masked and every
+    float column widened to float64; ValueError unless their lengths are
+    equal."""
     arrays = [values if isinstance(values, np.ndarray) else np.ma.masked_array(
         [0 if v is None else v for v in values], mask=[v is None for v in values]
     ) for values in columns]
+    arrays = [array.astype(np.float64) if array.dtype.kind == "f"
+              and array.dtype != np.float64 else array for array in arrays]
     if len({len(array) for array in arrays}) > 1:
         raise ValueError("CSV columns must have equal lengths")
     return arrays
@@ -320,50 +309,23 @@ def _render_rows(columns) -> Iterator[bytes]:
     """CSV lines of every row of ``columns`` as UTF-8, one bytes per
     ``CSV_CHUNK_ROWS`` chunk, in row order.
 
-    A chunk's columns are formatted right to left: a column followed by a
-    coded one of few texts leaves its separator to the front of those
-    texts, where it costs one concatenation per text, not one per row.
-    Adjacent coded columns are merged into one token per row while the
-    product of their distinct texts stays small: stage1.csv's ``accepted``
-    and ``q_label`` are one of at most six suffixes, such as ``,1,0\\n``.
-    A chunk whose first column is an unmasked float and whose other
-    columns merge into one run of at most ``_BLOB_CODES`` texts, as
-    stage1.csv's do, is assembled from one orjson blob by ``_blob_rows``.
-    Every other chunk is one join of tokens, each the text of a cell, or of
-    a merged run, and its separator, row by row.
+    A chunk led by an unmasked float column is one orjson blob, assembled
+    by ``_blob``, whose separators carry the other columns.  Any other
+    chunk, or one ``_blob`` cannot take, is rendered cell by cell: one join
+    of tokens, each a cell's ``_coded`` text and its separator, row by row.
     """
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    # the most texts a coded run may have to take a separator or a merge:
-    # a merged run's texts are built whether or not they occur
-    few = 1024
     for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        runs: list[tuple[list[bytes], np.ndarray | None]] = []  # right to left
-        for i in reversed(range(len(columns))):
-            column, sep = columns[i][lo:lo + CSV_CHUNK_ROWS], seps[i]
-            coded_next = bool(runs) and runs[-1][1] is not None and len(runs[-1][0]) <= few
-            if (i == 0 and coded_next and len(runs) == 1
-                    and len(runs[0][0]) <= _BLOB_CODES
-                    and column.dtype.kind == "f" and not np.ma.is_masked(column)):
-                tail, tail_codes = runs[0]
-                yield _blob_rows(np.ma.getdata(column), [sep + text for text in tail],
-                                 tail_codes)
-                break
-            texts, codes = _cells(column, b"" if coded_next else sep)
-            if coded_next:
-                tail, tail_codes = runs.pop()
-                tail = [sep + text for text in tail]
-                if codes is not None and len(texts) * len(tail) <= few:
-                    texts, codes = ([text + end for text in texts for end in tail],
-                                    codes * len(tail) + tail_codes)
-                else:
-                    runs.append((tail, tail_codes))
-            runs.append((texts, codes))
-        else:  # no blob: the token route
-            tokens = [b""] * (len(runs) * len(column))
-            for i, (texts, codes) in enumerate(reversed(runs)):
-                tokens[i::len(runs)] = (texts if codes is None
-                                        else np.array(texts, dtype=object)[codes].tolist())
-            yield b"".join(tokens)
+        chunk = [column[lo:lo + CSV_CHUNK_ROWS] for column in columns]
+        lines = _blob(chunk)
+        if lines is None:
+            tokens = [b""] * (len(chunk) * len(chunk[0]))
+            for i, (column, sep) in enumerate(zip(chunk, seps)):
+                texts, codes = _coded(column)
+                tokens[i::len(chunk)] = np.array([text + sep for text in texts],
+                                                 dtype=object)[codes].tolist()
+            lines = b"".join(tokens)
+        yield lines
 
 
 def _write_csv(path: str, head: bytes, columns) -> tuple[str, int]:
@@ -472,14 +434,13 @@ def render_csv(header: list[str], columns) -> str:
     """CSV text of equal-length columns under one header line, rendered in
     process.
 
-    Floats are written in shortest round-trip form, as ``repr`` writes
-    them, by ``_float_text``; integers and bools as integers, strings as
-    given; masked cells and None are empty.  No cell needs quoting: the
-    package writes no commas, quotes or newlines inside a cell.  Rows are
-    rendered as bytes ``CSV_CHUNK_ROWS`` at a time by ``_render_rows`` and
-    decoded once, and each distinct value of a chunk's column is formatted
-    once; floats are told apart by their bits, so ``0.0`` and ``-0.0``
-    keep their text.
+    Floats of any width are written as their float64 value in shortest
+    round-trip form, as ``repr`` writes it; integers and bools as
+    integers, strings as given; masked cells and None are empty.  No cell
+    needs quoting: the package writes no commas, quotes or newlines inside
+    a cell.  Rows are rendered as bytes ``CSV_CHUNK_ROWS`` at a time by
+    ``_render_rows`` and decoded once; floats are told apart by their bits,
+    so ``0.0`` and ``-0.0`` keep their text.
     """
     return ",".join(header) + "\n" + b"".join(_render_rows(_columns(columns))).decode()
 

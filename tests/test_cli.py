@@ -821,19 +821,19 @@ class TestCsvByteOracle:
         assert len(repr_calls) <= 5 * chunks
         assert_same_text(got, reference_csv(["f"], ([v] for v in column)))
 
-    def test_distinct_floats_formatted_in_row_order(self, monkeypatch):
+    def test_distinct_floats_formatted_in_row_order(self, monkeypatch, blob_chunks,
+                                                   repr_calls):
+        """A column whose bits do not repeat is one blob per chunk, written
+        in row order by orjson; ``repr`` sees only the values orjson writes
+        in another form, |v| < 1e-4, each once."""
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4096)
-        # every value handed to the float formatter, in call order
-        handed, float_text = [], cli._float_text
-
-        def spying(values, sep):
-            handed.extend(np.asarray(values).tolist())
-            return float_text(values, sep)
-
-        monkeypatch.setattr(cli, "_float_text", spying)
         column = np.linspace(-1.0, 1.0, 10_000) ** 3
-        render_csv(["f"], [column])
-        assert handed == column.tolist()
+        got = render_csv(["f"], [column])
+        assert_same_text(got, reference_csv(["f"], ([v] for v in column)))
+        assert blob_chunks == [4096, 4096, 1808]
+        tiny = column[np.abs(column) < 1e-4]
+        assert len(tiny) > 100 and not (tiny == 0).any()
+        assert sorted(repr_calls) == sorted(tiny.tolist())
 
     @pytest.mark.parametrize("chunk_rows", [4, 64])
     def test_one_none_among_distinct_floats(self, monkeypatch, chunk_rows):
@@ -869,7 +869,7 @@ class TestCsvByteOracle:
         powers = np.ldexp(4 / 3, np.arange(-1074, 1024))
         column = np.concatenate([edges, specials, powers, -powers])
         bits = column.view(np.int64)
-        # unique bits take the row-order route; tiled, every bit pattern repeats
+        # each bit pattern once, or tiled, so every one repeats in its chunk
         column = (column[np.unique(bits, return_index=True)[1]] if route == "row order"
                   else np.tile(column, 2))
         got = render_csv(["f"], [column])
@@ -882,28 +882,34 @@ class TestCsvByteOracle:
         got = render_csv(["f"], [column])
         assert_same_text(got, reference_csv(["f"], ([v] for v in column)))
 
-    def test_float_text_of_no_values_is_empty(self):
-        # orjson writes an empty array as "[]", which splits into one empty cell
-        for sep in (b",", b"\n", b""):
-            assert cli._float_text(np.array([]), sep) == []
-
-    def test_float_text_formats_float64(self):
-        """A narrower or strided input is widened to contiguous float64
-        first, so its text is that of the float64 value, followed by the
-        separator."""
-        narrow = np.array([0.1, 3e-5, 1e20], dtype=np.float32)
-        strided = np.linspace(0.0, 1.0, 9)[::2]
-        for sep in (b",", b"\n", b""):
-            assert cli._float_text(narrow, sep) == [
-                repr(v).encode() + sep for v in narrow.astype(np.float64).tolist()]
-            assert cli._float_text(strided, sep) == [
-                repr(v).encode() + sep for v in strided.tolist()]
+    @pytest.mark.parametrize("column", [
+        np.array([0.1, 3e-5, 1e20, 0.1, -0.0], dtype=np.float32),
+        np.array([0.1, 3e-5, 1e20, 0.1, -0.0, 3e-5], dtype=np.float32),
+        np.array([0.1, 3e-5, 65504.0, 0.1, -0.0, np.inf], dtype=np.float16),
+        np.linspace(0.0, 1e-3, 17)[::2],
+    ], ids=["float32-odd", "float32-even", "float16", "strided"])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    def test_float_widths_match_the_row_writer(self, monkeypatch, column, chunk_rows):
+        """A narrower or strided float column is written as its float64
+        values, alone, inside a gap with empty cells, and after a string."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        lead = np.arange(len(column)) / 7
+        masked = np.ma.MaskedArray(column, mask=np.arange(len(column)) % 2 == 1)
+        names = ["s1", "s2"] * (len(column) // 2) + ["s1"] * (len(column) % 2)
+        hidden = [None if gone else v for v, gone in zip(column, masked.mask)]
+        for header, columns, rows in (
+            (["f"], [column], zip(column)),
+            (["lead", "m", "f"], [lead, masked, column], zip(lead, hidden, column)),
+            (["name", "f"], [names, column], zip(names, column)),
+        ):
+            got = render_csv(header, columns)
+            assert_same_text(got, reference_csv(header, rows))
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 4, 64])
     def test_adjacent_coded_columns_merged(self, monkeypatch, chunk_rows):
-        """Adjacent coded columns, a string, a bool, a masked int8, an int
-        spanning -7 to 2**40 and floats whose bits repeat, share one token
-        per row while the product of their distinct texts stays small."""
+        """Adjacent coded columns, a string, a bool, a masked int8 and an
+        int spanning -7 to 2**40, before floats whose bits repeat: led by a
+        string, every chunk is rendered cell by cell."""
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         floats, ints, flags, labels, _, names = mixed_table()[1]
         rows = zip(names, flags, [None if gone else int(v) for v, gone in
@@ -928,8 +934,9 @@ class TestCsvByteOracle:
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
     def test_all_columns_coded(self, monkeypatch, chunk_rows):
-        """A table with no row-order column: strings, bools, a masked int8,
-        wide ints and a float column whose bits repeat."""
+        """A float column whose bits repeat, then one gap of wide ints,
+        bools, a masked int8 and strings: a blob where the product of the
+        gap's texts fits the 30 codes, cell by cell where it does not."""
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         _, ints, flags, labels, _, names = mixed_table()[1]
         repeated = np.tile([0.5, -0.0, np.nan], 4)[:len(ints)]
@@ -947,14 +954,26 @@ class TestCsvByteOracle:
 
     @pytest.fixture()
     def blob_chunks(self, monkeypatch):
-        """The rows of every chunk rendered by the blob route, in call order."""
-        rows, blob_rows = [], cli._blob_rows
+        """The rows of every table chunk that ``_blob`` took, in call order;
+        the one-column blobs of a column's distinct floats, which ``_coded``
+        writes by ``_blob``, are not counted."""
+        rows, blob, coded, coding = [], cli._blob, cli._coded, []
 
-        def counting(values, texts, codes):
-            rows.append(len(values))
-            return blob_rows(values, texts, codes)
+        def counting(chunk):
+            body = blob(chunk)
+            if body is not None and not coding:
+                rows.append(len(chunk[0]))
+            return body
 
-        monkeypatch.setattr(cli, "_blob_rows", counting)
+        def spying(column):
+            coding.append(column)
+            try:
+                return coded(column)
+            finally:
+                coding.pop()
+
+        monkeypatch.setattr(cli, "_blob", counting)
+        monkeypatch.setattr(cli, "_coded", spying)
         return rows
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 64])
@@ -999,16 +1018,108 @@ class TestCsvByteOracle:
         assert_same_text(render_csv(header, columns), want)
         assert blob_chunks == [min(CHUNK_ROWS, rows - lo) for lo in range(0, rows, CHUNK_ROWS)]
 
-    @pytest.mark.parametrize("distinct", [8, 9])
-    def test_blob_route_takes_at_most_eight_texts(self, monkeypatch, blob_chunks, distinct):
-        """A float column followed by one coded run of eight texts takes
-        the blob route, codes 0x01 to 0x08; of nine, the token route."""
+    @pytest.mark.parametrize("distinct", [30, 31])
+    def test_blob_route_takes_at_most_thirty_texts(self, monkeypatch, blob_chunks, distinct):
+        """A float column followed by a column of thirty texts takes the
+        blob route, one control byte each; of thirty-one, cell by cell."""
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 64)
         floats = np.linspace(-3.0, 3.0, 40) ** 3
         ints = (np.arange(40) * 7 % distinct).astype(np.int8)
         got = render_csv(["f", "i"], [floats, ints])
         assert_same_text(got, reference_csv(["f", "i"], zip(floats, ints)))
-        assert blob_chunks == ([40] if distinct <= cli._BLOB_CODES else [])
+        assert blob_chunks == ([40] if distinct <= len(cli._CODES) == 30 else [])
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    def test_regret_shaped_table(self, monkeypatch, blob_chunks, repr_calls, chunk_rows):
+        """regret.csv's columns, float, int, float, str, float, float, int,
+        float, float: one blob per chunk, whose gaps share the texts of
+        ``q`` and ``accepted``, ``,0,`` and ``,1,``; its zeros and ``-0.0``
+        never reach ``repr``."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        rows = 40
+        step = np.arange(rows)
+        theta = np.repeat([-0.5, 0.5], rows // 2)
+        q = step // 10 % 2
+        tau = np.tile(np.linspace(-0.9, 0.9, 10), 4)
+        algo = np.array(["s1", "s2"] * (rows // 2))
+        score = np.linspace(1e-6, 0.9, rows) ** 3
+        n = np.where(step % 3, 0.25, -0.0)
+        accepted = (step % 4 > 1).astype(np.int64)
+        p = np.where(accepted == 1, n, 0.0)
+        u = n - p
+        header = ["theta", "q", "tau", "algo", "score", "n", "accepted", "p", "u"]
+        columns = [theta, q, tau, algo, score, n, accepted, p, u]
+        got = render_csv(header, columns)
+        assert_same_text(got, reference_csv(header, zip(*columns)))
+        assert blob_chunks == [min(chunk_rows, rows - lo) for lo in range(0, rows, chunk_rows)]
+        assert 0.0 not in repr_calls and any(v < 1e-4 for v in repr_calls)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    def test_masked_float_inside_a_gap(self, monkeypatch, blob_chunks, chunk_rows):
+        """A float column with empty cells between two float columns is one
+        of the gap's coded columns, in every chunk that holds an empty
+        cell; a chunk without one dumps it with the other floats."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        lead = np.linspace(-1.0, 1.0, 12) ** 3
+        hidden = [None if i % 5 == 2 else v for i, v in
+                  enumerate([0.5, -0.0, 1e-7, 0.5, np.nan, 0.25] * 2)]
+        flags = np.arange(12) % 2 == 0
+        last = np.arange(12) / 3
+        header = ["lead", "hidden", "flag", "last"]
+        got = render_csv(header, [lead, hidden, flags, last])
+        assert_same_text(got, reference_csv(header, zip(lead, hidden, flags, last)))
+        assert blob_chunks == [min(chunk_rows, 12 - lo) for lo in range(0, 12, chunk_rows)]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    @pytest.mark.parametrize("lead", ["string", "masked float"])
+    def test_table_led_by_no_plain_float(self, monkeypatch, blob_chunks, chunk_rows, lead):
+        """A table led by a string, or a chunk led by a float column with an
+        empty cell, is rendered cell by cell; in one-row chunks, the rows
+        whose lead cell is not empty are blobs."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        first = (["s1", "s2", "s1"] * 4 if lead == "string"
+                 else [None, 0.5, -0.0] * 4)
+        floats = np.linspace(-1.0, 1.0, 12) ** 3
+        got = render_csv(["a", "f"], [first, floats])
+        assert_same_text(got, reference_csv(["a", "f"], zip(first, floats)))
+        assert blob_chunks == ([1] * 8 if lead == "masked float" and chunk_rows == 1 else [])
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    def test_gap_of_more_than_thirty_texts(self, monkeypatch, blob_chunks, chunk_rows):
+        """A gap whose columns' texts multiply past thirty is rendered cell
+        by cell; a chunk short enough to stay at thirty is one blob."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        floats = np.linspace(-1.0, 1.0, 64) ** 3
+        wide = np.arange(64) % 8
+        labels = np.arange(64) % 5
+        got = render_csv(["f", "w", "l"], [floats, wide, labels])
+        assert_same_text(got, reference_csv(["f", "w", "l"], zip(floats, wide, labels)))
+        assert blob_chunks == ([] if chunk_rows == 64 else [chunk_rows] * (64 // chunk_rows)
+                               + [64 % chunk_rows] * bool(64 % chunk_rows))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+    def test_gap_texts_shared_across_gaps(self, monkeypatch, blob_chunks, chunk_rows):
+        """Three gaps with the same two texts, ``,0,`` and ``,1,``, and a
+        fourth that closes the row: one control byte per text."""
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        rows = 33
+        bits = [np.arange(rows) // k % 2 for k in (1, 2, 5)]
+        floats = [np.linspace(-2.0, 2.0, rows) * k for k in (1, 3, 5, 7)]
+        columns = [floats[0], bits[0], floats[1], bits[1], floats[2], bits[2], floats[3],
+                   bits[0].astype(bool)]
+        header = list("abcdefgh")
+        got = render_csv(header, columns)
+        assert_same_text(got, reference_csv(header, zip(*columns)))
+        assert blob_chunks == [min(chunk_rows, rows - lo) for lo in range(0, rows, chunk_rows)]
+
+    def test_control_byte_in_a_string_cell(self, blob_chunks):
+        """A string cell that holds one of the blob's control bytes sends
+        its chunk cell by cell, where the byte is kept as written."""
+        columns = [np.array([1.0, 2.0]), np.array(["a\x02b", "c"])]
+        got = render_csv(["f", "s"], columns)
+        assert_same_text(got, reference_csv(["f", "s"], zip(*columns)))
+        assert got == "f,s\n1.0,a\x02b\n2.0,c\n"
+        assert blob_chunks == []
 
     @given(rows=st.lists(st.tuples(FLOATS, st.booleans(), st.booleans()), min_size=1,
                          max_size=200),
@@ -1194,16 +1305,16 @@ class TestStartedCsv:
     @pytest.mark.parametrize("death", ["raise", "kill"])
     def test_failed_child_renders_in_process(self, forked, monkeypatch, tmp_path, death):
         forks = forked(3)
-        parent, cells = os.getpid(), cli._cells
+        parent, coded = os.getpid(), cli._coded
 
-        def failing_in_children(column, sep):
+        def failing_in_children(column):
             if os.getpid() != parent:
                 if death == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError("child failed")
-            return cells(column, sep)
+            return coded(column)
 
-        monkeypatch.setattr(cli, "_cells", failing_in_children)
+        monkeypatch.setattr(cli, "_coded", failing_in_children)
         header, columns, want = mixed_table()
         assert_same_text(started_csv(tmp_path / "t.csv", header, columns), want)
         assert len(forks) == 1
@@ -1236,7 +1347,7 @@ class TestStartedCsv:
         failed, so it renders at its collection while the second's child
         runs; an error there stops and reaps that child."""
         forks = forked(3)
-        parent, cells, fork, failed = os.getpid(), cli._cells, os.fork, []
+        parent, coded, fork, failed = os.getpid(), cli._coded, os.fork, []
 
         def first_fails():
             if not failed:
@@ -1244,13 +1355,13 @@ class TestStartedCsv:
                 raise OSError("no process left")
             return fork()
 
-        def failing_in_parent(column, sep):
+        def failing_in_parent(column):
             if os.getpid() == parent:
                 raise MemoryError("parent failed")
-            return cells(column, sep)
+            return coded(column)
 
         monkeypatch.setattr(os, "fork", first_fails)
-        monkeypatch.setattr(cli, "_cells", failing_in_parent)
+        monkeypatch.setattr(cli, "_coded", failing_in_parent)
         header, columns, _ = mixed_table()
         with pytest.raises(MemoryError, match="parent failed"):
             with ExitStack() as started:
